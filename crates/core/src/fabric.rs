@@ -705,6 +705,20 @@ impl Fabric {
         self.pes.pe_mut(r * self.cfg.cols + c)
     }
 
+    /// Data-memory word `a` of every PE, in PE-id order (`r · cols + c`) —
+    /// the slab-order view kernel mappers fill stationary operands through
+    /// (see [`PeArray::dmem_row_mut`](crate::pe::PeArray::dmem_row_mut)).
+    /// Writes are not counted as memory accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` is not below `dmem_words`.
+    pub(crate) fn dmem_row_mut(&mut self, a: usize) -> &mut [Vector] {
+        // Same rule as `pe_mut`: settle any active replay stretch first.
+        self.replay_interrupt();
+        self.pes.dmem_row_mut(a)
+    }
+
     /// Shared access to a PE.
     ///
     /// # Panics

@@ -28,9 +28,46 @@ pub mod spmm;
 pub mod window;
 
 use crate::config::CanonConfig;
+use crate::fabric::Fabric;
+use crate::isa::{Vector, LANES};
 use crate::stats::RunReport;
 use crate::SimError;
-use canon_sparse::{CsrMatrix, Dense, Mask};
+use canon_sparse::{CsrMatrix, Dense, Mask, Value};
+
+/// Places a stationary operand in data-memory words `0..words` of every PE,
+/// filling the address-major slab in its own order: for each word `a` and
+/// PE row `r`, `segment(a, r)` yields the row's `cols · LANES` lanes for
+/// that word, PE column by PE column (lanes past the end of a shorter
+/// segment are zero). Writes are uncounted, like the EDDO memory movers
+/// they model (see [`crate::pe::MemMut::preload`]).
+///
+/// # Panics
+///
+/// Panics when `words` exceeds the data-memory capacity; mappers report
+/// that as [`SimError::Mapping`] before calling.
+pub(crate) fn preload_stationary<'b>(
+    fabric: &mut Fabric,
+    words: usize,
+    mut segment: impl FnMut(usize, usize) -> &'b [Value],
+) {
+    let cols = fabric.config().cols;
+    for a in 0..words {
+        for (r, pes) in fabric.dmem_row_mut(a).chunks_exact_mut(cols).enumerate() {
+            let src = segment(a, r);
+            let whole = src[..src.len().min(cols * LANES)].chunks_exact(LANES);
+            let (filled, ragged) = (whole.len(), whole.remainder());
+            for (pe, lanes) in pes.iter_mut().zip(whole) {
+                *pe = Vector(lanes.try_into().expect("LANES-wide chunk"));
+            }
+            if let Some((pe, rest)) = pes[filled..].split_first_mut() {
+                let mut word = [0; LANES];
+                word[..ragged.len()].copy_from_slice(ragged);
+                *pe = Vector(word);
+                rest.fill(Vector::ZERO);
+            }
+        }
+    }
+}
 
 /// Materialized operands for one kernel invocation — the argument of the
 /// uniform [`run_kernel`] dispatcher.
@@ -97,8 +134,12 @@ pub struct KernelOutput {
 ///
 /// # Errors
 ///
-/// Propagates the underlying kernel's mapping and simulation errors.
+/// Returns [`SimError::Mapping`] when `cfg` fails
+/// [`CanonConfig::validate`], and propagates the underlying kernel's
+/// mapping and simulation errors.
 pub fn run_kernel(cfg: &CanonConfig, input: &KernelInput) -> Result<KernelOutput, SimError> {
+    cfg.validate()
+        .map_err(|reason| SimError::Mapping { reason })?;
     match input {
         KernelInput::Gemm { a, b } => {
             let out = gemm::run_gemm(cfg, a, b)?;
@@ -227,5 +268,201 @@ mod tests {
         )
         .unwrap();
         assert!(win.report.cycles > 0);
+    }
+
+    fn assert_rejected(cfg: CanonConfig) {
+        let mut rng = gen::seeded_rng(79);
+        let input = KernelInput::Gemm {
+            a: Dense::random(4, 0, &mut rng),
+            b: Dense::random(0, 4, &mut rng),
+        };
+        match run_kernel(&cfg, &input) {
+            Err(SimError::Mapping { reason }) => {
+                assert_eq!(Err(reason), cfg.validate(), "{cfg:?}")
+            }
+            other => panic!("expected a mapping error for {cfg:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_kernel_rejects_zero_rows() {
+        assert_rejected(CanonConfig::default().with_geometry(0, 8));
+    }
+
+    #[test]
+    fn run_kernel_rejects_zero_cols() {
+        assert_rejected(CanonConfig::default().with_geometry(8, 0));
+    }
+
+    #[test]
+    fn run_kernel_rejects_empty_dmem() {
+        assert_rejected(CanonConfig {
+            dmem_words: 0,
+            ..CanonConfig::default()
+        });
+    }
+
+    #[test]
+    fn run_kernel_rejects_empty_spad() {
+        assert_rejected(CanonConfig {
+            spad_entries: 0,
+            ..CanonConfig::default()
+        });
+    }
+
+    #[test]
+    fn run_kernel_rejects_zero_pipe_depth() {
+        assert_rejected(CanonConfig {
+            pipe_depth: 0,
+            ..CanonConfig::default()
+        });
+    }
+
+    #[test]
+    fn run_kernel_rejects_shallow_link_fifos() {
+        assert_rejected(CanonConfig {
+            link_fifo_depth: 1,
+            ..CanonConfig::default()
+        });
+    }
+
+    /// The per-PE layout `spmm::preload_b_tile` wrote through
+    /// `MemMut::preload` before the slab-order writer: PE `(r, c)` word `i`
+    /// is `B[rH + i][base + cL ..][..L]`, zero past either edge of `B`.
+    fn per_pe_b_tile(fabric: &mut Fabric, b: &Dense, h: usize, tile_base: usize) {
+        let cfg = fabric.config().clone();
+        for r in 0..cfg.rows {
+            for c in 0..cfg.cols {
+                let words: Vec<Vector> = (0..h)
+                    .map(|i| {
+                        let mut lanes = [0; LANES];
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = b.get(r * h + i, tile_base + c * LANES + l).unwrap_or(0);
+                        }
+                        Vector(lanes)
+                    })
+                    .collect();
+                fabric.pe_mut(r, c).dmem.preload(0, &words);
+            }
+        }
+    }
+
+    /// The per-PE layout SDDMM's stationary-`B` loop wrote through
+    /// `MemMut::preload`: PE `(y, x)` word `h·W + w` is
+    /// `B[n(y, h)][(w·X + x)·L ..][..L]`.
+    fn per_pe_key_tiles(
+        fabric: &mut Fabric,
+        b: &Dense,
+        h: usize,
+        w: usize,
+        partition: sddmm::ColPartition,
+    ) {
+        let cfg = fabric.config().clone();
+        let n_global = |yy: usize, hh: usize| match partition {
+            sddmm::ColPartition::Block => yy * h + hh,
+            sddmm::ColPartition::Cyclic => hh * cfg.rows + yy,
+        };
+        for yy in 0..cfg.rows {
+            for xx in 0..cfg.cols {
+                let mut words = Vec::with_capacity(h * w);
+                for hh in 0..h {
+                    for ww in 0..w {
+                        let mut lanes = [0; LANES];
+                        for (v, lane) in lanes.iter_mut().enumerate() {
+                            *lane = b[(n_global(yy, hh), (ww * cfg.cols + xx) * LANES + v)];
+                        }
+                        words.push(Vector(lanes));
+                    }
+                }
+                fabric.pe_mut(yy, xx).dmem.preload(0, &words);
+            }
+        }
+    }
+
+    /// Asserts the two fabrics hold identical data memories on every word of
+    /// every PE, and that the bulk preload counted no access.
+    fn assert_same_dmem(bulk: &Fabric, per_pe: &Fabric) {
+        let cfg = bulk.config();
+        for r in 0..cfg.rows {
+            for c in 0..cfg.cols {
+                let (got, want) = (bulk.pe(r, c).dmem, per_pe.pe(r, c).dmem);
+                for a in 0..cfg.dmem_words {
+                    assert_eq!(got.word(a), want.word(a), "PE ({r}, {c}) word {a}");
+                }
+                assert_eq!((got.read_count(), got.write_count()), (0, 0));
+            }
+        }
+        let stats = bulk.report().stats;
+        assert_eq!((stats.dmem_reads, stats.dmem_writes), (0, 0));
+    }
+
+    /// A fabric whose data memories hold junk, so a preload that skips a
+    /// padding word cannot pass by reading the constructor's zeros.
+    fn dirty_fabric(cfg: &CanonConfig, north_edge_feeder: bool) -> Fabric {
+        let mut fabric = Fabric::new(cfg, north_edge_feeder);
+        for a in 0..cfg.dmem_words {
+            fabric.dmem_row_mut(a).fill(Vector::splat(-7));
+        }
+        fabric
+    }
+
+    /// Geometries and data-memory sizes of the differential preload checks.
+    fn preload_cfgs() -> Vec<CanonConfig> {
+        [(8, 8, 64), (16, 8, 64), (64, 64, 24)]
+            .into_iter()
+            .map(|(rows, cols, dmem_words)| CanonConfig {
+                dmem_words,
+                ..CanonConfig::default().with_geometry(rows, cols)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_b_tile_preload_matches_per_pe_preload() {
+        let mut rng = gen::seeded_rng(80);
+        for cfg in preload_cfgs() {
+            let tile_n = cfg.cols * LANES;
+            let h = cfg.dmem_words / 2 + 1;
+            let k = cfg.rows * h;
+            // Two whole tiles plus a ragged third (N not a multiple of the
+            // tile width), and a B with fewer rows than rows·h.
+            for (n, b_rows) in [(2 * tile_n + 3, k), (tile_n - 1, k - 5)] {
+                let b = Dense::random(b_rows, n, &mut rng);
+                for tile_base in (0..n).step_by(tile_n) {
+                    let mut bulk = dirty_fabric(&cfg, false);
+                    let mut per_pe = dirty_fabric(&cfg, false);
+                    spmm::preload_b_tile(&mut bulk, &b, h, tile_base).unwrap();
+                    per_pe_b_tile(&mut per_pe, &b, h, tile_base);
+                    assert_same_dmem(&bulk, &per_pe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_key_tile_preload_matches_per_pe_preload() {
+        let mut rng = gen::seeded_rng(81);
+        for cfg in preload_cfgs() {
+            let (w, h) = (2, cfg.dmem_words / 4);
+            let b = Dense::random(cfg.rows * h, w * cfg.cols * LANES, &mut rng);
+            for partition in [sddmm::ColPartition::Block, sddmm::ColPartition::Cyclic] {
+                let mut bulk = dirty_fabric(&cfg, true);
+                let mut per_pe = dirty_fabric(&cfg, true);
+                sddmm::preload_key_tiles(&mut bulk, &b, h, w, partition);
+                per_pe_key_tiles(&mut per_pe, &b, h, w, partition);
+                assert_same_dmem(&bulk, &per_pe);
+            }
+        }
+    }
+
+    #[test]
+    fn b_tile_deeper_than_dmem_is_a_mapping_error() {
+        let cfg = CanonConfig::default();
+        let mut fabric = Fabric::new(&cfg, false);
+        let b = Dense::zeros(cfg.rows * (cfg.dmem_words + 1), 8);
+        assert!(matches!(
+            spmm::preload_b_tile(&mut fabric, &b, cfg.dmem_words + 1, 0),
+            Err(SimError::Mapping { .. })
+        ));
     }
 }

@@ -26,6 +26,7 @@
 //!   behaviourally identical and noted in DESIGN.md).
 
 use crate::config::CanonConfig;
+use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
 use crate::noc::TaggedVector;
 use crate::orchestrator::{MetaToken, OrchAction, OrchIo, OrchProgram};
@@ -276,6 +277,35 @@ pub struct SddmmOutput {
     pub report: RunReport,
 }
 
+/// Places the stationary `B` tiles: PE `(y, x)` receives, at word `h·W + w`,
+/// `B[n][(w·X + x)·V .. +V]` for the key `n` row `y` owns at local index `h`
+/// (`yH + h` for [`ColPartition::Block`], `hY + y` for
+/// [`ColPartition::Cyclic`]). Word `h·W + w` of PE row `y` is one contiguous
+/// run of key row `n`, so the tiles are copied in slab order (see
+/// [`super::preload_stationary`]).
+///
+/// # Panics
+///
+/// Panics when `b` has fewer than `h · rows` rows or fewer than
+/// `w · cols · LANES` columns, or when `h · w` exceeds the data memory.
+pub(crate) fn preload_key_tiles(
+    fabric: &mut Fabric,
+    b: &Dense,
+    h: usize,
+    w: usize,
+    partition: ColPartition,
+) {
+    let (rows, tile) = (fabric.config().rows, fabric.config().cols * LANES);
+    super::preload_stationary(fabric, h * w, |a, yy| {
+        let (hh, ww) = (a / w, a % w);
+        let n = match partition {
+            ColPartition::Block => yy * h + hh,
+            ColPartition::Cyclic => hh * rows + yy,
+        };
+        &b.row(n)[ww * tile..][..tile]
+    });
+}
+
 /// Runs SDDMM (`C = mask · (A × Bᵀ)`) on the Canon fabric.
 ///
 /// `a` is `M×K` (query rows), `b` is `N×K` (key rows), `mask` is `M×N`.
@@ -366,29 +396,8 @@ pub fn run_sddmm_traced(
         });
     }
 
-    // Global output column owned by row `yy` at local index `hh`.
-    let n_global = |yy: usize, hh: usize| match mapping.partition {
-        ColPartition::Block => yy * h + hh,
-        ColPartition::Cyclic => hh * y + yy,
-    };
-
     let mut fabric = crate::pool::acquire(cfg, true);
-    // Stationary B tiles.
-    for yy in 0..y {
-        for xx in 0..x {
-            let mut words = Vec::with_capacity(h * w);
-            for hh in 0..h {
-                for ww in 0..w {
-                    let mut lanes = [0; LANES];
-                    for (v, lane) in lanes.iter_mut().enumerate() {
-                        *lane = b[(n_global(yy, hh), (ww * x + xx) * LANES + v)];
-                    }
-                    words.push(Vector(lanes));
-                }
-            }
-            fabric.pe_mut(yy, xx).dmem.preload(0, &words);
-        }
-    }
+    preload_key_tiles(&mut fabric, b, h, w, mapping.partition);
     // A stream from the top edge.
     for xx in 0..x {
         let mut tokens = Vec::with_capacity(m * w);

@@ -335,37 +335,30 @@ pub fn build_row_streams(a: &CsrMatrix, rows: usize) -> Result<Vec<Vec<MetaToken
 }
 
 /// Preloads the `B` tile for column tile `tile` into every PE's data memory.
-/// PE `(r, c)` receives `B[rH + i][base + cL .. base + (c+1)L]` at word `i`.
+/// PE `(r, c)` receives `B[rH + i][base + cL .. base + (c+1)L]` at word `i`
+/// (lanes past `N`, and rows past `K`, read as zero). Word `i` of PE row `r`
+/// is one contiguous run of `B` row `rH + i`, so the tile is copied in slab
+/// order, one `n`-wide data-memory row per word.
+///
+/// # Errors
+///
+/// Returns [`SimError::Mapping`] when `h` exceeds the data memory.
 pub fn preload_b_tile(
     fabric: &mut Fabric,
     b: &Dense,
     h: usize,
     tile_base: usize,
 ) -> Result<(), SimError> {
-    let cfg = fabric.config().clone();
-    if h > cfg.dmem_words {
+    let dmem_words = fabric.config().dmem_words;
+    if h > dmem_words {
         return Err(SimError::Mapping {
-            reason: format!(
-                "K-segment of {h} rows exceeds data memory ({} words)",
-                cfg.dmem_words
-            ),
+            reason: format!("K-segment of {h} rows exceeds data memory ({dmem_words} words)"),
         });
     }
-    for r in 0..cfg.rows {
-        for c in 0..cfg.cols {
-            let mut words = Vec::with_capacity(h);
-            for i in 0..h {
-                let mut lanes = [0; LANES];
-                let brow = r * h + i;
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    let col = tile_base + c * LANES + l;
-                    *lane = b.get(brow, col).unwrap_or(0);
-                }
-                words.push(Vector(lanes));
-            }
-            fabric.pe_mut(r, c).dmem.preload(0, &words);
-        }
-    }
+    super::preload_stationary(fabric, h, |i, r| match r * h + i {
+        brow if brow < b.rows() => b.row(brow).get(tile_base..).unwrap_or(&[]),
+        _ => &[],
+    });
     Ok(())
 }
 

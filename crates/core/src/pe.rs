@@ -336,6 +336,11 @@ pub struct PeArray {
     /// makes the per-cycle working set a handful of `n`-wide rows of this
     /// slab — contiguous here, but strided 16 KB apart in a PE-major
     /// layout, where a default-config fabric touches one TLB page per PE.
+    /// The same layout makes one PE's consecutive words `n` vectors apart,
+    /// so filling a slab through per-PE [`MemMut::preload`] views scatters
+    /// every write across a new cache line and page; bulk preloads of the
+    /// stationary operand go through [`PeArray::dmem_row_mut`] instead and
+    /// fill the slab in its own order, one `n`-wide row per word.
     dmem: Vec<Vector>,
     dmem_words: usize,
     /// Scratchpad entries of all PEs (the accumulator banks), same layout.
@@ -493,6 +498,18 @@ impl PeArray {
                 what: "spad",
             },
         }
+    }
+
+    /// Word `a` of every PE's data memory, in PE-id order: the `n`-wide
+    /// slab row the bulk stationary-operand preload fills in one pass.
+    /// Like [`MemMut::preload`], writes through it are not counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` is not below the data-memory capacity.
+    pub(crate) fn dmem_row_mut(&mut self, a: usize) -> &mut [Vector] {
+        assert!(a < self.dmem_words, "dmem word {a} of {}", self.dmem_words);
+        &mut self.dmem[a * self.n..(a + 1) * self.n]
     }
 
     /// Reads PE `idx`'s data-memory word `a`, counting the access.

@@ -349,6 +349,33 @@ fn handle_request(shared: &Shared, line: &str) -> (Reply, bool) {
     }
 }
 
+/// Longest request line the daemon reads, in bytes (requests are a few
+/// hundred bytes of flat JSON). A longer line is discarded up to its
+/// newline and answered with one `error` reply, so a client cannot grow a
+/// connection's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The reply to one complete request line, or `None` for a blank line.
+fn line_reply(shared: &Shared, line: &[u8], overlong: bool) -> Option<(Reply, bool)> {
+    let error = |message: String| {
+        Some((
+            Reply::Error {
+                id: String::new(),
+                message,
+            },
+            false,
+        ))
+    };
+    if overlong {
+        return error(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+    }
+    match std::str::from_utf8(line).map(str::trim) {
+        Ok("") => None,
+        Ok(text) => Some(handle_request(shared, text)),
+        Err(_) => error("request line is not valid UTF-8".into()),
+    }
+}
+
 /// Serves one connection: a loop of line-in, reply-out. Returns when the
 /// peer hangs up, a drain begins, or a drain/shutdown command was handled.
 fn serve_connection(shared: &Shared, stream: UnixStream) {
@@ -360,32 +387,61 @@ fn serve_connection(shared: &Shared, stream: UnixStream) {
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
+    // The request line read so far. It survives read timeouts, so a line
+    // that arrives in pieces across one is served whole.
+    let mut line = Vec::new();
+    // Set once the current line passes `MAX_LINE_BYTES`; its remaining
+    // bytes are dropped up to the newline.
+    let mut overlong = false;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
+        let (used, eol) = match reader.fill_buf() {
+            Ok([]) => (0, false),
+            Ok(buf) => {
+                let (chunk, eol) = match buf.iter().position(|&b| b == b'\n') {
+                    Some(i) => (&buf[..i], true),
+                    None => (buf, false),
+                };
+                overlong |= line.len() + chunk.len() > MAX_LINE_BYTES;
+                if overlong {
+                    line.clear();
+                } else {
+                    line.extend_from_slice(chunk);
                 }
-                let (reply, close) = handle_request(shared, trimmed);
-                let mut out = reply.to_line();
-                out.push('\n');
-                if writer.write_all(out.as_bytes()).is_err() || close {
-                    return;
-                }
+                (chunk.len() + usize::from(eol), eol)
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
             {
                 if shared.draining.load(Ordering::Relaxed) {
                     return;
                 }
+                continue;
             }
             Err(_) => return,
+        };
+        // A zero-byte read is EOF; a final request needs no newline.
+        let eof = used == 0;
+        reader.consume(used);
+        if !eol && !eof {
+            continue;
         }
+        if let Some((reply, close)) = line_reply(shared, &line, overlong) {
+            let mut out = reply.to_line();
+            out.push('\n');
+            if writer.write_all(out.as_bytes()).is_err() || close {
+                return;
+            }
+        }
+        if eof {
+            return;
+        }
+        line.clear();
+        overlong = false;
     }
 }
 

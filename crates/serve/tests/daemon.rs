@@ -3,12 +3,14 @@
 //! replies, drain — plus torn-tail journal recovery under the daemon's
 //! append path.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use canon_core::FaultAction;
-use canon_serve::daemon::{run_daemon, ServeOptions, EXIT_DRAINED};
+use canon_serve::daemon::{run_daemon, ServeOptions, EXIT_DRAINED, MAX_LINE_BYTES};
 use canon_serve::protocol::{Reply, Request, SubmitRequest};
 use canon_serve::Client;
 use canon_sparse::gen::SparsityBand;
@@ -451,6 +453,72 @@ fn torn_tail_append_recovers_and_converges_byte_identically() {
         std::fs::read(&crashed).unwrap(),
         "gc'd stores must converge byte-identically"
     );
+}
+
+/// A raw connection (no `Client` framing) and a line reader over it.
+fn raw_connect(socket: &Path) -> (UnixStream, BufReader<UnixStream>) {
+    let stream = UnixStream::connect(socket).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+fn read_reply(reader: &mut BufReader<UnixStream>) -> Reply {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    Reply::parse(line.trim()).unwrap()
+}
+
+#[test]
+fn request_split_across_a_read_timeout_is_served_whole() {
+    let dir = scratch("split");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+    let (mut stream, mut reader) = raw_connect(&socket);
+
+    let line = Request::Submit(gemm("split")).to_line();
+    let (head, tail) = line.split_at(line.len() / 2);
+    stream.write_all(head.as_bytes()).unwrap();
+    // Several of the daemon's 100 ms read timeouts pass while it holds
+    // only the prefix.
+    std::thread::sleep(Duration::from_millis(350));
+    stream.write_all(tail.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    match read_reply(&mut reader) {
+        Reply::Result(r) => {
+            assert_eq!(r.id, "split");
+            assert_eq!(r.status, "ok");
+        }
+        other => panic!("expected a result, got {other:?}"),
+    }
+
+    shutdown_and_join(&socket, handle);
+}
+
+#[test]
+fn overlong_request_line_gets_a_structured_error_and_the_connection_survives() {
+    let dir = scratch("overlong");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+    let (mut stream, mut reader) = raw_connect(&socket);
+
+    // Twice the cap, in pieces, then the newline.
+    let piece = vec![b'x'; MAX_LINE_BYTES / 4];
+    for _ in 0..8 {
+        stream.write_all(&piece).unwrap();
+    }
+    stream.write_all(b"\n").unwrap();
+    match read_reply(&mut reader) {
+        Reply::Error { message, .. } => {
+            assert!(message.contains("exceeds"), "message: {message}")
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+
+    // The over-long line was dropped whole: the next request is served.
+    stream
+        .write_all(format!("{}\n", Request::Status.to_line()).as_bytes())
+        .unwrap();
+    assert!(matches!(read_reply(&mut reader), Reply::Status(_)));
+
+    shutdown_and_join(&socket, handle);
 }
 
 #[test]
