@@ -213,9 +213,10 @@ fn usage() -> ! {
            --geom LIST  sweep fabric geometries, e.g. 8x8,16x16 (default: 8x8,\n\
                         or 64x64,128x64 under --large); baselines are\n\
                         provisioned iso-MAC at each point\n\
-           --no-replay  (sweep) disable the steady-state replay engine and\n\
-                        cycle-step every cell; the result store must be\n\
-                        byte-identical either way (CI diffs the two)\n\
+           --no-replay  (sweep) disable the fast engines (column lockstep\n\
+                        and steady-state replay) and step every PE of every\n\
+                        cell; the result store must be byte-identical\n\
+                        either way (CI diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\
                         journal: recovered records are reported instead of\n\
                         warned about; finished cells are cache hits\n\
@@ -346,9 +347,9 @@ struct SweepRunOpts {
     cell_wall_budget: Option<Duration>,
     cell_cycle_budget: Option<u64>,
     max_retries: u32,
-    /// Steady-state replay engine on (the default engine configuration).
-    /// `--no-replay` forces cycle-stepping so CI can byte-diff the two
-    /// paths' result stores.
+    /// Fast engines on — column lockstep and steady-state replay (the
+    /// default engine configuration). `--no-replay` forces per-PE stepping
+    /// so CI can byte-diff the two paths' result stores.
     replay: bool,
     shutdown: Arc<AtomicBool>,
 }

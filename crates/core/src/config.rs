@@ -56,18 +56,25 @@ pub struct CanonConfig {
     /// identical (pinned by `tests/batch_column.rs`); disable only for
     /// differential testing or A/B throughput measurement.
     pub batching: bool,
-    /// Simulator-host knob (not an architectural parameter): enables the
-    /// steady-state replay engine, which detects stretches of cycles in
-    /// which every row issues the same uniform MAC shape and fast-forwards
-    /// them — the PE-array sweep is deferred and settled arithmetically
-    /// when the stretch ends (see `canon_core::replay`). Architecturally
+    /// Simulator-host knob (not an architectural parameter): fast engines,
+    /// replay and lockstep. On, a [`Fabric::run`](crate::Fabric::run) that
+    /// starts on a fresh vertical-only fabric takes the column-lockstep
+    /// engine (each row issue simulated once across all columns; see the
+    /// engine table in `canon_core::fabric`), and every other run may
+    /// take the steady-state replay engine, which detects stretches of
+    /// cycles in which every row issues the same uniform MAC shape and
+    /// fast-forwards them — the PE-array sweep is deferred and settled
+    /// arithmetically when the stretch ends (see `canon_core::replay`).
+    /// Off, every run steps each PE every cycle: the reference the
+    /// differential tests (`tests/replay_differential.rs`,
+    /// `tests/lockstep_differential.rs`) compare against. Architecturally
     /// invisible either way — cycle counts, stats (including the stall
-    /// breakdown), and collector streams are identical (pinned by
-    /// `tests/replay_differential.rs`); only the
-    /// `Stats::replayed_cycles`/`Stats::replay_stretches` diagnostics
-    /// differ. Automatically disengaged while a trace sink is attached or
-    /// the polling shadow engine is forced. Disable only for differential
-    /// testing or A/B throughput measurement.
+    /// breakdown), and collector streams are identical; only the
+    /// `Stats::replayed_cycles`/`Stats::replay_stretches`/
+    /// `Stats::batched_pe_cycles` diagnostics differ. Both engines stay
+    /// off while a trace sink is attached or the polling shadow engine is
+    /// forced. Disable only for differential testing or A/B throughput
+    /// measurement.
     pub replay: bool,
     /// Harness knob: hard ceiling on simulated cycles per `Fabric::run`
     /// call. `None` (the default) leaves only the deadlock watchdog;

@@ -26,6 +26,20 @@
 //! 4. pipeline advance (an O(1) rotation of the shared stage index) and edge
 //!    -sink draining into the collectors, gated on this cycle's sink pushes.
 //!
+//! ## Engines
+//!
+//! [`Fabric::run`] picks one engine per run; all of them are
+//! architecturally identical (same cycles, stats, stall breakdowns and
+//! collector streams — only the scheduler diagnostics that name the engine
+//! differ):
+//!
+//! | engine | runs when | work per cycle |
+//! |---|---|---|
+//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, the event engine, no north-edge feeders, and only vertical-only row programs ([`RowProgram::is_vertical_only`]): GEMM, SpMM and N:M | orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift is derived, not simulated |
+//! | scalar event engine with column batching and replay | every other untraced run with [`CanonConfig::replay`] on: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, stepped-then-run fabrics | the active sweep below; row-uniform MAC column prefixes take the batch pass ([`Fabric::set_batching`]) and fully uniform stretches are replayed ([`crate::replay`]) |
+//! | scalar event engine with column batching | [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`), or a trace sink attached | the active sweep below, batch pass included |
+//! | polling shadow | [`Fabric::set_polling`] (differential tests only) | as above, with every live row stepped every cycle |
+//!
 //! ## Active-set scheduling
 //!
 //! The sweep of step 3 iterates an [`ActiveSet`] bitset instead of the whole
@@ -127,6 +141,8 @@ use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
 use crate::trace::{TraceRecorder, TraceSink, WakeSource};
 use crate::SimError;
 use std::collections::VecDeque;
+
+mod lockstep;
 
 /// A value delivered to a south/east edge collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,6 +429,8 @@ pub struct Fabric {
     /// Steady-state stretch detection + macro-cycle replay (see
     /// [`crate::replay`]).
     replay: ReplayState,
+    /// Column-lockstep engine state (see [`lockstep`]).
+    lockstep: lockstep::Lockstep,
     extra_offchip_read: u64,
     extra_offchip_write: u64,
     /// Host wall time accumulated inside [`Fabric::run`] (ns).
@@ -489,6 +507,7 @@ impl Fabric {
             issue_window: vec![IssueCell::EMPTY; (3 * cfg.cols).next_power_of_two()],
             col_batch: vec![None; cfg.cols],
             replay: ReplayState::new(cfg.rows, cfg.replay),
+            lockstep: lockstep::Lockstep::new(cfg.rows, cfg.cols, cfg.link_fifo_depth),
             extra_offchip_read: 0,
             extra_offchip_write: 0,
             wall_ns: 0,
@@ -586,6 +605,7 @@ impl Fabric {
         self.issue_window.fill(IssueCell::EMPTY);
         self.col_batch.fill(None);
         self.replay.reset(cfg.replay);
+        self.lockstep.reset();
         self.extra_offchip_read = 0;
         self.extra_offchip_write = 0;
         self.wall_ns = 0;
@@ -641,6 +661,10 @@ impl Fabric {
             "pristine fabric: replay stretch in flight"
         );
         assert!(self.trace.is_none(), "pristine fabric: trace sink attached");
+        assert!(
+            self.lockstep.is_pristine(),
+            "pristine fabric: lockstep links or activity history hold state"
+        );
         for r in 0..self.cfg.rows {
             for c in 0..self.cfg.cols {
                 let pe = self.pes.pe(r * self.cfg.cols + c);
@@ -954,7 +978,11 @@ impl Fabric {
             south_credits: self.rows.south_credits[r],
             msg_slot_free: r + 1 >= nrows
                 || self.rows.inbox[r + 1].len() < self.cfg.orch_msg_capacity,
-            north_tokens: self.grid.vertical_ref(r, 0).len(),
+            north_tokens: if self.lockstep.engaged {
+                self.lockstep.links.len(r)
+            } else {
+                self.grid.vertical_ref(r, 0).len()
+            },
         };
         let action = self.rows.programs[r]
             .as_mut()
@@ -1114,6 +1142,34 @@ impl Fabric {
         Ok(())
     }
 
+    /// Orchestrator phase of cycle `now`, event-driven (shared by the
+    /// scalar and lockstep engines): fires due delivery timers, then steps
+    /// only woken rows (ascending order — identical dispatch order to the
+    /// polling engine, which matters for message-channel checks). Credits
+    /// are delivered lazily at dispatch: rows observe them only in their
+    /// own step, so a sleeping row's queue can wait. A finished
+    /// orchestrator is still stepped while deliverable messages are
+    /// pending: its FSM keeps the bypass transitions of the DONE state so
+    /// upstream rows can drain through it.
+    fn orchestrate(&mut self, now: u64) -> Result<(), SimError> {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            self.wake_events += self
+                .sched
+                .fire_due_with(now, |r| tr.on_wake(now, r, WakeSource::Timer));
+        } else {
+            self.wake_events += self.sched.fire_due(now);
+        }
+        if self.polling || !self.sched.all_asleep() {
+            for r in 0..self.cfg.rows {
+                if !self.polling && !self.sched.is_awake(r) {
+                    continue;
+                }
+                self.step_row(r, now)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Advances the fabric by one cycle.
     ///
     /// # Errors
@@ -1152,29 +1208,8 @@ impl Fabric {
             }
         }
 
-        // 2. Orchestrator phase, event-driven: fire due delivery timers,
-        // then step only woken rows (ascending order — identical dispatch
-        // order to the polling engine, which matters for message-channel
-        // checks). Credits are delivered lazily at dispatch: rows observe
-        // them only in their own step, so a sleeping row's queue can wait.
-        // A finished orchestrator is still stepped while deliverable
-        // messages are pending: its FSM keeps the bypass transitions of the
-        // DONE state so upstream rows can drain through it.
-        if let Some(tr) = self.trace.as_deref_mut() {
-            self.wake_events += self
-                .sched
-                .fire_due_with(now, |r| tr.on_wake(now, r, WakeSource::Timer));
-        } else {
-            self.wake_events += self.sched.fire_due(now);
-        }
-        if self.polling || !self.sched.all_asleep() {
-            for r in 0..nrows {
-                if !self.polling && !self.sched.is_awake(r) {
-                    continue;
-                }
-                self.step_row(r, now)?;
-            }
-        }
+        // 2. Orchestrator phase.
+        self.orchestrate(now)?;
 
         // 2b. Steady-state replay gate: when the engine is engaged and this
         // cycle is *clean* (every row issued one uniform MAC shape — pure
@@ -1511,12 +1546,14 @@ impl Fabric {
         Ok(())
     }
 
-    /// Enables/disables the steady-state replay engine (default: the
-    /// [`CanonConfig::replay`] knob). Architectural behaviour — cycle
-    /// counts, results, stats, stall breakdowns, collector and trace streams
-    /// — is identical either way (`tests/replay_differential.rs` diffs the
-    /// two on random programs); only the [`Stats::replayed_cycles`] /
-    /// [`Stats::replay_stretches`] diagnostics differ. An active stretch is
+    /// Enables/disables the fast engines, steady-state replay and column
+    /// lockstep (default: the [`CanonConfig::replay`] knob). Architectural
+    /// behaviour — cycle counts, results, stats, stall breakdowns, collector
+    /// and trace streams — is identical either way
+    /// (`tests/replay_differential.rs` and `tests/lockstep_differential.rs`
+    /// diff the two on random programs); only the
+    /// [`Stats::replayed_cycles`] / [`Stats::replay_stretches`] /
+    /// [`Stats::batched_pe_cycles`] diagnostics differ. An active stretch is
     /// flushed before the switch takes effect.
     pub fn set_replay(&mut self, replay: bool) {
         self.replay_interrupt();
@@ -1780,12 +1817,14 @@ impl Fabric {
     /// drain-state collapses to `active.is_empty()`.
     pub fn quiescent(&self) -> bool {
         self.active.is_empty()
+            && self.lockstep.lagging_now == 0
             && self.cycle >= self.bubble_horizon
             && self.feeders_pending == 0
             && (0..self.rows.len()).all(|r| self.rows.done(r) && self.rows.inbox[r].is_empty())
     }
 
-    /// Runs until quiescent, returning the run report.
+    /// Runs until quiescent, returning the run report. The engine is
+    /// chosen once, at entry (see the module's engine table).
     ///
     /// # Errors
     ///
@@ -1824,6 +1863,10 @@ impl Fabric {
         // fault, where each iteration already sleeps and a coarse check
         // would overshoot the budget by seconds.
         let wall_check_mask: u64 = if slow_ns != 0 { 0 } else { 0x3FF };
+        let lockstep = self.lockstep_eligible();
+        if lockstep {
+            self.lockstep_engage();
+        }
         let result = loop {
             if self.quiescent() {
                 break Ok(());
@@ -1871,10 +1914,18 @@ impl Fabric {
                     },
                 });
             }
-            if let Err(e) = self.step() {
+            let stepped = if lockstep {
+                self.lockstep_step()
+            } else {
+                self.step()
+            };
+            if let Err(e) = stepped {
                 break Err(e);
             }
         };
+        if lockstep {
+            self.lockstep_finish();
+        }
         // Accumulated on the error path too, so a report taken after a
         // watchdog/protocol abort still attributes the wall time spent.
         self.wall_ns += wall_start.elapsed().as_nanos() as u64;
@@ -1901,7 +1952,8 @@ impl Fabric {
             stats.spad_reads += pe.spad.read_count();
             stats.spad_writes += pe.spad.write_count();
         }
-        stats.noc_hops = self.grid.total_pushes();
+        stats.noc_hops =
+            self.grid.total_pushes() + self.lockstep.links.pushes() * self.cfg.cols as u64;
         // Planned fast-path issues are batch-accounted at issue time (the
         // per-PE counters cover only generic-path executions).
         let batch = self.pes.batch_counters();

@@ -19,6 +19,7 @@
 //! bound), while sink/elastic links grow to their high-water mark once and
 //! then stay allocation-free.
 
+use crate::fabric::CollectedEntry;
 use crate::isa::{Direction, Vector, LANES};
 use crate::SimError;
 
@@ -376,6 +377,144 @@ impl Link {
         self.ring.len = 0;
         self.ring.high_water = 0;
         self.pushes = 0;
+    }
+}
+
+/// The southbound links of the column-lockstep engine (see
+/// `crate::fabric`'s engine table): one FIFO per fabric row whose entries
+/// are `cols` wide, because every column of a row sees the same push/pop
+/// sequence as column 0, shifted by `3c` cycles, and so holds the same
+/// occupancy at the same column-0 time. Row link `r` for `r` in `1..rows`
+/// feeds row `r`'s North ports and carries the bounded-link protocol
+/// checks; row 0 reads the zero-source north edge; pushes out of the bottom
+/// row land in the south-edge `sink`, stamped with each column's own exit
+/// cycle (`cycle + 3c`).
+#[derive(Debug)]
+pub(crate) struct RowLinks {
+    rows: usize,
+    cols: usize,
+    capacity: usize,
+    /// Ring storage: link `r` owns slots `r·capacity .. (r+1)·capacity`,
+    /// each `cols` entries wide. Allocated by the first lockstep run
+    /// ([`RowLinks::allocate`]), so fabrics that never take the engine do
+    /// not pay for it.
+    buf: Vec<TaggedVector>,
+    head: Vec<usize>,
+    len: Vec<usize>,
+    /// Row-level pushes, south sink included (one per `cols` link pushes).
+    pushes: u64,
+    /// South-edge exits in push order, each stamped with its own
+    /// column's exit cycle (the fabric lends its south collector's storage
+    /// for the run).
+    pub(crate) sink: Vec<CollectedEntry>,
+    /// Scratch row for one south-edge push (reused).
+    sink_row: Vec<TaggedVector>,
+}
+
+impl RowLinks {
+    /// Empty links for a `rows`×`cols` array of `capacity`-deep FIFOs.
+    pub(crate) fn new(rows: usize, cols: usize, capacity: usize) -> RowLinks {
+        RowLinks {
+            rows,
+            cols,
+            capacity,
+            buf: Vec::new(),
+            head: vec![0; rows],
+            len: vec![0; rows],
+            pushes: 0,
+            sink: Vec::new(),
+            sink_row: Vec::new(),
+        }
+    }
+
+    /// Entries queued on row link `r` (the `north_tokens` observable).
+    #[inline]
+    pub(crate) fn len(&self, r: usize) -> usize {
+        self.len[r]
+    }
+
+    /// Allocates the ring storage (a no-op once allocated).
+    pub(crate) fn allocate(&mut self) {
+        self.buf
+            .resize(self.rows * self.capacity * self.cols, TaggedVector::ZERO);
+    }
+
+    /// Row-level pushes so far; every one stands for `cols` link pushes.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// True when no row link holds entries and no push was counted.
+    pub(crate) fn is_clear(&self) -> bool {
+        self.pushes == 0 && self.len.iter().all(|&l| l == 0) && self.sink.is_empty()
+    }
+
+    /// Drops every queued entry and the push count (fabric reuse).
+    pub(crate) fn clear(&mut self) {
+        self.head.fill(0);
+        self.len.fill(0);
+        self.pushes = 0;
+        self.sink.clear();
+    }
+
+    /// Pops the head entry of row link `r` into `dst` (`cols` wide): zeros
+    /// on the north edge, a protocol error when an internal link is empty.
+    #[inline]
+    pub(crate) fn pop(
+        &mut self,
+        r: usize,
+        cycle: u64,
+        ctx: ErrCtx,
+        dst: &mut [TaggedVector],
+    ) -> Result<(), SimError> {
+        if r == 0 {
+            dst.fill(TaggedVector::ZERO);
+            return Ok(());
+        }
+        if self.len[r] == 0 {
+            return Err(Link::pop_underflow(cycle, ctx));
+        }
+        let at = (r * self.capacity + self.head[r]) * self.cols;
+        dst.copy_from_slice(&self.buf[at..at + self.cols]);
+        self.head[r] = (self.head[r] + 1) % self.capacity;
+        self.len[r] -= 1;
+        Ok(())
+    }
+
+    /// Pushes one `cols`-wide entry into row link `r` — the south sink when
+    /// `r == rows`. `fill` writes the entry, column `c` at index `c`;
+    /// `cycle` is the column-0 cycle of the push.
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        r: usize,
+        cycle: u64,
+        ctx: ErrCtx,
+        fill: impl FnOnce(&mut [TaggedVector]),
+    ) -> Result<(), SimError> {
+        if r == self.rows {
+            let mut exits = std::mem::take(&mut self.sink_row);
+            exits.resize(self.cols, TaggedVector::ZERO);
+            fill(&mut exits);
+            self.sink
+                .extend(exits.iter().enumerate().map(|(c, e)| CollectedEntry {
+                    tag: e.tag,
+                    lane: c,
+                    value: e.value,
+                    cycle: cycle + 3 * c as u64,
+                }));
+            self.sink_row = exits;
+        } else {
+            if self.len[r] >= self.capacity {
+                return Err(Link::push_overflow(cycle, ctx));
+            }
+            let slot = (self.head[r] + self.len[r]) % self.capacity;
+            let at = (r * self.capacity + slot) * self.cols;
+            fill(&mut self.buf[at..at + self.cols]);
+            self.len[r] += 1;
+        }
+        self.pushes += 1;
+        Ok(())
     }
 }
 

@@ -302,6 +302,18 @@ pub struct MicroOp {
 }
 
 impl MicroOp {
+    /// True when the micro-op moves data only vertically (see
+    /// [`LutProgram::is_vertical_only`]).
+    fn is_vertical_only(&self) -> bool {
+        let sideways = |a: AddrSel| matches!(a, AddrSel::PortWest | AddrSel::PortEast);
+        let phantom_drive = self.op == Opcode::Nop
+            && matches!(
+                self.res,
+                AddrSel::PortNorth | AddrSel::PortSouth | AddrSel::PortWest | AddrSel::PortEast
+            );
+        ![self.op1, self.op2, self.res].into_iter().any(sideways) && !phantom_drive
+    }
+
     /// The all-NOP micro-op (unprogrammed LUT entries).
     pub const NOP: MicroOp = MicroOp {
         state_out: 0,
@@ -511,6 +523,8 @@ pub struct LutProgram {
     meta0: u32,
     meta1: u32,
     done: bool,
+    /// See [`LutProgram::is_vertical_only`] (decided once from the table).
+    vertical_only: bool,
 }
 
 impl LutProgram {
@@ -518,6 +532,8 @@ impl LutProgram {
     pub fn new(config: LutConfig, bitstream: Bitstream) -> LutProgram {
         let done = config.start_done;
         let meta1 = config.meta1_init;
+        let vertical_only = (0..LUT_ENTRIES)
+            .all(|i| MicroOp::decode(bitstream.word(i)).map_or(true, |mo| mo.is_vertical_only()));
         LutProgram {
             config,
             bitstream,
@@ -525,7 +541,18 @@ impl LutProgram {
             meta0: 0,
             meta1,
             done,
+            vertical_only,
         }
+    }
+
+    /// True when no entry of the instruction table names a West or East
+    /// port, and no `Nop` entry names a port result: such a `Nop` claims
+    /// the south drive without pushing, marking the PE below live on an
+    /// empty link, which the scalar sweep retires on a schedule lockstep
+    /// does not reproduce. Routes are North→South by construction.
+    /// Undecodable entries issue nothing.
+    pub fn is_vertical_only(&self) -> bool {
+        self.vertical_only
     }
 
     fn reg_value(&self, sel: RegSel, inp: &DatapathInputs) -> i64 {

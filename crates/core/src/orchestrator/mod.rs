@@ -345,6 +345,21 @@ impl RowProgram {
     pub fn custom(program: impl OrchProgram + 'static) -> RowProgram {
         RowProgram::Custom(Box::new(program))
     }
+
+    /// True when every instruction the program can issue moves data only
+    /// vertically — no West/East port and no phantom south drive — the
+    /// condition under which the fabric may run its row in column lockstep
+    /// (see [`crate::fabric`]). The SpMM-window and register-accumulation
+    /// FSMs qualify; a LUT program qualifies when its instruction table
+    /// does ([`lut::LutProgram::is_vertical_only`]); SDDMM (a West→East
+    /// psum chain) and open [`RowProgram::Custom`] programs do not.
+    pub fn is_vertical_only(&self) -> bool {
+        match self {
+            RowProgram::Idle(_) | RowProgram::Spmm(_) | RowProgram::RegAcc(_) => true,
+            RowProgram::Lut(p) => p.is_vertical_only(),
+            RowProgram::Sddmm(_) | RowProgram::Custom(_) => false,
+        }
+    }
 }
 
 impl OrchProgram for RowProgram {

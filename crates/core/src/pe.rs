@@ -33,7 +33,7 @@
 use crate::isa::{
     Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, PlanKind, Vector,
 };
-use crate::noc::{ErrCtx, LinkGrid, TaggedVector};
+use crate::noc::{ErrCtx, LinkGrid, RowLinks, TaggedVector};
 use crate::SimError;
 
 /// Number of SIMD registers per PE.
@@ -242,6 +242,16 @@ fn mem_oob(what: &str, op: &str, addr: usize, len: usize) -> SimError {
     }
 }
 
+/// A port access against a direction with no instantiated link.
+#[cold]
+fn unwired_port(r: usize, c: usize, access: &str, d: Direction) -> SimError {
+    SimError::AddressOutOfRange {
+        context: format!(
+            "PE ({r},{c}) {access} {d}: only south/east-bound dataflow is instantiated"
+        ),
+    }
+}
+
 /// Bounds-checked, counted read of word `a` of PE `idx` in an
 /// address-major slab (`words` words per PE, `n` PEs: word `a` of PE `idx`
 /// at `slab[a * n + idx]`) — the one definition of "checked counted slab
@@ -284,6 +294,84 @@ fn slab_write(
         Ok(())
     } else {
         Err(mem_oob(what, "write", a, words))
+    }
+}
+
+/// Row-wide pop of port `d` for the column-lockstep engine: the twin of
+/// [`PeArray::pop_port`] at column 0, over the row links.
+fn lockstep_pop(
+    links: &mut RowLinks,
+    d: Direction,
+    row: usize,
+    cycle: u64,
+    dst: &mut [TaggedVector],
+) -> Result<(), SimError> {
+    match d {
+        Direction::North => links.pop(
+            row,
+            cycle,
+            ErrCtx::Pop {
+                dir: d,
+                pe: (row, 0),
+            },
+            dst,
+        ),
+        Direction::South | Direction::East => Err(unwired_port(row, 0, "reads", d)),
+        Direction::West => unreachable!("lockstep rows never read a West port"),
+    }
+}
+
+/// Row-wide push towards port `d` for the column-lockstep engine: the twin
+/// of [`PeArray::push_port`] at column 0, over the row links.
+fn lockstep_push(
+    links: &mut RowLinks,
+    d: Direction,
+    row: usize,
+    cycle: u64,
+    fill: impl FnOnce(&mut [TaggedVector]),
+) -> Result<(), SimError> {
+    match d {
+        Direction::South => links.push(
+            row + 1,
+            cycle,
+            ErrCtx::Push {
+                dir: d,
+                pe: (row, 0),
+            },
+            fill,
+        ),
+        Direction::North | Direction::West => Err(unwired_port(row, 0, "writes", d)),
+        Direction::East => unreachable!("lockstep rows never write an East port"),
+    }
+}
+
+/// Where a lockstep row reads a storage operand from (see
+/// [`PeArray::lockstep_src`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RowSrc {
+    /// The register file or memory slab.
+    Storage,
+    /// The EXECUTE slot's in-flight results.
+    Exec,
+    /// The EXECUTE slot's pending flush-clear.
+    Zero,
+}
+
+/// Per-row operand buffers of the column-lockstep engine, `cols` wide.
+#[derive(Debug, Default)]
+struct RowScratch {
+    op1: Vec<Vector>,
+    op2: Vec<Vector>,
+    res_in: Vec<Vector>,
+    popped: Vec<TaggedVector>,
+}
+
+impl RowScratch {
+    fn resize(&mut self, cols: usize) {
+        self.op1.resize(cols, Vector::ZERO);
+        self.op2.resize(cols, Vector::ZERO);
+        self.res_in.resize(cols, Vector::ZERO);
+        self.popped.resize(cols, TaggedVector::ZERO);
     }
 }
 
@@ -380,6 +468,9 @@ pub struct PeArray {
     /// per-PE counters cover only the generic/direct paths.
     batch_pe: PeCounters,
     batch_mem: MemCounts,
+    /// Column-lockstep operand buffers (sized on first use, kept across
+    /// resets).
+    lockstep_scratch: RowScratch,
 }
 
 impl PeArray {
@@ -403,6 +494,7 @@ impl PeArray {
             counters: vec![PeCounters::default(); n],
             batch_pe: PeCounters::default(),
             batch_mem: MemCounts::default(),
+            lockstep_scratch: RowScratch::default(),
         }
     }
 
@@ -690,11 +782,7 @@ impl PeArray {
         match d {
             Direction::North => grid.vertical(r, c).pop(cycle, ctx),
             Direction::West => grid.horizontal(r, c).pop(cycle, ctx),
-            Direction::South | Direction::East => Err(SimError::AddressOutOfRange {
-                context: format!(
-                    "PE ({r},{c}) reads {d}: only south/east-bound dataflow is instantiated"
-                ),
-            }),
+            Direction::South | Direction::East => Err(unwired_port(r, c, "reads", d)),
         }
     }
 
@@ -710,11 +798,7 @@ impl PeArray {
         match d {
             Direction::South => grid.vertical(r + 1, c).push(entry, cycle, ctx),
             Direction::East => grid.horizontal(r, c + 1).push(entry, cycle, ctx),
-            Direction::North | Direction::West => Err(SimError::AddressOutOfRange {
-                context: format!(
-                    "PE ({r},{c}) writes {d}: only south/east-bound dataflow is instantiated"
-                ),
-            }),
+            Direction::North | Direction::West => Err(unwired_port(r, c, "writes", d)),
         }
     }
 
@@ -1531,6 +1615,477 @@ impl PeArray {
         // The old COMMIT slot (now empty) becomes the new LOAD slot; the
         // old LOAD and EXECUTE slots become EXECUTE and COMMIT in place.
         self.load_idx = self.commit_idx();
+    }
+
+    // ---- Column-lockstep support (see `crate::fabric`'s engine table) ----
+    //
+    // Under lockstep every column of a row executes column 0's instruction
+    // sequence, so one call runs a whole row: the instruction is decoded
+    // and checked once, its pipeline metadata (state, handle, forwarding
+    // addresses) lives in the row's column-0 slot, and only the per-column
+    // values (`results`, `routed`, memories, registers) are touched for
+    // all `cols` PEs — contiguous slices of the address-major slabs.
+    // Activity counts are credited `cols` at a time to the batch counters,
+    // as the issue path already does for fast plans.
+
+    /// Where row `base`'s operand `addr` comes from. Only the EXECUTE slot
+    /// can forward: the COMMIT slot was emptied before LOAD, exactly as in
+    /// the fused per-PE order.
+    fn lockstep_src(&self, base: usize, addr: Addr) -> RowSrc {
+        let es = self.exec_idx();
+        if addr == Addr::Null || self.state[es][base] != Slot::Full {
+            RowSrc::Storage
+        } else if self.res_addr[es][base] == addr {
+            RowSrc::Exec
+        } else if self.flush_addr[es][base] == addr {
+            RowSrc::Zero
+        } else {
+            RowSrc::Storage
+        }
+    }
+
+    /// Fills `dst` with row `base`'s values of the bounds-checked storage
+    /// operand `addr` (register, dmem or spad word), forwarding applied.
+    fn lockstep_fill(&self, base: usize, addr: Addr, dst: &mut [Vector]) {
+        let span = base..base + dst.len();
+        match (self.lockstep_src(base, addr), addr) {
+            (RowSrc::Exec, _) => dst.copy_from_slice(&self.results[self.exec_idx()][span]),
+            (RowSrc::Zero, _) => dst.fill(Vector::ZERO),
+            (RowSrc::Storage, Addr::DataMem(a)) => {
+                dst.copy_from_slice(&self.dmem[a as usize * self.n..][span]);
+            }
+            (RowSrc::Storage, Addr::Spad(a)) => {
+                dst.copy_from_slice(&self.spad[a as usize * self.n..][span]);
+            }
+            (RowSrc::Storage, Addr::Reg(i)) => {
+                for (v, regs) in dst.iter_mut().zip(&self.regs[span]) {
+                    *v = regs[i as usize];
+                }
+            }
+            (RowSrc::Storage, a) => unreachable!("{a} is not a storage operand"),
+        }
+    }
+
+    /// [`PeArray::lockstep_fill`] without the copy where the values already
+    /// lie contiguous (a slab row or the EXECUTE slot); `buf` is filled
+    /// otherwise.
+    fn lockstep_row<'a>(&'a self, base: usize, addr: Addr, buf: &'a mut [Vector]) -> &'a [Vector] {
+        let span = base..base + buf.len();
+        match (self.lockstep_src(base, addr), addr) {
+            (RowSrc::Exec, _) => &self.results[self.exec_idx()][span],
+            (RowSrc::Storage, Addr::DataMem(a)) => &self.dmem[a as usize * self.n..][span],
+            (RowSrc::Storage, Addr::Spad(a)) => &self.spad[a as usize * self.n..][span],
+            _ => {
+                self.lockstep_fill(base, addr, buf);
+                buf
+            }
+        }
+    }
+
+    /// Row-wide operand read (the lockstep twin of `read_operand` on the
+    /// generic path): bounds checks, access counts and port pops in the
+    /// scalar order, and — when `want` — every column's value of `addr` in
+    /// `dst`. A port read pops the row link into `popped`; `shared` reports
+    /// that the pop also feeds the route.
+    #[allow(clippy::too_many_arguments)]
+    fn lockstep_operand(
+        &mut self,
+        base: usize,
+        addr: Addr,
+        instr: &Instruction,
+        links: &mut RowLinks,
+        row: usize,
+        cycle: u64,
+        want: bool,
+        popped: &mut [TaggedVector],
+        shared: &mut bool,
+        dst: &mut [Vector],
+    ) -> Result<(), SimError> {
+        let cols = dst.len() as u64;
+        match addr {
+            Addr::Null | Addr::Imm => {
+                if want {
+                    dst.fill(match addr {
+                        Addr::Imm => instr.imm.unwrap_or(Vector::ZERO),
+                        _ => Vector::ZERO,
+                    });
+                }
+                return Ok(());
+            }
+            Addr::Reg(i) => {
+                if i as usize >= NUM_REGS {
+                    return Err(SimError::AddressOutOfRange {
+                        context: format!("register r{i} (of {NUM_REGS})"),
+                    });
+                }
+            }
+            Addr::DataMem(a) => {
+                if a as usize >= self.dmem_words {
+                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
+                }
+                self.batch_mem.dmem_reads += cols;
+            }
+            Addr::Spad(a) => {
+                if a as usize >= self.spad_entries {
+                    return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
+                }
+                self.batch_mem.spad_reads += cols;
+            }
+            Addr::Port(d) => {
+                lockstep_pop(links, d, row, cycle, popped)?;
+                if instr.route.is_some_and(|route| route.from == d) {
+                    *shared = true;
+                }
+                if want {
+                    for (v, e) in dst.iter_mut().zip(popped.iter()) {
+                        *v = e.value;
+                    }
+                }
+                return Ok(());
+            }
+        }
+        if want {
+            self.lockstep_fill(base, addr, dst);
+        }
+        Ok(())
+    }
+
+    /// Column-lockstep LOAD (+ eager EXECUTE) of the instruction interned
+    /// at `h` on all `cols` PEs of `row`: the row-granular
+    /// [`PeArray::load_planned`], with the §3.1 route check made once and
+    /// North pops taken from the row link.
+    ///
+    /// # Errors
+    ///
+    /// The errors column 0's scalar LOAD raises, with the same messages.
+    pub(crate) fn lockstep_load_row(
+        &mut self,
+        row: usize,
+        cols: usize,
+        h: InstrHandle,
+        ring: &InstrRing,
+        links: &mut RowLinks,
+        cycle: u64,
+    ) -> Result<(), SimError> {
+        let base = row * cols;
+        let ls = self.load_idx;
+        debug_assert_eq!(self.state[ls][base], Slot::Empty, "LOAD slot occupied");
+        let instr = ring.get(h);
+        debug_assert!(!instr.is_plain_nop(), "bubbles are elided at issue");
+        let mut scratch = std::mem::take(&mut self.lockstep_scratch);
+        scratch.resize(cols);
+        // The LOAD slot's results are written while the EXECUTE slot's are
+        // read: move them out for the duration.
+        let mut results = std::mem::take(&mut self.results[ls]);
+        let out = &mut results[base..base + cols];
+        let loaded = match ring.plan(h) {
+            Plan::Generic => {
+                self.lockstep_load_generic(row, instr, links, cycle, &mut scratch, out)
+            }
+            plan => {
+                self.lockstep_load_mac(base, plan, &mut scratch, out);
+                Ok(())
+            }
+        };
+        self.results[ls] = results;
+        self.lockstep_scratch = scratch;
+        loaded?;
+        self.state[ls][base] = Slot::Full;
+        self.handles[ls][base] = h;
+        self.res_addr[ls][base] = instr.res;
+        self.flush_addr[ls][base] = if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
+            instr.op1
+        } else {
+            Addr::Null
+        };
+        Ok(())
+    }
+
+    /// Lockstep LOAD of a fast MAC plan (bounds and counts were settled at
+    /// issue, [`PeArray::validate_and_account`]): one fused loop per row.
+    fn lockstep_load_mac(
+        &self,
+        base: usize,
+        plan: Plan,
+        scratch: &mut RowScratch,
+        out: &mut [Vector],
+    ) {
+        let RowScratch {
+            op1, op2, res_in, ..
+        } = scratch;
+        match plan {
+            Plan::MacSToSpad { a, b, imm } => {
+                let s = Vector::splat(imm.lane0());
+                let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
+                let acc = self.lockstep_row(base, Addr::Spad(b), res_in);
+                for ((o, &acc), &y) in out.iter_mut().zip(acc).zip(op2) {
+                    *o = acc.mac(s, y);
+                }
+            }
+            Plan::MacSToReg { a, r, imm } => {
+                let s = Vector::splat(imm.lane0());
+                let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
+                let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
+                for ((o, &acc), &y) in out.iter_mut().zip(acc).zip(op2) {
+                    *o = acc.mac(s, y);
+                }
+            }
+            Plan::MacVToReg { a, b, r } => {
+                let op1 = self.lockstep_row(base, Addr::Spad(a), op1);
+                let op2 = self.lockstep_row(base, Addr::DataMem(b), op2);
+                let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
+                for (((o, &acc), &x), &y) in out.iter_mut().zip(acc).zip(op1).zip(op2) {
+                    *o = acc.mac(x, y);
+                }
+            }
+            Plan::Generic => unreachable!("generic plans take the operand path"),
+        }
+    }
+
+    /// Lockstep LOAD of a generic plan: the route check, the counts, the
+    /// operand reads in the scalar order, the route pop, and the lane
+    /// results. A NOP's lane result is zero whatever it reads, so its
+    /// operands are resolved for their side effects only.
+    fn lockstep_load_generic(
+        &mut self,
+        row: usize,
+        instr: &Instruction,
+        links: &mut RowLinks,
+        cycle: u64,
+        scratch: &mut RowScratch,
+        out: &mut [Vector],
+    ) -> Result<(), SimError> {
+        let cols = out.len();
+        let base = row * cols;
+        if let Some(d) = instr.noc_conflict() {
+            return Err(SimError::RouterConflict {
+                cycle,
+                pe: (row, 0),
+                direction: d.to_string(),
+            });
+        }
+        let n = cols as u64;
+        self.batch_pe.instrs += n;
+        if instr.op.is_compute() {
+            self.batch_pe.compute_instrs += n;
+        }
+        if instr.op.is_mac() {
+            self.batch_pe.mac_instrs += n;
+        }
+        let RowScratch {
+            op1,
+            op2,
+            res_in,
+            popped,
+        } = scratch;
+        let want = instr.op != Opcode::Nop;
+        let mut shared = false;
+        self.lockstep_operand(
+            base,
+            instr.op1,
+            instr,
+            links,
+            row,
+            cycle,
+            want,
+            popped,
+            &mut shared,
+            op1,
+        )?;
+        self.lockstep_operand(
+            base,
+            instr.op2,
+            instr,
+            links,
+            row,
+            cycle,
+            want,
+            popped,
+            &mut shared,
+            op2,
+        )?;
+        // Read-modify-write opcodes read the old result value here.
+        if matches!(instr.op, Opcode::MacV | Opcode::MacS | Opcode::Acc) {
+            match instr.res {
+                a @ (Addr::Reg(_) | Addr::DataMem(_) | Addr::Spad(_)) => {
+                    let mut unshared = false;
+                    self.lockstep_operand(
+                        base,
+                        a,
+                        instr,
+                        links,
+                        row,
+                        cycle,
+                        true,
+                        popped,
+                        &mut unshared,
+                        res_in,
+                    )?;
+                }
+                _ => res_in.fill(Vector::ZERO),
+            }
+        }
+        if let Some(route) = instr.route {
+            let routed = &mut self.routed[self.load_idx][base..base + cols];
+            if shared {
+                routed.copy_from_slice(popped);
+            } else {
+                lockstep_pop(links, route.from, row, cycle, routed)?;
+            }
+        }
+        match instr.op {
+            // Write-back skips NOPs, but a reader of the result address
+            // forwards the zero lane result.
+            Opcode::Nop => {
+                if instr.res != Addr::Null {
+                    out.fill(Vector::ZERO);
+                }
+            }
+            Opcode::Mov | Opcode::MovFlush => out.copy_from_slice(op1),
+            Opcode::MacS => {
+                for (((o, &acc), &x), &y) in out
+                    .iter_mut()
+                    .zip(res_in.iter())
+                    .zip(op1.iter())
+                    .zip(op2.iter())
+                {
+                    *o = acc.mac(Vector::splat(x.lane0()), y);
+                }
+            }
+            op => {
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o = Self::lane_result(op, op1[c], op2[c], res_in[c]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Column-lockstep COMMIT of the instruction in `row`'s COMMIT slot on
+    /// all `cols` PEs: write-back, flush-clear, and route push, with South
+    /// pushes landing in the row link below (or the south sink). The
+    /// row-granular [`PeArray::commit_into_planned`]; eastward forwarding
+    /// is implicit (every column runs the same issue).
+    ///
+    /// # Errors
+    ///
+    /// The errors column 0's scalar COMMIT raises, with the same messages.
+    pub(crate) fn lockstep_commit_row(
+        &mut self,
+        row: usize,
+        cols: usize,
+        ring: &InstrRing,
+        links: &mut RowLinks,
+        cycle: u64,
+    ) -> Result<CommitEffects, SimError> {
+        let base = row * cols;
+        let cs = self.commit_idx();
+        if self.state[cs][base] != Slot::Full {
+            debug_assert_eq!(self.state[cs][base], Slot::Empty, "bubbles are elided");
+            return Ok(CommitEffects::NONE);
+        }
+        self.state[cs][base] = Slot::Empty;
+        let h = self.handles[cs][base];
+        // Fast plans' write-backs were bounds-checked and counted at issue.
+        let counted = ring.plan(h) == Plan::Generic;
+        let instr = ring.get(h);
+        let n = self.n;
+        let span = base..base + cols;
+        if instr.op != Opcode::Nop {
+            match instr.res {
+                Addr::Null => {}
+                Addr::Imm => {
+                    return Err(SimError::AddressOutOfRange {
+                        context: "write to immediate".into(),
+                    })
+                }
+                Addr::Reg(i) => {
+                    if i as usize >= NUM_REGS {
+                        return Err(SimError::AddressOutOfRange {
+                            context: format!("register r{i}"),
+                        });
+                    }
+                    for (regs, &v) in self.regs[span.clone()]
+                        .iter_mut()
+                        .zip(&self.results[cs][span.clone()])
+                    {
+                        regs[i as usize] = v;
+                    }
+                }
+                Addr::DataMem(a) => {
+                    let a = a as usize;
+                    if counted {
+                        if a >= self.dmem_words {
+                            return Err(mem_oob("dmem", "write", a, self.dmem_words));
+                        }
+                        self.batch_mem.dmem_writes += cols as u64;
+                    }
+                    self.dmem[a * n..][span.clone()]
+                        .copy_from_slice(&self.results[cs][span.clone()]);
+                }
+                Addr::Spad(a) => {
+                    let a = a as usize;
+                    if counted {
+                        if a >= self.spad_entries {
+                            return Err(mem_oob("spad", "write", a, self.spad_entries));
+                        }
+                        self.batch_mem.spad_writes += cols as u64;
+                    }
+                    self.spad[a * n..][span.clone()]
+                        .copy_from_slice(&self.results[cs][span.clone()]);
+                }
+                Addr::Port(d) => {
+                    let results = &self.results[cs][span.clone()];
+                    lockstep_push(links, d, row, cycle, |dst| {
+                        for (e, &value) in dst.iter_mut().zip(results) {
+                            *e = TaggedVector {
+                                value,
+                                tag: instr.tag,
+                            };
+                        }
+                    })?;
+                }
+            }
+        }
+        if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
+            match instr.op1 {
+                Addr::Spad(a) => {
+                    let a = a as usize;
+                    if a >= self.spad_entries {
+                        return Err(mem_oob("spad", "write", a, self.spad_entries));
+                    }
+                    self.batch_mem.spad_writes += cols as u64;
+                    self.spad[a * n..][span.clone()].fill(Vector::ZERO);
+                }
+                Addr::Reg(i) => {
+                    if i as usize >= NUM_REGS {
+                        return Err(SimError::AddressOutOfRange {
+                            context: format!("register r{i}"),
+                        });
+                    }
+                    for regs in &mut self.regs[span.clone()] {
+                        regs[i as usize] = Vector::ZERO;
+                    }
+                }
+                a => {
+                    return Err(SimError::AddressOutOfRange {
+                        context: format!("flush-clear of non-storage operand {a}"),
+                    })
+                }
+            }
+        }
+        if let Some(route) = instr.route {
+            let routed = &self.routed[cs][span];
+            lockstep_push(links, route.to, row, cycle, |dst| {
+                dst.copy_from_slice(routed)
+            })?;
+        }
+        Ok(CommitEffects {
+            retired: true,
+            bubble: false,
+            drives_south: instr.pushes_toward(Direction::South),
+            drives_east: instr.pushes_toward(Direction::East),
+        })
     }
 
     // ---- Steady-state replay support (see `crate::replay`) ----

@@ -180,11 +180,13 @@ pub struct Stats {
     /// diagnostic: `wake_events / orch_steps` is how event-driven the run
     /// was (0 under pure polling).
     pub wake_events: u64,
-    /// PE-cycles executed through the column-vectorized batch fast path
-    /// (whole-row LOAD+COMMIT passes over the SoA slabs when every pipeline
-    /// slot of a row holds the same MAC plan shape). A scheduler diagnostic:
-    /// `batched_pe_cycles / active_pe_cycles` is the batch hit rate — the
-    /// fraction of swept PE work the uniformity detector vectorized. The
+    /// PE-cycles executed column-vectorized (batch pass or lockstep): the
+    /// batch fast path's whole-column LOAD+COMMIT passes over the SoA slabs
+    /// when every pipeline slot of a column prefix holds the same MAC plan
+    /// shape, and every PE-cycle of a column-lockstep run (each row issue
+    /// executed once across all columns; see `crate::fabric`). A scheduler
+    /// diagnostic: `batched_pe_cycles / active_pe_cycles` is the fraction
+    /// of swept PE work that was vectorized (1 for a lockstep run). The
     /// architectural counters are identical either way.
     pub batched_pe_cycles: u64,
     /// Cycles fast-forwarded by the steady-state replay engine: the PE-array

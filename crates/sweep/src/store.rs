@@ -720,19 +720,21 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Journals one record: inserts it into the in-memory cache and
-    /// appends its line to the backing file with an fsync, so the record
-    /// survives a SIGKILL the moment this returns. The first append
-    /// truncates any torn tail left by a previous crash (see
-    /// [`ResultStore::open`]), keeping the file a sequence of intact
-    /// lines at all times.
+    /// Journals one record: appends its line to the backing file with an
+    /// fsync, then inserts it into the in-memory cache, so the record
+    /// survives a SIGKILL the moment this returns and a failed append
+    /// leaves no cache entry behind (the daemon answers index hits as
+    /// `cached`, so indexing an unjournaled record would acknowledge work
+    /// a restart loses). The first append truncates any torn tail left by
+    /// a previous crash (see [`ResultStore::open`]), keeping the file a
+    /// sequence of intact lines at all times.
     ///
     /// # Errors
     ///
     /// Propagates file I/O errors; an in-memory store only caches.
     pub fn append(&mut self, rec: &StoredRecord) -> io::Result<()> {
-        self.insert(rec.clone());
         let Some(path) = self.path.clone() else {
+            self.insert(rec.clone());
             return Ok(());
         };
         if self.appender.is_none() {
@@ -751,7 +753,6 @@ impl ResultStore {
         let mut line = String::with_capacity(280);
         if self.pending_newline {
             line.push('\n');
-            self.pending_newline = false;
         }
         line.push_str(&rec.to_line());
         line.push('\n');
@@ -759,7 +760,9 @@ impl ResultStore {
         f.seek(io::SeekFrom::Start(self.good_len))?;
         f.write_all(line.as_bytes())?;
         f.sync_data()?;
+        self.pending_newline = false;
         self.good_len += line.len() as u64;
+        self.insert(rec.clone());
         Ok(())
     }
 
@@ -1227,6 +1230,32 @@ mod tests {
         for r in &recs {
             assert_eq!(store.lookup(&r.key), Some(r));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal append that fails must not index the record: the daemon
+    /// answers index hits as `cached`, so an indexed-but-unjournaled record
+    /// would be acknowledged and then lost on restart.
+    #[test]
+    fn failed_append_leaves_no_index_entry() {
+        let dir = std::env::temp_dir().join(format!("canon-sweep-noindex-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal_dir = dir.join("journal");
+        let path = journal_dir.join("j.jsonl");
+        let mut store = ResultStore::open(&path).unwrap();
+        // The journal's directory is a plain file: creating it fails.
+        std::fs::write(&journal_dir, b"not a directory").unwrap();
+        let rec = sample_record(RecordStatus::Ok);
+        assert!(store.append(&rec).is_err(), "append into a file must fail");
+        assert_eq!(store.lookup(&rec.key), None, "failed append was indexed");
+        assert!(store.is_empty());
+        // Once the directory is back, the same record journals and indexes.
+        std::fs::remove_file(&journal_dir).unwrap();
+        store.append(&rec).unwrap();
+        assert_eq!(store.lookup(&rec.key), Some(&rec));
+        let reopened = ResultStore::open(&path).unwrap();
+        assert_eq!(reopened.lookup(&rec.key), Some(&rec));
         std::fs::remove_dir_all(&dir).ok();
     }
 

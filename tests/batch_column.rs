@@ -19,6 +19,7 @@
 use canon::arch::kernels::gemm::RegAccFsm;
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
 use canon::arch::kernels::{run_kernel, KernelInput};
+use canon::arch::orchestrator::RowProgram;
 use canon::arch::stats::RunReport;
 use canon::arch::trace::VecSink;
 use canon::arch::{CanonConfig, Fabric};
@@ -34,7 +35,10 @@ use proptest::prelude::*;
 /// to handle (the all-or-nothing detector saw such columns as non-uniform).
 /// `band_words` is the K-band depth per fabric row in dmem words — it sets
 /// the MAC burst length per output row, and with it how often columns go
-/// uniform.
+/// uniform. The FSMs run as open [`RowProgram::Custom`] programs: natively
+/// installed, these vertical-only rows would take the column-lockstep
+/// engine on untraced runs instead of the batch sweep (see the engine table
+/// in `canon_core::fabric`).
 fn spmm_fabric(
     rows: usize,
     cols: usize,
@@ -62,9 +66,9 @@ fn spmm_fabric(
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         if r < regacc_rows {
-            fabric.set_program(r, RegAccFsm::new(m));
+            fabric.set_program(r, RowProgram::custom(RegAccFsm::new(m)));
         } else {
-            fabric.set_program(r, SpmmFsm::new(depth, m));
+            fabric.set_program(r, RowProgram::custom(SpmmFsm::new(depth, m)));
         }
     }
     fabric

@@ -34,7 +34,10 @@ use proptest::prelude::*;
 /// The `tests/batch_column.rs` fabric builder: an SpMM-shaped problem sized
 /// for the geometry, rows `0..regacc_rows` on the register-accumulation
 /// FSM, the rest on the window FSM. Deep dense bands are what produce the
-/// uniform stretches replay captures.
+/// uniform stretches replay captures. The FSMs run as open
+/// [`RowProgram::Custom`] programs: natively installed, these vertical-only
+/// rows would take the column-lockstep engine instead of replay (see the
+/// engine table in `canon_core::fabric`).
 fn spmm_fabric(
     rows: usize,
     cols: usize,
@@ -64,9 +67,9 @@ fn spmm_fabric(
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         if r < regacc_rows {
-            fabric.set_program(r, RegAccFsm::new(m));
+            fabric.set_program(r, RowProgram::custom(RegAccFsm::new(m)));
         } else {
-            fabric.set_program(r, SpmmFsm::new(depth, m));
+            fabric.set_program(r, RowProgram::custom(SpmmFsm::new(depth, m)));
         }
     }
     fabric
@@ -320,7 +323,8 @@ fn panic_at_fires_mid_stretch_at_exact_cycle() {
 
 /// Rebuilds the dense 8×8 deep-band fabric under an arbitrary config
 /// (fault/budget sentinel tests need config fields `spmm_fabric` does not
-/// expose).
+/// expose), with `Custom`-wrapped rows for the same reason as
+/// `spmm_fabric`.
 fn build_with(cfg: CanonConfig) -> Fabric {
     let k = cfg.rows * cfg.dmem_words;
     let mut rng = gen::seeded_rng(7);
@@ -331,7 +335,7 @@ fn build_with(cfg: CanonConfig) -> Fabric {
     preload_b_tile(&mut fabric, &b, k / cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, RegAccFsm::new(16));
+        fabric.set_program(r, RowProgram::custom(RegAccFsm::new(16)));
     }
     fabric
 }
