@@ -134,12 +134,9 @@ pub fn check_throughput_gate(report: &BenchReport, baseline: &str) -> Result<(),
 }
 
 /// Evaluates the large-tier throughput gate: geomean of each large entry's
-/// `replay_cps` (the default engine configuration — batching *and* replay
-/// on) against the baseline's entry of the same `name@RxC` key,
-/// host-normalized like [`check_throughput_gate`]. A baseline written
-/// before the replay engine carries no `replay_cps`; its `batched_cps` was
-/// the default configuration then, so the gate falls back to it — the
-/// comparison stays default-config-then vs default-config-now.
+/// `replay_cps` (the default engine configuration) against the baseline's
+/// entry of the same `name@RxC` key, host-normalized like
+/// [`check_throughput_gate`].
 ///
 /// Returns `Ok(None)` when there is nothing to gate — the report skipped
 /// the large tier (`--reps 0`), or the baseline predates the large section
@@ -160,9 +157,7 @@ pub fn check_large_gate(report: &BenchReport, baseline: &str) -> Result<Option<f
         .iter()
         .filter_map(|k| {
             let key = format!("{}@{}x{}", k.name, k.rows, k.cols);
-            extract_number(baseline, &key, "replay_cps")
-                .or_else(|| extract_number(baseline, &key, "batched_cps"))
-                .map(|base| k.replay_cps / base)
+            extract_number(baseline, &key, "replay_cps").map(|base| k.replay_cps / base)
         })
         .collect();
     let Some(raw) = geomean(&ratios) else {
@@ -247,7 +242,7 @@ pub struct SteadyState {
     pub pes: usize,
     /// PE-cycles the active-set sweep actually visited.
     pub active_pe_cycles: u64,
-    /// Of those, PE-cycles retired by the column-batch fast path.
+    /// Of those, PE-cycles the column-lockstep engine executed.
     pub batched_pe_cycles: u64,
     /// Orchestrator FSM activations (includes settled parked windows).
     pub orch_steps: u64,
@@ -255,28 +250,18 @@ pub struct SteadyState {
     pub orch_polls_skipped: u64,
     /// Row wake events raised (link/timer/slot).
     pub wake_events: u64,
-    /// Cycles the steady-state replay engine fast-forwarded arithmetically.
-    pub replayed_cycles: u64,
-    /// Captured steady-state stretches the replay engine committed.
-    pub replay_stretches: u64,
 }
 
 impl SteadyState {
-    /// Share of the swept PE work the column-batch fast path carried
+    /// Share of the swept PE work the column-lockstep engine carried
     /// (`batched_pe_cycles / active_pe_cycles`).
     pub fn batch_hit_rate(&self) -> f64 {
         self.batched_pe_cycles as f64 / self.active_pe_cycles.max(1) as f64
     }
-
-    /// Share of the run's cycles the replay engine fast-forwarded
-    /// (`replayed_cycles / cycles`).
-    pub fn replay_hit_rate(&self) -> f64 {
-        self.replayed_cycles as f64 / self.cycles.max(1) as f64
-    }
 }
 
-/// One large-tier kernel's interleaved scalar / batch-on / replay-on
-/// measurement at one fabric geometry.
+/// One large-tier kernel's interleaved per-PE / default-engine measurement
+/// at one fabric geometry.
 #[derive(Debug, Clone)]
 pub struct LargeKernelBench {
     /// Kernel label (without the geometry suffix; JSON keys entries as
@@ -286,52 +271,25 @@ pub struct LargeKernelBench {
     pub rows: usize,
     /// Fabric columns of this measurement.
     pub cols: usize,
-    /// Simulated cycles of one run (identical across all three engine
+    /// Simulated cycles of one run (identical across both engine
     /// configurations — asserted every repetition).
     pub sim_cycles: u64,
-    /// Interleaved A/B/C triples measured.
+    /// Interleaved A/B pairs measured.
     pub reps: usize,
-    /// Simulated cycles per host second with both fast paths force-disabled.
+    /// Simulated cycles per host second with per-PE stepping
+    /// (`replay: false`).
     pub scalar_cps: f64,
-    /// Simulated cycles per host second with the batch path on and the
-    /// replay engine off — isolates the column-batch contribution.
-    pub batched_cps: f64,
-    /// Simulated cycles per host second with batching *and* replay on (the
-    /// default engine configuration; this is the number the throughput
-    /// gate compares).
+    /// Simulated cycles per host second with the default engine
+    /// configuration (column lockstep where the run is eligible; this is
+    /// the number the throughput gate compares). The key predates
+    /// lockstep and is kept so committed baselines stay comparable.
     pub replay_cps: f64,
-    /// Share of swept PE-cycles the batch path carried (batching on,
-    /// replay off — under replay the deferred share is accounted, not
-    /// swept).
-    pub batch_hit_rate: f64,
-    /// Share of the run's cycles the replay engine fast-forwarded
-    /// (`replayed_cycles / cycles`, replay on).
-    pub replay_hit_rate: f64,
-    /// Captured steady-state stretches the replay engine committed
-    /// (periods detected, replay on).
-    pub replay_stretches: u64,
 }
 
 impl LargeKernelBench {
-    /// Batch-on over batch-off throughput from the interleaved runs.
-    pub fn batch_speedup(&self) -> f64 {
-        self.batched_cps / self.scalar_cps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Replay-on over replay-off (both batched) throughput from the
-    /// interleaved runs — the macro-cycle replay engine's contribution on
-    /// top of column batching.
+    /// Default-engine over per-PE throughput from the interleaved runs.
     pub fn replay_speedup(&self) -> f64 {
-        self.replay_cps / self.batched_cps.max(f64::MIN_POSITIVE)
-    }
-
-    /// Mean captured stretch length in cycles (0 when replay never
-    /// engaged).
-    pub fn replay_period(&self) -> f64 {
-        if self.replay_stretches == 0 {
-            return 0.0;
-        }
-        self.replay_hit_rate * self.sim_cycles as f64 / self.replay_stretches as f64
+        self.replay_cps / self.scalar_cps.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -440,12 +398,11 @@ fn bench_kernels(scale: Scale) -> Vec<KernelBench> {
         .collect()
 }
 
-/// The large tier's kernel list: deep-K shapes where the per-output MAC
-/// burst (`K / rows` dmem words per column visit) is long enough for the
-/// column-batch fast path to engage — the regime the batching optimization
-/// targets — while one run stays under about a second of host time at
-/// 64×64. Every `K` is a multiple of 128 and every `N` a multiple of
-/// `cols·LANES`, so the shapes map at both large geometries.
+/// The large tier's kernel list: deep-K shapes with long per-output MAC
+/// bursts (`K / rows` dmem words per column visit), while one per-PE run
+/// stays under about a second of host time at 64×64. Every `K` is a
+/// multiple of 128 and every `N` a multiple of `cols·LANES`, so the shapes
+/// map at both large geometries.
 fn large_tensor_ops() -> Vec<(&'static str, TensorOp, u64)> {
     vec![
         (
@@ -488,14 +445,12 @@ fn large_tensor_ops() -> Vec<(&'static str, TensorOp, u64)> {
             },
             204,
         ),
-        // The replay showcase: K deep enough that the per-output MAC burst
+        // The deep showcase: K deep enough that the per-output MAC burst
         // fills an 8192-word dmem band at 64 rows (the bench raises
-        // `dmem_words` to fit — see `bench_large`), so one uniform stretch
-        // runs ~8192 cycles against the ~3·cols-cycle capture warm-up — the
-        // regime where the macro-cycle replay engine fast-forwards ~95% of
-        // the run. This is also the one kernel whose replay-off runs take
-        // a few seconds of host time; every other shape stays under about
-        // a second at 64×64.
+        // `dmem_words` to fit — see `bench_large`), so one uniform MAC
+        // stream runs ~8192 cycles. This is also the one kernel whose
+        // per-PE runs take a few seconds of host time; every other shape
+        // stays under about a second at 64×64.
         (
             "GEMM-deep",
             TensorOp::Gemm {
@@ -509,10 +464,9 @@ fn large_tensor_ops() -> Vec<(&'static str, TensorOp, u64)> {
 }
 
 /// Measures the large tier: every deep-K kernel at every large geometry,
-/// `reps` interleaved scalar / batch-on / replay-on triples per cell.
-/// Interleaving (scalar, batch, replay, scalar, …) exposes all three
-/// engine configurations to the same host drift, so the per-kernel batch
-/// and replay speedups are honest A/Bs rather than separated timing
+/// `reps` interleaved per-PE / default-engine pairs per cell. Interleaving
+/// exposes both engine configurations to the same host drift, so the
+/// per-kernel speedup is an honest A/B rather than two separated timing
 /// windows. Operands are materialized once per kernel and reused across
 /// reps (the scalar-tier sampler's `run_report` re-generates them every
 /// call, which at these sizes would dominate the measurement).
@@ -522,16 +476,6 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
         return out;
     }
     for (rows, cols) in large_geometries() {
-        // Default engine configuration: batching and replay both on.
-        let cfg_replay = CanonConfig::default().with_geometry(rows, cols);
-        let cfg_batch = CanonConfig {
-            replay: false,
-            ..cfg_replay.clone()
-        };
-        let cfg_scalar = CanonConfig {
-            batching: false,
-            ..cfg_batch.clone()
-        };
         for (name, op, seed) in large_tensor_ops() {
             // Deep-K shapes need a dmem band of `K / rows` words per PE;
             // size the data memory per kernel (never below the default) so
@@ -545,53 +489,33 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
                 // needs are covered by the default data-memory size.
                 _ => 0,
             };
-            let dmem_words = cfg_replay.dmem_words.max(band);
-            let cfg_replay = CanonConfig {
-                dmem_words,
-                ..cfg_replay.clone()
+            let default = CanonConfig::default().with_geometry(rows, cols);
+            let cfg_default = CanonConfig {
+                dmem_words: default.dmem_words.max(band),
+                ..default
             };
-            let cfg_batch = CanonConfig {
-                dmem_words,
-                ..cfg_batch.clone()
-            };
-            let cfg_scalar = CanonConfig {
-                dmem_words,
-                ..cfg_scalar.clone()
+            let cfg_per_pe = CanonConfig {
+                replay: false,
+                ..cfg_default.clone()
             };
             let input = kernel_input(&op, seed);
-            let mut wall_scalar = 0u64;
-            let mut wall_batch = 0u64;
-            let mut wall_replay = 0u64;
+            let mut wall_per_pe = 0u64;
+            let mut wall_default = 0u64;
             let mut sim_cycles = 0u64;
-            let mut batch_hit = 0.0f64;
-            let mut replay_hit = 0.0f64;
-            let mut stretches = 0u64;
             for _ in 0..reps {
-                let scalar = run_kernel(&cfg_scalar, &input)
+                let per_pe = run_kernel(&cfg_per_pe, &input)
                     .expect("large kernel maps")
                     .report;
-                let batch = run_kernel(&cfg_batch, &input)
-                    .expect("large kernel maps")
-                    .report;
-                let replay = run_kernel(&cfg_replay, &input)
+                let fast = run_kernel(&cfg_default, &input)
                     .expect("large kernel maps")
                     .report;
                 assert_eq!(
-                    scalar.cycles, batch.cycles,
-                    "batch fast path must be architecturally invisible ({name} {rows}x{cols})"
+                    per_pe.cycles, fast.cycles,
+                    "the default engine must be architecturally invisible ({name} {rows}x{cols})"
                 );
-                assert_eq!(
-                    batch.cycles, replay.cycles,
-                    "replay engine must be architecturally invisible ({name} {rows}x{cols})"
-                );
-                wall_scalar += scalar.wall_ns;
-                wall_batch += batch.wall_ns;
-                wall_replay += replay.wall_ns;
-                sim_cycles = replay.cycles;
-                batch_hit = batch.stats.batched_pe_cycles as f64
-                    / batch.stats.active_pe_cycles.max(1) as f64;
-                replay_hit = replay.stats.replayed_cycles as f64 / replay.cycles.max(1) as f64;
-                stretches = replay.stats.replay_stretches;
+                wall_per_pe += per_pe.wall_ns;
+                wall_default += fast.wall_ns;
+                sim_cycles = fast.cycles;
             }
             let total_cycles = sim_cycles as f64 * reps as f64;
             out.push(LargeKernelBench {
@@ -600,12 +524,8 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
                 cols,
                 sim_cycles,
                 reps,
-                scalar_cps: total_cycles / (wall_scalar.max(1) as f64 * 1e-9),
-                batched_cps: total_cycles / (wall_batch.max(1) as f64 * 1e-9),
-                replay_cps: total_cycles / (wall_replay.max(1) as f64 * 1e-9),
-                batch_hit_rate: batch_hit,
-                replay_hit_rate: replay_hit,
-                replay_stretches: stretches,
+                scalar_cps: total_cycles / (wall_per_pe.max(1) as f64 * 1e-9),
+                replay_cps: total_cycles / (wall_default.max(1) as f64 * 1e-9),
             });
         }
     }
@@ -674,8 +594,6 @@ fn bench_steady_state(alloc: AllocSnapshot) -> SteadyState {
         orch_steps: report.stats.orch_steps,
         orch_polls_skipped: report.stats.orch_polls_skipped,
         wake_events: report.stats.wake_events,
-        replayed_cycles: report.stats.replayed_cycles,
-        replay_stretches: report.stats.replay_stretches,
     }
 }
 
@@ -744,7 +662,7 @@ fn bench_sweep(scale: Scale, jobs: usize) -> SweepBench {
 }
 
 /// Runs the full measurement suite. `large_reps` is the number of
-/// interleaved batch-off/batch-on pairs per large-tier cell (0 skips the
+/// interleaved per-PE/default-engine pairs per large-tier cell (0 skips the
 /// large tier entirely).
 pub fn run_bench(
     scale: Scale,
@@ -868,13 +786,9 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
     for (i, k) in report.large.iter().enumerate() {
         let key = format!("{}@{}x{}", k.name, k.rows, k.cols);
         // Default-config tracking: this report's replay_cps against the
-        // baseline's (or its batched_cps when the baseline predates the
-        // replay engine and batching alone was the default).
+        // baseline's.
         let speedup = baseline
-            .and_then(|b| {
-                extract_number(b, &key, "replay_cps")
-                    .or_else(|| extract_number(b, &key, "batched_cps"))
-            })
+            .and_then(|b| extract_number(b, &key, "replay_cps"))
             .map(|base| k.replay_cps / base);
         if let Some(r) = speedup {
             large_speedups.push(r);
@@ -882,20 +796,14 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
         let comma = if i + 1 < report.large.len() { "," } else { "" };
         let _ = write!(
             s,
-            "    {{\"name\":\"{key}\",\"rows\":{},\"cols\":{},\"sim_cycles\":{},\"reps\":{},\"scalar_cps\":{:.0},\"batched_cps\":{:.0},\"batch_speedup\":{:.3},\"batch_hit_rate\":{:.4},\"replay_cps\":{:.0},\"replay_speedup\":{:.3},\"replay_hit_rate\":{:.4},\"replay_stretches\":{},\"replay_period\":{:.1}",
+            "    {{\"name\":\"{key}\",\"rows\":{},\"cols\":{},\"sim_cycles\":{},\"reps\":{},\"scalar_cps\":{:.0},\"replay_cps\":{:.0},\"replay_speedup\":{:.3}",
             k.rows,
             k.cols,
             k.sim_cycles,
             k.reps,
             k.scalar_cps,
-            k.batched_cps,
-            k.batch_speedup(),
-            k.batch_hit_rate,
             k.replay_cps,
-            k.replay_speedup(),
-            k.replay_hit_rate,
-            k.replay_stretches,
-            k.replay_period()
+            k.replay_speedup()
         );
         match speedup {
             Some(r) => {
@@ -908,7 +816,7 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
     }
     let _ = writeln!(s, "  ],");
     // The tier's headline numbers: per-geometry geomeans of the
-    // interleaved batch-on/off and replay-on/off speedups (self-contained —
+    // interleaved default-engine over per-PE speedups (self-contained —
     // need no baseline).
     if !report.large.is_empty() {
         let mut geoms: Vec<(usize, usize)> = Vec::new();
@@ -917,35 +825,24 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
                 geoms.push((k.rows, k.cols));
             }
         }
-        let per_geom = |f: fn(&LargeKernelBench) -> f64| -> Vec<String> {
-            geoms
-                .iter()
-                .map(|&(r, c)| {
-                    let sp: Vec<f64> = report
-                        .large
-                        .iter()
-                        .filter(|k| (k.rows, k.cols) == (r, c))
-                        .map(f)
-                        .collect();
-                    format!("\"geomean_{r}x{c}\":{:.3}", geomean(&sp).unwrap_or(1.0))
-                })
-                .collect()
-        };
-        let _ = writeln!(
-            s,
-            "  \"large_batch\": {{{}}},",
-            per_geom(LargeKernelBench::batch_speedup).join(",")
-        );
-        let _ = writeln!(
-            s,
-            "  \"large_replay\": {{{}}},",
-            per_geom(LargeKernelBench::replay_speedup).join(",")
-        );
+        let per_geom: Vec<String> = geoms
+            .iter()
+            .map(|&(r, c)| {
+                let sp: Vec<f64> = report
+                    .large
+                    .iter()
+                    .filter(|k| (k.rows, k.cols) == (r, c))
+                    .map(LargeKernelBench::replay_speedup)
+                    .collect();
+                format!("\"geomean_{r}x{c}\":{:.3}", geomean(&sp).unwrap_or(1.0))
+            })
+            .collect();
+        let _ = writeln!(s, "  \"large_replay\": {{{}}},", per_geom.join(","));
     }
     if let Some(ss) = &report.steady_state {
         let _ = writeln!(
             s,
-            "  \"steady_state\": {{\"name\":\"spmm-fabric\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{},\"orch_polls_skipped\":{},\"wake_events\":{},\"replayed_cycles\":{},\"replay_stretches\":{},\"replay_hit_rate\":{:.4}}},",
+            "  \"steady_state\": {{\"name\":\"spmm-fabric\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{},\"orch_polls_skipped\":{},\"wake_events\":{}}},",
             ss.cycles,
             ss.allocs,
             ss.bytes,
@@ -955,10 +852,7 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
             ss.batch_hit_rate(),
             ss.orch_steps,
             ss.orch_polls_skipped,
-            ss.wake_events,
-            ss.replayed_cycles,
-            ss.replay_stretches,
-            ss.replay_hit_rate()
+            ss.wake_events
         );
     }
     let _ = writeln!(s, "  \"figures\": [");
@@ -1060,37 +954,24 @@ pub fn render_text(report: &BenchReport) -> String {
     if !report.large.is_empty() {
         let _ = writeln!(
             s,
-            "== large tier: interleaved scalar/batch/replay A/B ({} triples per cell) ==",
+            "== large tier: interleaved per-PE/default-engine A/B ({} pairs per cell) ==",
             report.large[0].reps
         );
         let _ = writeln!(
             s,
-            "{:<10} {:>8} {:>11} {:>13} {:>13} {:>13} {:>8} {:>8} {:>5} {:>7}",
-            "kernel",
-            "geometry",
-            "sim cycles",
-            "scalar c/s",
-            "batched c/s",
-            "replay c/s",
-            "replay",
-            "ff rate",
-            "str.",
-            "period"
+            "{:<10} {:>8} {:>11} {:>13} {:>13} {:>8}",
+            "kernel", "geometry", "sim cycles", "per-PE c/s", "default c/s", "speedup"
         );
         for k in &report.large {
             let _ = writeln!(
                 s,
-                "{:<10} {:>8} {:>11} {:>13.0} {:>13.0} {:>13.0} {:>7.2}x {:>7.1}% {:>5} {:>7.0}",
+                "{:<10} {:>8} {:>11} {:>13.0} {:>13.0} {:>7.2}x",
                 k.name,
                 format!("{}x{}", k.rows, k.cols),
                 k.sim_cycles,
                 k.scalar_cps,
-                k.batched_cps,
                 k.replay_cps,
-                k.replay_speedup(),
-                k.replay_hit_rate * 100.0,
-                k.replay_stretches,
-                k.replay_period()
+                k.replay_speedup()
             );
         }
         let mut geoms: Vec<(usize, usize)> = Vec::new();
@@ -1100,22 +981,17 @@ pub fn render_text(report: &BenchReport) -> String {
             }
         }
         for (r, c) in geoms {
-            let take = |f: fn(&LargeKernelBench) -> f64| -> Vec<f64> {
-                report
-                    .large
-                    .iter()
-                    .filter(|k| (k.rows, k.cols) == (r, c))
-                    .map(f)
-                    .collect()
-            };
-            let batch = take(LargeKernelBench::batch_speedup);
-            let replay = take(LargeKernelBench::replay_speedup);
+            let speedups: Vec<f64> = report
+                .large
+                .iter()
+                .filter(|k| (k.rows, k.cols) == (r, c))
+                .map(LargeKernelBench::replay_speedup)
+                .collect();
             let _ = writeln!(
                 s,
-                "large {r}x{c}: batch on/off geomean {:.3}x, replay on/off geomean {:.3}x over {} kernels",
-                geomean(&batch).unwrap_or(1.0),
-                geomean(&replay).unwrap_or(1.0),
-                batch.len()
+                "large {r}x{c}: default/per-PE geomean {:.3}x over {} kernels",
+                geomean(&speedups).unwrap_or(1.0),
+                speedups.len()
             );
         }
     }
@@ -1141,18 +1017,10 @@ pub fn render_text(report: &BenchReport) -> String {
         );
         let _ = writeln!(
             s,
-            "batch fast path: {} of {} swept PE-cycles ({:.1}% hit rate)",
+            "column lockstep: {} of {} swept PE-cycles ({:.1}%)",
             ss.batched_pe_cycles,
             ss.active_pe_cycles,
             ss.batch_hit_rate() * 100.0
-        );
-        let _ = writeln!(
-            s,
-            "replay engine: {} of {} cycles fast-forwarded ({:.1}%) across {} stretches",
-            ss.replayed_cycles,
-            ss.cycles,
-            ss.replay_hit_rate() * 100.0,
-            ss.replay_stretches
         );
     }
     for f in &report.figures {
@@ -1192,11 +1060,7 @@ mod tests {
                 sim_cycles: 2373,
                 reps: 3,
                 scalar_cps: 4_000.0,
-                batched_cps: 5_000.0,
                 replay_cps: 30_000.0,
-                batch_hit_rate: 0.54,
-                replay_hit_rate: 0.60,
-                replay_stretches: 2,
             }],
             steady_state: Some(SteadyState {
                 cycles: 164,
@@ -1208,8 +1072,6 @@ mod tests {
                 orch_steps: 1000,
                 orch_polls_skipped: 250,
                 wake_events: 40,
-                replayed_cycles: 0,
-                replay_stretches: 0,
             }),
             figures: vec![FigureBench {
                 name: "fig12+13",
@@ -1308,8 +1170,6 @@ mod tests {
             orch_steps: 0,
             orch_polls_skipped: 0,
             wake_events: 0,
-            replayed_cycles: 0,
-            replay_stretches: 0,
         });
         let err = check_alloc_gate(&r).unwrap_err();
         assert!(err.contains("0.2600"), "{err}");
@@ -1371,95 +1231,54 @@ mod tests {
     fn large_section_roundtrips_and_reports_batch_ab() {
         let json = render_json(&tiny_report(), None);
         // Entries are keyed `name@RxC`, so the large GEMM line never
-        // collides with the scalar-tier "GEMM" kernel line.
+        // collides with the scalar-tier "GEMM" kernel line. Each carries
+        // both sides of the A/B and the default-over-per-PE speedup.
         assert_eq!(
-            extract_number(&json, "GEMM@64x64", "batched_cps"),
-            Some(5_000.0)
+            extract_number(&json, "GEMM@64x64", "scalar_cps"),
+            Some(4_000.0)
         );
-        assert_eq!(
-            extract_number(&json, "GEMM@64x64", "batch_speedup"),
-            Some(1.25)
-        );
-        // Replay diagnostics ride on the same line: throughput with the
-        // full default engine, on/off speedup, fraction fast-forwarded,
-        // stretch count, and mean captured period length.
         assert_eq!(
             extract_number(&json, "GEMM@64x64", "replay_cps"),
             Some(30_000.0)
         );
         assert_eq!(
             extract_number(&json, "GEMM@64x64", "replay_speedup"),
-            Some(6.0)
-        );
-        assert_eq!(
-            extract_number(&json, "GEMM@64x64", "replay_hit_rate"),
-            Some(0.6)
-        );
-        // 0.60 · 2373 cycles over 2 stretches ≈ 711.9 per period.
-        assert_eq!(
-            extract_number(&json, "GEMM@64x64", "replay_period"),
-            Some(711.9)
+            Some(7.5)
         );
         assert_eq!(
             extract_number(&json, "GEMM", "cycles_per_sec"),
             Some(2_000_000.0),
             "scalar kernel extraction unaffected by the large section"
         );
-        // Self-contained per-geometry A/B geomeans plus the steady-state
-        // batch hit rate land in the JSON without a baseline.
+        // The self-contained per-geometry A/B geomean plus the steady-state
+        // lockstep share land in the JSON without a baseline.
         assert!(
-            json.contains("\"large_batch\": {\"geomean_64x64\":1.250}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"large_replay\": {\"geomean_64x64\":6.000}"),
+            json.contains("\"large_replay\": {\"geomean_64x64\":7.500}"),
             "{json}"
         );
         assert!(json.contains("\"batch_hit_rate\":0.2500"), "{json}");
-        assert!(json.contains("\"replayed_cycles\":0"), "{json}");
         let text = render_text(&tiny_report());
         assert!(
-            text.contains("batch on/off geomean 1.250x, replay on/off geomean 6.000x"),
+            text.contains("large 64x64: default/per-PE geomean 7.500x over 1 kernels"),
             "{text}"
         );
-        assert!(text.contains("batch fast path: 1025 of 4100"), "{text}");
-        assert!(text.contains("replay engine: 0 of 164 cycles"), "{text}");
+        assert!(text.contains("column lockstep: 1025 of 4100"), "{text}");
     }
 
     #[test]
     fn large_gate_tracks_the_default_engine_configuration() {
         let base = render_json(&tiny_report(), None);
-        // A replay-era baseline compares replay_cps to replay_cps: a report
-        // whose batched_cps regressed but whose default-config throughput
-        // held is NOT gated …
-        let mut batch_slower = tiny_report();
-        batch_slower.large[0].batched_cps *= 0.5;
-        assert!(check_large_gate(&batch_slower, &base).is_ok());
-        // … while a default-config regression is, even with batched_cps
+        // The gate compares replay_cps (the default engines) to replay_cps:
+        // a report whose per-PE throughput regressed but whose default
+        // throughput held is NOT gated …
+        let mut per_pe_slower = tiny_report();
+        per_pe_slower.large[0].scalar_cps *= 0.5;
+        assert!(check_large_gate(&per_pe_slower, &base).is_ok());
+        // … while a default-engine regression is, even with scalar_cps
         // flat.
-        let mut replay_slower = tiny_report();
-        replay_slower.large[0].replay_cps *= 0.8;
-        assert!(check_large_gate(&replay_slower, &base).is_err());
-        // A pre-replay baseline (no replay_cps key) falls back to its
-        // batched_cps — then the default engine configuration: 30000 vs
-        // 5000 passes easily.
-        let legacy = base
-            .lines()
-            .map(|l| {
-                if l.contains("\"replay_cps\"") {
-                    // Strip the replay fields (the line's tail before the
-                    // closing brace) the way an old renderer simply would
-                    // not have written them.
-                    let cut = l.find(",\"replay_cps\"").unwrap();
-                    format!("{}}}", &l[..cut])
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(extract_number(&legacy, "GEMM@64x64", "replay_cps").is_none());
-        assert_eq!(check_large_gate(&tiny_report(), &legacy), Ok(Some(6.0)));
+        let mut default_slower = tiny_report();
+        default_slower.large[0].replay_cps *= 0.8;
+        assert!(check_large_gate(&default_slower, &base).is_err());
     }
 
     #[test]

@@ -213,10 +213,9 @@ fn usage() -> ! {
            --geom LIST  sweep fabric geometries, e.g. 8x8,16x16 (default: 8x8,\n\
                         or 64x64,128x64 under --large); baselines are\n\
                         provisioned iso-MAC at each point\n\
-           --no-replay  (sweep) disable the fast engines (column lockstep\n\
-                        and steady-state replay) and step every PE of every\n\
-                        cell; the result store must be byte-identical\n\
-                        either way (CI diffs the two)\n\
+           --no-replay  (sweep) disable the column-lockstep engine and\n\
+                        step every PE of every cell; the result store must\n\
+                        be byte-identical either way (CI diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\
                         journal: recovered records are reported instead of\n\
                         warned about; finished cells are cache hits\n\
@@ -239,8 +238,8 @@ fn usage() -> ! {
            --connections N  (submit) parallel client connections (default 4)\n\
            --baseline FILE  (bench) previous BENCH_sim.json to embed and\n\
                         compute speedups against\n\
-           --reps N     (bench) interleaved batch-off/on pairs per large-tier\n\
-                        cell (default 3; 0 skips the large tier)\n\
+           --reps N     (bench) interleaved per-PE/default-engine pairs per\n\
+                        large-tier cell (default 3; 0 skips the large tier)\n\
            --check      (bench) exit non-zero if the steady-state step loop\n\
                         exceeds the allocation gate (allocs/cycle) or the\n\
                         kernels/large-tier geomeans regress >10% against the\n\
@@ -347,9 +346,9 @@ struct SweepRunOpts {
     cell_wall_budget: Option<Duration>,
     cell_cycle_budget: Option<u64>,
     max_retries: u32,
-    /// Fast engines on — column lockstep and steady-state replay (the
-    /// default engine configuration). `--no-replay` forces per-PE stepping
-    /// so CI can byte-diff the two paths' result stores.
+    /// Column lockstep on (the default engine configuration).
+    /// `--no-replay` forces per-PE stepping so CI can byte-diff the two
+    /// paths' result stores.
     replay: bool,
     shutdown: Arc<AtomicBool>,
 }

@@ -9,7 +9,7 @@
 //! cargo run -p canon-bench --release --bin repro -- fig12
 //! ```
 //!
-//! Every function takes a [`Scale`] so the criterion benches can exercise the
+//! Every function takes a [`Scale`] so CI and `repro bench` can exercise the
 //! same code paths on reduced sizes, and returns the formatted report it
 //! prints, so tests can assert on structure.
 
@@ -23,7 +23,7 @@ pub use figures::*;
 /// Problem-size preset for the harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny sizes for CI / criterion benches.
+    /// Tiny sizes for CI and `repro bench`.
     Smoke,
     /// The sizes used for EXPERIMENTS.md (laptop-scale, minutes).
     Full,

@@ -50,31 +50,18 @@ pub struct CanonConfig {
     pub watchdog_factor: u64,
     /// Additive slack for the watchdog.
     pub watchdog_slack: u64,
-    /// Simulator-host knob (not an architectural parameter): enables the
-    /// column-vectorized batch fast path over the SoA slabs. Architecturally
-    /// invisible either way — cycle counts, stats, and collector streams are
-    /// identical (pinned by `tests/batch_column.rs`); disable only for
-    /// differential testing or A/B throughput measurement.
-    pub batching: bool,
-    /// Simulator-host knob (not an architectural parameter): fast engines,
-    /// replay and lockstep. On, a [`Fabric::run`](crate::Fabric::run) that
-    /// starts on a fresh vertical-only fabric takes the column-lockstep
-    /// engine (each row issue simulated once across all columns; see the
-    /// engine table in `canon_core::fabric`), and every other run may
-    /// take the steady-state replay engine, which detects stretches of
-    /// cycles in which every row issues the same uniform MAC shape and
-    /// fast-forwards them — the PE-array sweep is deferred and settled
-    /// arithmetically when the stretch ends (see `canon_core::replay`).
-    /// Off, every run steps each PE every cycle: the reference the
-    /// differential tests (`tests/replay_differential.rs`,
-    /// `tests/lockstep_differential.rs`) compare against. Architecturally
-    /// invisible either way — cycle counts, stats (including the stall
-    /// breakdown), and collector streams are identical; only the
-    /// `Stats::replayed_cycles`/`Stats::replay_stretches`/
-    /// `Stats::batched_pe_cycles` diagnostics differ. Both engines stay
-    /// off while a trace sink is attached or the polling shadow engine is
-    /// forced. Disable only for differential testing or A/B throughput
-    /// measurement.
+    /// Simulator-host knob (not an architectural parameter): the
+    /// column-lockstep engine. On, a [`Fabric::run`](crate::Fabric::run)
+    /// that starts on a fresh, untraced, vertical-only fabric simulates each
+    /// row issue once across all columns (see the engine table in
+    /// `canon_core::fabric`). Off, every run steps each PE every cycle: the
+    /// per-PE reference that `tests/lockstep_differential.rs` and
+    /// `repro --no-replay` compare against. Architecturally invisible either way — cycle counts, stats
+    /// (including the stall breakdown), and collector streams are
+    /// identical; only the `Stats::batched_pe_cycles` diagnostic differs.
+    /// The name predates lockstep (it used to switch a steady-state replay
+    /// engine, since removed) and is kept because the `--no-replay` flag
+    /// and the CI store comparisons are built on it.
     pub replay: bool,
     /// Harness knob: hard ceiling on simulated cycles per `Fabric::run`
     /// call. `None` (the default) leaves only the deadlock watchdog;
@@ -109,7 +96,6 @@ impl Default for CanonConfig {
             offchip_bytes_per_cycle: 17.0,
             watchdog_factor: 64,
             watchdog_slack: 10_000,
-            batching: true,
             replay: true,
             max_cycles: None,
             wall_budget_ns: None,

@@ -36,8 +36,7 @@
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
 //! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, the event engine, no north-edge feeders, and only vertical-only row programs ([`RowProgram::is_vertical_only`]): GEMM, SpMM and N:M | orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift is derived, not simulated |
-//! | scalar event engine with column batching and replay | every other untraced run with [`CanonConfig::replay`] on: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, stepped-then-run fabrics | the active sweep below; row-uniform MAC column prefixes take the batch pass ([`Fabric::set_batching`]) and fully uniform stretches are replayed ([`crate::replay`]) |
-//! | scalar event engine with column batching | [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`), or a trace sink attached | the active sweep below, batch pass included |
+//! | scalar event engine | every other run: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | the active sweep below |
 //! | polling shadow | [`Fabric::set_polling`] (differential tests only) | as above, with every live row stepped every cycle |
 //!
 //! ## Active-set scheduling
@@ -131,11 +130,10 @@
 //! underflow aborts the run as a protocol error.
 
 use crate::config::CanonConfig;
-use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, PlanKind, Vector, LANES};
+use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
 use crate::pe::{PeArray, PeMut, PeRef};
-use crate::replay::{ReplayEntry, ReplayState, REPLAY_CHUNK};
 use crate::sched::{ActiveSet, RowSched};
 use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
 use crate::trace::{TraceRecorder, TraceSink, WakeSource};
@@ -323,44 +321,6 @@ impl InjectQueue {
     }
 }
 
-/// One cell of the fabric's issue-uniformity window (see
-/// [`Fabric::issue_window`]): what every row issued at one cycle, folded as
-/// it happens. The cell tracks the *uniform prefix* of rows: the longest
-/// run of rows `0..prefix` that each issued a real instruction of one
-/// shared non-generic MAC shape — exactly the condition under which, `3c`
-/// cycles later, rows `0..prefix` of fabric column `c` all hold that shape
-/// and the column-vectorized batch sweep applies to them. `prefix == rows`
-/// is the fully uniform cycle the replay engine requires; a partial prefix
-/// still batches the prefix rows (PR 7's all-or-nothing detector collapsed
-/// at tall fabrics, where one skewed row spoiled the whole column).
-#[derive(Debug, Clone, Copy)]
-struct IssueCell {
-    /// Cycle this cell describes ([`NEVER`] when unwritten; the ring is
-    /// sized so live cells are never overwritten, but staleness is checked,
-    /// never assumed).
-    cycle: u64,
-    /// Plan shape of the uniform prefix (the shape row 0 issued);
-    /// meaningless while `prefix == 0`.
-    kind: PlanKind,
-    /// Length of the uniform prefix: rows `0..prefix` each issued a real
-    /// instruction of shape `kind` that cycle (rows fold in ascending
-    /// order, so a bubble, generic, or mismatched issue freezes it).
-    prefix: u32,
-}
-
-impl IssueCell {
-    const EMPTY: IssueCell = IssueCell {
-        cycle: NEVER,
-        kind: PlanKind::Generic,
-        prefix: 0,
-    };
-}
-
-/// Minimum uniform prefix worth a partial column-batch pass: below this the
-/// per-pass setup (injection bookkeeping, shape dispatch) outweighs the
-/// vectorized sweep. Full columns always batch.
-const MIN_BATCH_PREFIX: u32 = 4;
-
 /// The simulated Canon fabric.
 pub struct Fabric {
     cfg: CanonConfig,
@@ -409,26 +369,9 @@ pub struct Fabric {
     cycle: u64,
     /// Sum over cycles of the active-set size (scheduler diagnostic).
     active_pe_cycles: u64,
-    /// When true (default), fabric columns whose in-flight issues are
-    /// row-uniform MAC shapes take the column-vectorized batch sweep
-    /// ([`PeArray::batch_col`]) instead of the per-PE scalar path.
-    /// Architecturally invisible either way.
-    batching: bool,
-    /// PE-cycles that went through the batch fast path (scheduler
+    /// PE-cycles the lockstep engine executed column-vectorized (scheduler
     /// diagnostic, reported as [`Stats::batched_pe_cycles`]).
     batched_pe_cycles: u64,
-    /// Power-of-two ring of per-cycle [`IssueCell`]s indexed by
-    /// `cycle & (len − 1)`, deep enough to cover the issue-to-retire window
-    /// (`3·cols` cycles): the batch detector reads the cells of the three
-    /// issue cycles currently occupying each column's pipeline slots.
-    issue_window: Vec<IssueCell>,
-    /// Phase-3 scratch, reused every cycle:
-    /// `Some((commit_kind, load_kind, prefix))` for columns taking the batch
-    /// sweep this cycle — rows `0..prefix` batch, the rest stay scalar.
-    col_batch: Vec<Option<(PlanKind, PlanKind, u32)>>,
-    /// Steady-state stretch detection + macro-cycle replay (see
-    /// [`crate::replay`]).
-    replay: ReplayState,
     /// Column-lockstep engine state (see [`lockstep`]).
     lockstep: lockstep::Lockstep,
     extra_offchip_read: u64,
@@ -480,14 +423,10 @@ impl Fabric {
             polling: false,
             wake_events: 0,
             // One issue per row per cycle, last read 3·cols − 1 cycles after
-            // issue ⇒ the steady stream needs rows·(3·cols − 1) live
-            // records. A replay flush additionally re-interns a whole
-            // in-flight window (≈ 3·cols − 1 records per row) in one burst,
-            // and those reconstructed records must survive up to 3·cols − 2
-            // further cycles of normal issue before the last column retires
-            // them — so the ring is sized to one burst plus one stream
-            // window, keeping wraps strictly slower than retirement.
-            ring: InstrRing::with_capacity(cfg.rows * (6 * cfg.cols + 2)),
+            // issue ⇒ at most rows·3·cols records are live at once; one
+            // spare cycle of issue keeps wraps strictly slower than
+            // retirement.
+            ring: InstrRing::with_capacity(cfg.rows * (3 * cfg.cols + 1)),
             bubble_horizon: 0,
             elided_bubbles: 0,
             active: ActiveSet::new(n),
@@ -502,11 +441,7 @@ impl Fabric {
             east_collected: Vec::with_capacity(128),
             cycle: 0,
             active_pe_cycles: 0,
-            batching: cfg.batching,
             batched_pe_cycles: 0,
-            issue_window: vec![IssueCell::EMPTY; (3 * cfg.cols).next_power_of_two()],
-            col_batch: vec![None; cfg.cols],
-            replay: ReplayState::new(cfg.rows, cfg.replay),
             lockstep: lockstep::Lockstep::new(cfg.rows, cfg.cols, cfg.link_fifo_depth),
             extra_offchip_read: 0,
             extra_offchip_write: 0,
@@ -526,7 +461,7 @@ impl Fabric {
     /// [`Fabric::reset`] requires every allocation-shaping parameter
     /// (geometry, memory capacities, link FIFO depth) and the north-edge
     /// kind to match. Runtime-only parameters (budgets, fault injection,
-    /// batching/replay switches, watchdog factors) may differ — the reset
+    /// the fast-engine switch, watchdog factors) may differ — the reset
     /// re-derives them from the new configuration.
     pub fn reusable_for(&self, cfg: &CanonConfig, north_edge_feeder: bool) -> bool {
         self.north_feeder == north_edge_feeder
@@ -600,11 +535,7 @@ impl Fabric {
         self.east_collected.clear();
         self.cycle = 0;
         self.active_pe_cycles = 0;
-        self.batching = cfg.batching;
         self.batched_pe_cycles = 0;
-        self.issue_window.fill(IssueCell::EMPTY);
-        self.col_batch.fill(None);
-        self.replay.reset(cfg.replay);
         self.lockstep.reset();
         self.extra_offchip_read = 0;
         self.extra_offchip_write = 0;
@@ -656,10 +587,6 @@ impl Fabric {
             (0..self.rows.len()).all(|r| self.rows.programs[r].is_none()),
             "pristine fabric: orchestrator programs installed"
         );
-        assert!(
-            !self.replay.active && self.replay.run_len == 0,
-            "pristine fabric: replay stretch in flight"
-        );
         assert!(self.trace.is_none(), "pristine fabric: trace sink attached");
         assert!(
             self.lockstep.is_pristine(),
@@ -700,8 +627,6 @@ impl Fabric {
                 && s.meta_tokens == 0
                 && s.offchip_read_bytes == 0
                 && s.offchip_write_bytes == 0
-                && s.replayed_cycles == 0
-                && s.replay_stretches == 0
                 && s.wake_events == 0,
             "pristine fabric: nonzero statistics in report: {s:?}"
         );
@@ -723,9 +648,6 @@ impl Fabric {
             r < self.cfg.rows && c < self.cfg.cols,
             "PE index out of bounds"
         );
-        // Direct memory access must observe (and may invalidate) deferred
-        // accumulator state: settle any active replay stretch first.
-        self.replay_interrupt();
         self.pes.pe_mut(r * self.cfg.cols + c)
     }
 
@@ -738,8 +660,6 @@ impl Fabric {
     ///
     /// Panics when `a` is not below `dmem_words`.
     pub(crate) fn dmem_row_mut(&mut self, a: usize) -> &mut [Vector] {
-        // Same rule as `pe_mut`: settle any active replay stretch first.
-        self.replay_interrupt();
         self.pes.dmem_row_mut(a)
     }
 
@@ -764,7 +684,6 @@ impl Fabric {
     ///
     /// Panics when `r` is out of bounds.
     pub fn set_program(&mut self, r: usize, program: impl Into<RowProgram>) {
-        self.replay_interrupt();
         self.rows.programs[r] = Some(program.into());
         // A new program is a fresh decision source: wake the row and forget
         // any parked pure-wait of the previous program.
@@ -778,7 +697,6 @@ impl Fabric {
     ///
     /// Panics when `r` is out of bounds.
     pub fn set_meta_stream(&mut self, r: usize, stream: Vec<MetaToken>) {
-        self.replay_interrupt();
         self.rows.meta[r] = stream;
         self.rows.meta_pos[r] = 0;
         // The meta head — an orchestrator observable — changed.
@@ -792,17 +710,7 @@ impl Fabric {
     /// ([`Stats::orch_polls_skipped`], [`Stats::wake_events`],
     /// [`Stats::active_pe_cycles`]) differ. Must be set before stepping.
     pub fn set_polling(&mut self, polling: bool) {
-        self.replay_interrupt();
         self.polling = polling;
-    }
-
-    /// Enables/disables the column-vectorized batch fast path (default
-    /// **on**). Architectural behaviour — cycle counts, results, stats,
-    /// stall breakdowns, collector and trace streams — is identical either
-    /// way (`tests/batch_column.rs` diffs the two on random programs); only
-    /// the [`Stats::batched_pe_cycles`] diagnostic differs.
-    pub fn set_batching(&mut self, batching: bool) {
-        self.batching = batching;
     }
 
     /// Attaches a trace sink: from the next cycle on, every engine layer
@@ -817,9 +725,6 @@ impl Fabric {
     /// [`crate::trace::VecSink`] clone) — [`Fabric::take_trace_sink`] gives
     /// the sink back after the run.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        // Traces need the per-cycle event order: settle any deferred state
-        // and let the gate in `step` keep replay disengaged while attached.
-        self.replay_interrupt();
         self.trace = Some(Box::new(TraceRecorder::new(
             sink,
             self.cfg.rows,
@@ -868,7 +773,6 @@ impl Fabric {
     ///
     /// Panics when `c` is out of bounds.
     pub fn set_feeder(&mut self, c: usize, tokens: Vec<TaggedVector>) {
-        self.replay_interrupt();
         if !self.feeders[c].is_empty() {
             self.feeders_pending -= 1;
         }
@@ -1088,23 +992,6 @@ impl Fabric {
             if plan != Plan::Generic {
                 self.pes.validate_and_account(plan, cols)?;
             }
-            // Fold this issue into the cycle's uniform-prefix cell. Rows
-            // dispatch in ascending order, so the prefix grows only while
-            // every row so far issued the same non-generic shape; a bubble
-            // or parked row simply never folds, freezing the prefix below
-            // it in both engines identically.
-            let slot = (now & (self.issue_window.len() as u64 - 1)) as usize;
-            let cell = &mut self.issue_window[slot];
-            let k = plan.kind();
-            if cell.cycle != now {
-                *cell = IssueCell {
-                    cycle: now,
-                    kind: k,
-                    prefix: (r == 0 && k != PlanKind::Generic) as u32,
-                };
-            } else if cell.prefix == r as u32 && k == cell.kind && k != PlanKind::Generic {
-                cell.prefix += 1;
-            }
             self.inject_now.put(r * cols, instr, plan, &mut self.ring);
             self.active.insert(r * cols);
             if self.trace.is_some() {
@@ -1211,21 +1098,6 @@ impl Fabric {
         // 2. Orchestrator phase.
         self.orchestrate(now)?;
 
-        // 2b. Steady-state replay gate: when the engine is engaged and this
-        // cycle is *clean* (every row issued one uniform MAC shape — pure
-        // PE-local arithmetic, no NoC drives, no sink pushes, no wakes), the
-        // whole PE sweep is deferred: the freshly issued operands are
-        // harvested into the capture timeline and phases 3–6 are skipped
-        // (the pipeline does not advance; it is reconstructed at flush).
-        // Orchestrators, feeders, credits, and messages stepped honestly
-        // above, so the first non-clean cycle falls through here, settles
-        // the stretch arithmetically, and resumes cycle-stepping — making
-        // replay architecturally invisible (see `crate::replay`).
-        if self.replay.enabled && self.trace.is_none() && !self.polling && self.replay_tick(now) {
-            self.cycle += 1;
-            return Ok(());
-        }
-
         // 3. Active sweep: COMMIT (NoC pushes, eastward forwarding), EXECUTE
         // and LOAD for every live PE, in PE-id order. Processing each PE's
         // three phases back to back is cycle-identical to phase barriers
@@ -1242,244 +1114,119 @@ impl Fabric {
         // in a second sweep. The row/column of each id is tracked
         // incrementally — ids are visited in ascending order, so no
         // divisions run in the loop.
-        //
-        // Uniform columns take the column-vectorized batch sweep instead:
-        // the detector below checks, per fabric column, that the three issue
-        // cycles currently occupying its pipeline slots (`now − 3c − 2`,
-        // `… − 1`, `now − 3c` — the 3-cycle stagger) were each row-uniform
-        // MAC shapes, folded at issue into `issue_window`. Such a column's
-        // PEs are all live with full COMMIT/EXECUTE slots and a pending
-        // injection, and MAC plans drive no links, retire no bubbles, and
-        // wake nothing — so the scalar scan only emits their trace events
-        // (preserving the ascending-id event order) and skips them; the
-        // state mutation happens in [`PeArray::batch_col`] after the scan,
-        // which reorders nothing observable (a MAC's COMMIT/LOAD touch only
-        // PE-local state).
         self.active_pe_cycles += self.active.count() as u64;
         let mut south_sink_dirty = false;
         let mut east_sink_dirty = false;
-        let mut batched_cols = 0usize;
-        let mut full_cols = 0usize;
-        let win_mask = self.issue_window.len() as u64 - 1;
-        let win = &self.issue_window;
-        let uniform = |t: u64| {
-            let cell = &win[(t & win_mask) as usize];
-            (cell.cycle == t && cell.prefix > 0).then_some((cell.kind, cell.prefix))
-        };
-        for c in 0..cols {
-            self.col_batch[c] = None;
-            if !self.batching || now < 3 * c as u64 + 2 {
-                continue;
-            }
-            let t_load = now - 3 * c as u64;
-            let (Some((commit_kind, p0)), Some((_, p1)), Some((load_kind, p2))) =
-                (uniform(t_load - 2), uniform(t_load - 1), uniform(t_load))
-            else {
-                continue;
-            };
-            // Batch the common uniform prefix of the three issue cycles
-            // occupying this column's pipeline slots; rows at and beyond the
-            // prefix stay on the scalar path. Short prefixes are not worth
-            // the pass setup.
-            let p = p0.min(p1).min(p2);
-            if (p as usize) < nrows && p < MIN_BATCH_PREFIX {
-                continue;
-            }
-            self.col_batch[c] = Some((commit_kind, load_kind, p));
-            batched_cols += 1;
-            if p as usize == nrows {
-                full_cols += 1;
-            }
-        }
-        // When every column batches every row (a fully MAC-saturated
-        // fabric) and no trace needs the per-PE event order, the scalar
-        // scan has nothing left to visit at all.
-        if full_cols < cols || self.trace.is_some() {
-            let mut r = 0usize;
-            let mut row_base = 0usize;
-            for w in 0..self.active.word_count() {
-                let mut bits = self.active.word(w);
-                while bits != 0 {
-                    let idx = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    while idx >= row_base + cols {
-                        r += 1;
-                        row_base += cols;
-                    }
-                    let c = idx - row_base;
-                    if batched_cols > 0 {
-                        if let Some((_, _, p)) = self.col_batch[c] {
-                            if (r as u32) < p {
-                                // Batched prefix PE: emit the commit event the
-                                // scalar path would have (a MAC commit wakes
-                                // nothing and drives no sink), leave the bit
-                                // set (the PE is about to load), and let the
-                                // batch pass do the work. Rows at and beyond
-                                // the prefix fall through to the scalar path.
-                                if self.trace.is_some() {
-                                    let h = self.pes.commit_handle(idx).expect(
-                                        "uniform prefix: every COMMIT slot holds an instruction",
-                                    );
-                                    let op = self.ring.get(h).op;
-                                    if let Some(tr) = self.trace.as_deref_mut() {
-                                        tr.on_commit(now, r, c, h, op);
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    // COMMIT writes a retiring instruction's 4-byte handle
-                    // straight into the eastern neighbour's injection slot and
-                    // reports its link drives as flags; bubbles forward as a
-                    // tag only.
-                    let has_east = c + 1 < cols;
-                    // Peek the retiring handle before COMMIT consumes the slot
-                    // (trace-only; the branch is the hook's entire cost).
-                    let traced_commit = if self.trace.is_some() {
-                        self.pes.commit_handle(idx)
+        let mut r = 0usize;
+        let mut row_base = 0usize;
+        for w in 0..self.active.word_count() {
+            let mut bits = self.active.word(w);
+            while bits != 0 {
+                let idx = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while idx >= row_base + cols {
+                    r += 1;
+                    row_base += cols;
+                }
+                let c = idx - row_base;
+                // COMMIT writes a retiring instruction's 4-byte handle
+                // straight into the eastern neighbour's injection slot and
+                // reports its link drives as flags; bubbles forward as a
+                // tag only.
+                let has_east = c + 1 < cols;
+                // Peek the retiring handle before COMMIT consumes the slot
+                // (trace-only; the branch is the hook's entire cost).
+                let traced_commit = if self.trace.is_some() {
+                    self.pes.commit_handle(idx)
+                } else {
+                    None
+                };
+                let eff = self.pes.commit_into_planned(
+                    idx,
+                    &self.ring,
+                    &mut self.grid,
+                    r,
+                    c,
+                    now,
+                    if has_east {
+                        Some(&mut self.inject_next.handle[idx + 1])
                     } else {
                         None
-                    };
-                    let eff = self.pes.commit_into_planned(
-                        idx,
-                        &self.ring,
-                        &mut self.grid,
-                        r,
-                        c,
-                        now,
-                        if has_east {
-                            Some(&mut self.inject_next.handle[idx + 1])
-                        } else {
-                            None
-                        },
-                    )?;
-                    if eff.retired {
-                        debug_assert!(
-                            !eff.bubble,
-                            "bubbles are elided at issue and never enter fabric pipelines"
-                        );
-                        if let Some(h) = traced_commit {
-                            let op = self.ring.get(h).op;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_commit(now, r, c, h, op);
-                            }
-                        }
-                        if has_east {
-                            self.inject_next.kind[idx + 1] = Inject::Instr;
-                            self.active.insert(idx + 1);
-                        }
-                        if eff.drives_south {
-                            if r + 1 < nrows {
-                                self.active.insert(idx + cols);
-                                // Link event: a column-0 south push changes the
-                                // consuming row's `north_tokens` observable.
-                                if c == 0 && !self.polling && self.sched.wake(r + 1) {
-                                    self.wake_events += 1;
-                                    if let Some(tr) = self.trace.as_deref_mut() {
-                                        tr.on_wake(now, r + 1, WakeSource::Link);
-                                    }
-                                }
-                            } else {
-                                south_sink_dirty = true;
-                            }
-                        }
-                        if eff.drives_east && !has_east {
-                            east_sink_dirty = true;
+                    },
+                )?;
+                if eff.retired {
+                    debug_assert!(
+                        !eff.bubble,
+                        "bubbles are elided at issue and never enter fabric pipelines"
+                    );
+                    if let Some(h) = traced_commit {
+                        let op = self.ring.get(h).op;
+                        if let Some(tr) = self.trace.as_deref_mut() {
+                            tr.on_commit(now, r, c, h, op);
                         }
                     }
-                    let mut loaded = true;
-                    match self.inject_now.kind[idx] {
-                        Inject::None => loaded = false,
-                        Inject::Instr => {
-                            self.inject_now.kind[idx] = Inject::None;
-                            let h = self.inject_now.handle[idx];
-                            if c == 0 {
-                                // Fresh orchestrator issue: validate the §3.1
-                                // route rules once here; the eastward-forwarded
-                                // copies are identical and skip the re-check.
-                                self.pes.load_planned(
-                                    idx,
-                                    h,
-                                    &self.ring,
-                                    &mut self.grid,
-                                    r,
-                                    c,
-                                    now,
-                                )?;
-                            } else {
-                                self.pes.load_planned_forwarded(
-                                    idx,
-                                    h,
-                                    &self.ring,
-                                    &mut self.grid,
-                                    r,
-                                    c,
-                                    now,
-                                )?;
-                            }
-                        }
-                    }
-                    // Inline deactivation: a PE leaves the set once its
-                    // pipeline, pending injection, and input links are all
-                    // empty. The condition is exact (everything that could
-                    // change it this cycle has already run), which is what lets
-                    // `quiescent()` trust `active.is_empty()`. A PE that just
-                    // loaded is trivially still live — the common case costs one
-                    // branch.
-                    if !loaded
-                        && self.pes.pipeline_empty(idx)
-                        && self.inject_next.kind[idx] == Inject::None
-                        && self.grid.pe_inputs_empty(r, c)
-                    {
-                        self.active.remove(idx);
-                    }
-                }
-            }
-        }
-
-        // Column-vectorized passes for the uniform columns. Running them
-        // after the scalar scan keeps the scan's commit-slot peeks valid;
-        // nothing a batched MAC column does this cycle is observable to the
-        // scalar PEs (no link pushes, no shared state), so the order is
-        // architecturally irrelevant.
-        if batched_cols > 0 {
-            for c in 0..cols {
-                let Some((commit_kind, load_kind, p)) = self.col_batch[c] else {
-                    continue;
-                };
-                let p = p as usize;
-                let has_east = c + 1 < cols;
-                let mut idx = c;
-                for _ in 0..p {
-                    // Per prefix PE, exactly the scalar bookkeeping: the
-                    // injection is consumed and the retiring handle re-arms
-                    // the eastern neighbour for next cycle — re-activating
-                    // it, since its own deactivation check may already have
-                    // run this scan.
-                    self.inject_now.kind[idx] = Inject::None;
                     if has_east {
                         self.inject_next.kind[idx + 1] = Inject::Instr;
                         self.active.insert(idx + 1);
                     }
-                    idx += cols;
+                    if eff.drives_south {
+                        if r + 1 < nrows {
+                            self.active.insert(idx + cols);
+                            // Link event: a column-0 south push changes the
+                            // consuming row's `north_tokens` observable.
+                            if c == 0 && !self.polling && self.sched.wake(r + 1) {
+                                self.wake_events += 1;
+                                if let Some(tr) = self.trace.as_deref_mut() {
+                                    tr.on_wake(now, r + 1, WakeSource::Link);
+                                }
+                            }
+                        } else {
+                            south_sink_dirty = true;
+                        }
+                    }
+                    if eff.drives_east && !has_east {
+                        east_sink_dirty = true;
+                    }
                 }
-                let forwards = if has_east {
-                    Some(self.inject_next.handle.as_mut_slice())
-                } else {
-                    None
-                };
-                self.pes.batch_col(
-                    c,
-                    cols,
-                    p,
-                    &self.ring,
-                    &self.inject_now.handle,
-                    forwards,
-                    commit_kind,
-                    load_kind,
-                );
-                self.batched_pe_cycles += p as u64;
+                let mut loaded = true;
+                match self.inject_now.kind[idx] {
+                    Inject::None => loaded = false,
+                    Inject::Instr => {
+                        self.inject_now.kind[idx] = Inject::None;
+                        let h = self.inject_now.handle[idx];
+                        if c == 0 {
+                            // Fresh orchestrator issue: validate the §3.1
+                            // route rules once here; the eastward-forwarded
+                            // copies are identical and skip the re-check.
+                            self.pes
+                                .load_planned(idx, h, &self.ring, &mut self.grid, r, c, now)?;
+                        } else {
+                            self.pes.load_planned_forwarded(
+                                idx,
+                                h,
+                                &self.ring,
+                                &mut self.grid,
+                                r,
+                                c,
+                                now,
+                            )?;
+                        }
+                    }
+                }
+                // Inline deactivation: a PE leaves the set once its
+                // pipeline, pending injection, and input links are all
+                // empty. The condition is exact (everything that could
+                // change it this cycle has already run), which is what lets
+                // `quiescent()` trust `active.is_empty()`. A PE that just
+                // loaded is trivially still live — the common case costs one
+                // branch.
+                if !loaded
+                    && self.pes.pipeline_empty(idx)
+                    && self.inject_next.kind[idx] == Inject::None
+                    && self.grid.pe_inputs_empty(r, c)
+                {
+                    self.active.remove(idx);
+                }
             }
         }
 
@@ -1544,269 +1291,6 @@ impl Fabric {
 
         self.cycle += 1;
         Ok(())
-    }
-
-    /// Enables/disables the fast engines, steady-state replay and column
-    /// lockstep (default: the [`CanonConfig::replay`] knob). Architectural
-    /// behaviour — cycle counts, results, stats, stall breakdowns, collector
-    /// and trace streams — is identical either way
-    /// (`tests/replay_differential.rs` and `tests/lockstep_differential.rs`
-    /// diff the two on random programs); only the
-    /// [`Stats::replayed_cycles`] / [`Stats::replay_stretches`] /
-    /// [`Stats::batched_pe_cycles`] diagnostics differ. An active stretch is
-    /// flushed before the switch takes effect.
-    pub fn set_replay(&mut self, replay: bool) {
-        self.replay_interrupt();
-        self.replay.enabled = replay;
-    }
-
-    /// Settles any active replay stretch so every architectural structure
-    /// (PE pipelines, injection queue, accumulator storage) is current.
-    /// Called by every mutator that could invalidate the capture or observe
-    /// deferred state (program/meta/feeder swaps, trace attach, engine
-    /// switches, direct PE access).
-    fn replay_interrupt(&mut self) {
-        if self.replay.active {
-            self.replay_flush(self.cycle);
-        }
-        self.replay.run_len = 0;
-    }
-
-    /// Replay gate, run between the orchestrator phase and the PE sweep.
-    /// Returns `true` when this cycle was deferred into the capture
-    /// timeline (the caller skips phases 3–6).
-    fn replay_tick(&mut self, now: u64) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let cell = &self.issue_window[(now & (self.issue_window.len() as u64 - 1)) as usize];
-        let clean = cell.cycle == now && cell.prefix == nrows as u32;
-        let kind = cell.kind;
-        if self.replay.active {
-            if clean && kind == self.replay.kind && self.replay_harvest() {
-                self.replay.deferred_cycles += 1;
-                self.active_pe_cycles += self.active.count() as u64;
-                if self.batching {
-                    self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                }
-                if self.replay.tl[0].len() >= REPLAY_CHUNK {
-                    self.replay_absorb_to(now + 1);
-                    self.replay.compact(cols);
-                }
-                return true;
-            }
-            // Stretch over (bubble, shape change, or a row re-targeted its
-            // accumulator): settle the deferred cycles and let this cycle
-            // take the normal phases. `clear_capture` (inside the flush)
-            // zeroes the run length, so re-entry stays amortized.
-            self.replay_flush(now);
-            return false;
-        }
-        if clean {
-            self.replay.run_len += 1;
-            // After `3·cols` consecutive clean cycles every pipeline slot
-            // and pending injection provably holds a uniform MAC, so the
-            // in-flight state is template-describable and entry is attempted.
-            if self.replay.run_len >= 3 * cols as u64 && self.replay_try_enter(now) {
-                self.replay.stretches += 1;
-                self.replay.deferred_cycles += 1;
-                self.active_pe_cycles += self.active.count() as u64;
-                if self.batching {
-                    self.batched_pe_cycles += self.cfg.pe_count() as u64;
-                }
-                return true;
-            }
-        } else {
-            self.replay.run_len = 0;
-        }
-        false
-    }
-
-    /// Attempts stretch entry at clean cycle `e`: decodes the in-flight
-    /// pipeline (per column `c`, the COMMIT slot holds issue `e − 3c − 2`,
-    /// EXECUTE `e − 3c − 1`, the pending injection `e − 3c`; column 0's
-    /// injection is cycle `e`'s fresh issue) into the per-row timeline and
-    /// validates the template: one shape across all `3·cols` in-flight
-    /// cycles and one constant accumulator target per row. On success cycle
-    /// `e` becomes the first deferred cycle; on mismatch the run length
-    /// resets (entry retries stay amortized) and the cycle steps normally.
-    fn replay_try_enter(&mut self, e: u64) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let win_mask = self.issue_window.len() as u64 - 1;
-        let t_base = e + 1 - 3 * cols as u64;
-        let kind = self.issue_window[(e & win_mask) as usize].kind;
-        // Every cycle in the window is clean (that is what `run_len`
-        // counted), but the *shape* may differ cycle to cycle; the template
-        // needs one.
-        for t in t_base..=e {
-            let cell = &self.issue_window[(t & win_mask) as usize];
-            debug_assert!(cell.cycle == t && cell.prefix == nrows as u32);
-            if cell.kind != kind {
-                self.replay.run_len = 0;
-                return false;
-            }
-        }
-        let mut scratch = std::mem::take(&mut self.replay.scratch);
-        for r in 0..nrows {
-            let base = r * cols;
-            scratch.clear();
-            scratch.resize(3 * cols, ReplayEntry::default());
-            // Template target: the accumulator of cycle `e`'s fresh issue.
-            debug_assert_eq!(self.inject_now.kind[base], Inject::Instr);
-            let h0 = self.inject_now.handle[base];
-            let (target, e0) = ReplayEntry::from_plan(self.ring.plan(h0), self.ring.get(h0).tag);
-            scratch[(e - t_base) as usize] = e0;
-            let mut ok = true;
-            for c in 0..cols {
-                let (ch, eh) = self.pes.replay_slot_handles(base + c);
-                let tc = e - 3 * c as u64 - 2;
-                let (ct, ce) = ReplayEntry::from_plan(self.ring.plan(ch), self.ring.get(ch).tag);
-                let (et, ee) = ReplayEntry::from_plan(self.ring.plan(eh), self.ring.get(eh).tag);
-                if ct != target || et != target {
-                    ok = false;
-                    break;
-                }
-                scratch[(tc - t_base) as usize] = ce;
-                scratch[(tc + 1 - t_base) as usize] = ee;
-                if c > 0 {
-                    debug_assert_eq!(self.inject_now.kind[base + c], Inject::Instr);
-                    let h = self.inject_now.handle[base + c];
-                    let (it, ie) = ReplayEntry::from_plan(self.ring.plan(h), self.ring.get(h).tag);
-                    if it != target {
-                        ok = false;
-                        break;
-                    }
-                    scratch[(tc + 2 - t_base) as usize] = ie;
-                }
-            }
-            if !ok {
-                for t in &mut self.replay.tl {
-                    t.clear();
-                }
-                self.replay.scratch = scratch;
-                self.replay.run_len = 0;
-                return false;
-            }
-            self.replay.targets[r] = target;
-            self.replay.tl[r].extend_from_slice(&scratch);
-        }
-        self.replay.scratch = scratch;
-        self.replay.kind = kind;
-        self.replay.t_base = t_base;
-        // Storage currently reflects commits through cycle `e − 1`, i.e.
-        // the chain through issue `e − 3c − 3` per column.
-        self.replay.absorbed = e;
-        self.replay.active = true;
-        // Consume the column-0 injections (the deferral harvests them); the
-        // column `c > 0` slots stay pending for the whole stretch and are
-        // re-pointed at reconstructed records at flush.
-        for r in 0..nrows {
-            self.inject_now.kind[r * cols] = Inject::None;
-        }
-        true
-    }
-
-    /// Harvests one deferred cycle's fresh issues (column-0 injections)
-    /// into the timeline. Validation first, commitment second: when any row
-    /// re-targeted its accumulator the timeline is left untouched and the
-    /// caller flushes, with this cycle taking the normal phases.
-    fn replay_harvest(&mut self) -> bool {
-        let nrows = self.cfg.rows;
-        let cols = self.cfg.cols;
-        let mut scratch = std::mem::take(&mut self.replay.scratch);
-        scratch.clear();
-        for r in 0..nrows {
-            let base = r * cols;
-            debug_assert_eq!(self.inject_now.kind[base], Inject::Instr);
-            let h = self.inject_now.handle[base];
-            let (target, entry) = ReplayEntry::from_plan(self.ring.plan(h), self.ring.get(h).tag);
-            if target != self.replay.targets[r] {
-                self.replay.scratch = scratch;
-                return false;
-            }
-            scratch.push(entry);
-        }
-        for (r, &entry) in scratch.iter().enumerate() {
-            self.replay.tl[r].push(entry);
-            self.inject_now.kind[r * cols] = Inject::None;
-        }
-        self.replay.scratch = scratch;
-        true
-    }
-
-    /// Advances accumulator storage through virtual cycle `v_new` (the
-    /// chain through issue `v_new − 3c − 3` per column — exactly the
-    /// commits a cycle-stepped run performs before cycle `v_new`'s sweep).
-    fn replay_absorb_to(&mut self, v_new: u64) {
-        let v_old = self.replay.absorbed;
-        if v_new <= v_old {
-            return;
-        }
-        let cols = self.cfg.cols;
-        let rows = self.cfg.rows;
-        // Per-absorb scratch (flushes are amortized ≥ 3·cols cycles apart,
-        // chunk absorbs `REPLAY_CHUNK` cycles apart, so this stays far
-        // under the steady-state allocs/cycle budget).
-        let mut acc: Vec<Vector> = Vec::with_capacity(rows * cols);
-        self.pes.replay_absorb_all(
-            rows,
-            cols,
-            self.replay.kind,
-            &self.replay.targets,
-            &self.replay.tl,
-            self.replay.t_base,
-            v_old,
-            v_new,
-            &mut acc,
-        );
-        self.replay.absorbed = v_new;
-    }
-
-    /// Ends the active stretch at cycle `f` (the first non-deferrable cycle,
-    /// or the current cycle on an interrupt): settles the buffered chains
-    /// into storage, reconstructs the pipeline slots and pending injections
-    /// exactly as a cycle-stepped run would hold them at the start of cycle
-    /// `f`'s sweep, and re-arms detection.
-    fn replay_flush(&mut self, f: u64) {
-        let cols = self.cfg.cols;
-        let nrows = self.cfg.rows;
-        self.replay_absorb_to(f);
-        let kind = self.replay.kind;
-        let t_base = self.replay.t_base;
-        let mut slots: Vec<(InstrHandle, InstrHandle)> = Vec::with_capacity(cols);
-        for r in 0..nrows {
-            let base = r * cols;
-            let target = self.replay.targets[r];
-            slots.clear();
-            for c in 0..cols {
-                let tc = f - 3 * c as u64 - 2;
-                // Reconstructed records are freshly interned: the stretch's
-                // originals may have been overwritten (the ring is sized to
-                // the issue-to-retire window, not to a whole stretch).
-                let ic = self.replay.tl[r][(tc - t_base) as usize].rebuild(kind, target);
-                let ie = self.replay.tl[r][(tc + 1 - t_base) as usize].rebuild(kind, target);
-                let hc = self.ring.intern_planned(ic, Plan::classify(&ic));
-                let he = self.ring.intern_planned(ie, Plan::classify(&ie));
-                slots.push((hc, he));
-                if c > 0 {
-                    debug_assert_eq!(self.inject_now.kind[base + c], Inject::Instr);
-                    let ii = self.replay.tl[r][(tc + 2 - t_base) as usize].rebuild(kind, target);
-                    self.inject_now.handle[base + c] =
-                        self.ring.intern_planned(ii, Plan::classify(&ii));
-                }
-            }
-            self.pes.replay_finalize_row(
-                r,
-                cols,
-                kind,
-                target,
-                &self.replay.tl[r],
-                t_base,
-                f,
-                &slots,
-            );
-        }
-        self.replay.clear_capture();
     }
 
     /// True when all orchestrators are done, all pipelines and links are
@@ -1997,8 +1481,6 @@ impl Fabric {
         stats.offchip_write_bytes = self.extra_offchip_write;
         stats.active_pe_cycles = self.active_pe_cycles;
         stats.batched_pe_cycles = self.batched_pe_cycles;
-        stats.replayed_cycles = self.replay.deferred_cycles;
-        stats.replay_stretches = self.replay.stretches;
         RunReport {
             cycles: self.cycle,
             pes: self.cfg.pe_count(),

@@ -103,7 +103,7 @@ impl Fabric {
     /// vertical-only row programs ([`RowProgram::is_vertical_only`]).
     pub(super) fn lockstep_eligible(&self) -> bool {
         self.cycle == 0
-            && self.replay.enabled
+            && self.cfg.replay
             && self.trace.is_none()
             && !self.polling
             && !self.north_feeder

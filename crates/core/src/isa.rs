@@ -516,36 +516,7 @@ pub enum Plan {
     Generic,
 }
 
-/// The shape class of a [`Plan`] — its discriminant alone, without the
-/// per-issue operand addresses. The fabric's column-vectorized batch
-/// detector tracks this per row: when `3·cols` consecutive-cycle issues
-/// share one non-generic kind, every pipeline slot of the row provably
-/// holds a MAC of that shape and the whole row's COMMIT+LOAD executes as
-/// one pass over the SoA slabs (see `PeArray::batch_row`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanKind {
-    /// Not batchable: generic shape (ports, routes, rare opcodes).
-    #[default]
-    Generic,
-    /// [`Plan::MacSToSpad`].
-    MacSToSpad,
-    /// [`Plan::MacSToReg`].
-    MacSToReg,
-    /// [`Plan::MacVToReg`].
-    MacVToReg,
-}
-
 impl Plan {
-    /// The plan's shape class (batch-uniformity tracking).
-    pub fn kind(&self) -> PlanKind {
-        match self {
-            Plan::MacSToSpad { .. } => PlanKind::MacSToSpad,
-            Plan::MacSToReg { .. } => PlanKind::MacSToReg,
-            Plan::MacVToReg { .. } => PlanKind::MacVToReg,
-            Plan::Generic => PlanKind::Generic,
-        }
-    }
-
     /// Decodes one instruction into its execution plan.
     pub fn classify(i: &Instruction) -> Plan {
         if i.route.is_some() {

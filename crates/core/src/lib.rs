@@ -54,7 +54,6 @@ pub mod offchip;
 pub mod orchestrator;
 pub mod pe;
 pub mod pool;
-pub(crate) mod replay;
 pub mod sched;
 pub mod stats;
 pub mod trace;

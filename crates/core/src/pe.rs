@@ -30,9 +30,7 @@
 //! it earlier — so the simulator computes it eagerly during LOAD and runs no
 //! per-PE EXECUTE sweep at all.
 
-use crate::isa::{
-    Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, PlanKind, Vector,
-};
+use crate::isa::{Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, Vector};
 use crate::noc::{ErrCtx, LinkGrid, RowLinks, TaggedVector};
 use crate::SimError;
 
@@ -1052,170 +1050,6 @@ impl PeArray {
         Ok(())
     }
 
-    /// Column-vectorized COMMIT+LOAD of one whole fabric column: two
-    /// straight-line passes (COMMIT write-back, then LOAD + eager EXECUTE)
-    /// over the address-major slabs at stride `cols`, each dispatched once
-    /// on the column's uniform plan shape instead of once per PE.
-    ///
-    /// The caller (the fabric's per-column uniformity detector) guarantees —
-    /// and debug builds assert — that in every row `r` of the column, the
-    /// COMMIT slot is `Full` with a plan of `commit_kind`, the EXECUTE slot
-    /// is `Full` with a non-generic (MAC) plan, the LOAD slot is empty, and
-    /// `loads[r·cols + col]` is a plan of `load_kind`; both kinds are MAC
-    /// shapes (never [`PlanKind::Generic`]). The per-PE *addresses* still
-    /// differ — each row issued its own instruction — so the plan lookup
-    /// stays per PE; what the pass hoists is the shape dispatch, the
-    /// forwarding scan, and every per-PE call/effect decision. Under the
-    /// invariants it is instruction-for-instruction identical to the scalar
-    /// path:
-    ///
-    /// * MAC plans drive no NoC link and have a null flush address, so the
-    ///   COMMIT write-back is one slab/register store and the effects are
-    ///   constant (retired, no link drives, no wakes);
-    /// * the fused per-PE order empties a PE's COMMIT slot before its LOAD
-    ///   runs, and COMMIT/LOAD touch only PE-local state, so splitting the
-    ///   column into a commit pass followed by a load pass reorders nothing
-    ///   observable; store-to-load forwarding can then only hit the EXECUTE
-    ///   slot — one cached-address compare per operand that *can* match
-    ///   (the MAC result address is `Spad`/`Reg` and the EXECUTE slot's
-    ///   flush address is null, so `DataMem` operands never forward);
-    /// * bounds and activity counts were hoisted to issue time
-    ///   ([`PeArray::validate_and_account`]), exactly as on the scalar
-    ///   planned path.
-    ///
-    /// Eastward forwarding is bulk-copied: each row's retiring handle lands
-    /// in `forwards[r·cols + col + 1]` (the caller passes the next-cycle
-    /// injection slab, or `None` for the last column, where the scalar path
-    /// drops the handle too).
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_col(
-        &mut self,
-        col: usize,
-        cols: usize,
-        n_rows: usize,
-        ring: &InstrRing,
-        loads: &[InstrHandle],
-        forwards: Option<&mut [InstrHandle]>,
-        commit_kind: PlanKind,
-        load_kind: PlanKind,
-    ) {
-        let n = self.n;
-        let commit_s = self.commit_idx();
-        let exec_s = self.exec_idx();
-        let load_s = self.load_idx;
-        #[cfg(debug_assertions)]
-        for r in 0..n_rows {
-            let idx = r * cols + col;
-            assert_eq!(self.state[commit_s][idx], Slot::Full, "batched COMMIT");
-            assert_eq!(self.state[exec_s][idx], Slot::Full, "batched EXECUTE");
-            assert_eq!(self.state[load_s][idx], Slot::Empty, "batched LOAD");
-            assert_eq!(ring.plan(self.handles[commit_s][idx]).kind(), commit_kind);
-            assert_ne!(
-                ring.plan(self.handles[exec_s][idx]).kind(),
-                PlanKind::Generic,
-                "EXECUTE slot must hold a MAC for the forwarding shortcut"
-            );
-            assert_eq!(ring.plan(loads[idx]).kind(), load_kind);
-        }
-        if let Some(fw) = forwards {
-            for r in 0..n_rows {
-                let idx = r * cols + col;
-                fw[idx + 1] = self.handles[commit_s][idx];
-            }
-        }
-        // COMMIT pass: accumulator write-back (counted at issue).
-        match commit_kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToSpad { b, .. } = ring.plan(self.handles[commit_s][idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    self.spad[b as usize * n + idx] = self.results[commit_s][idx];
-                    self.state[commit_s][idx] = Slot::Empty;
-                }
-            }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let (Plan::MacSToReg { r: reg, .. } | Plan::MacVToReg { r: reg, .. }) =
-                        ring.plan(self.handles[commit_s][idx])
-                    else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    self.regs[idx][reg as usize] = self.results[commit_s][idx];
-                    self.state[commit_s][idx] = Slot::Empty;
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans never batch"),
-        }
-        // LOAD + eager EXECUTE pass.
-        match load_kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToSpad { a, b, imm } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op2 = self.dmem[a as usize * n + idx];
-                    let target = Addr::Spad(b);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.spad[b as usize * n + idx]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(Vector::splat(imm.lane0()), op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
-                }
-            }
-            PlanKind::MacSToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacSToReg { a, r: reg, imm } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op2 = self.dmem[a as usize * n + idx];
-                    let target = Addr::Reg(reg);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.regs[idx][reg as usize]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(Vector::splat(imm.lane0()), op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
-                }
-            }
-            PlanKind::MacVToReg => {
-                for r in 0..n_rows {
-                    let idx = r * cols + col;
-                    let Plan::MacVToReg { a, b, r: reg } = ring.plan(loads[idx]) else {
-                        unreachable!("uniform column holds one plan shape")
-                    };
-                    let op1 = self.spad[a as usize * n + idx];
-                    let op2 = self.dmem[b as usize * n + idx];
-                    let target = Addr::Reg(reg);
-                    let res_in = if self.res_addr[exec_s][idx] == target {
-                        self.results[exec_s][idx]
-                    } else {
-                        self.regs[idx][reg as usize]
-                    };
-                    self.state[load_s][idx] = Slot::Full;
-                    self.results[load_s][idx] = res_in.mac(op1, op2);
-                    self.handles[load_s][idx] = loads[idx];
-                    self.res_addr[load_s][idx] = target;
-                    self.flush_addr[load_s][idx] = Addr::Null;
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans never batch"),
-        }
-    }
-
     /// Batched activity of planned fast-path issues (instruction counters).
     pub fn batch_counters(&self) -> PeCounters {
         self.batch_pe
@@ -2086,282 +1920,6 @@ impl PeArray {
             drives_south: instr.pushes_toward(Direction::South),
             drives_east: instr.pushes_toward(Direction::East),
         })
-    }
-
-    // ---- Steady-state replay support (see `crate::replay`) ----
-
-    /// COMMIT- and EXECUTE-slot handles of PE `idx`, for the replay
-    /// engine's stretch-entry decode (both slots are provably `Full` on a
-    /// clean stretch — asserted under `debug_assertions`).
-    pub(crate) fn replay_slot_handles(&self, idx: usize) -> (InstrHandle, InstrHandle) {
-        let cs = self.commit_idx();
-        let es = self.exec_idx();
-        debug_assert_eq!(
-            self.state[cs][idx],
-            Slot::Full,
-            "replay entry: COMMIT slot not full"
-        );
-        debug_assert_eq!(
-            self.state[es][idx],
-            Slot::Full,
-            "replay entry: EXECUTE slot not full"
-        );
-        (self.handles[cs][idx], self.handles[es][idx])
-    }
-
-    /// One chain step of a captured MAC issue at PE `idx` (replay flush).
-    #[inline]
-    fn replay_apply(
-        &self,
-        kind: PlanKind,
-        idx: usize,
-        v: Vector,
-        e: &crate::replay::ReplayEntry,
-    ) -> Vector {
-        let n = self.n;
-        match kind {
-            PlanKind::MacSToSpad | PlanKind::MacSToReg => {
-                v.mac(e.imm, self.dmem[e.p1 as usize * n + idx])
-            }
-            PlanKind::MacVToReg => v.mac(
-                self.spad[e.p1 as usize * n + idx],
-                self.dmem[e.p2 as usize * n + idx],
-            ),
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-    }
-
-    /// Prefetch hint covering `bytes` from `ptr` (no-op off x86_64): the
-    /// absorb loop's operand slices sit at hardware-prefetch-defeating
-    /// strides (row-staggered bands put consecutive reads ~`n` vectors
-    /// apart), so each row's slice is requested while the previous one is
-    /// being multiplied.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn prefetch_bytes(ptr: *const u8, bytes: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let mut off = 0;
-            while off < bytes {
-                // SAFETY: prefetch is a pure hint — it has no memory or
-                // architectural effect even for invalid addresses; `ptr`
-                // itself is derived from an in-bounds slice.
-                unsafe { _mm_prefetch(ptr.add(off) as *const i8, _MM_HINT_T0) };
-                off += 64;
-            }
-        }
-    }
-
-    /// Applies the buffered operand chains of every row to their
-    /// accumulator storage: column `c`'s accumulator currently holds the
-    /// chain through issue `v_old − 3c − 3` and is advanced through issue
-    /// `v_new − 3c − 3` — exactly the commits a cycle-stepped run performs
-    /// up to the start of cycle `v_new`'s PE sweep.
-    ///
-    /// The loop nest is timeline-step-outer, row-inner: issue `t` is
-    /// applied at column `c` when `v_old − 3c − 2 ≤ t ≤ v_new − 3c − 3`,
-    /// and both bounds are linear in `c` with slope −3, so each step
-    /// updates one contiguous column range — the *same* range for every
-    /// row. On an interior step that range is the full row, and because
-    /// lockstep rows typically read the same dmem address, the row-inner
-    /// sweep touches one contiguous `rows × cols`-vector run of the
-    /// address-major slab per step. That streaming order (instead of
-    /// row-outer passes striding the slab in `cols`-sized slices) is what
-    /// keeps the absorb DRAM-bandwidth-bound at full prefetch throughput —
-    /// the absorb performs every deferred multiply of a stretch, so its
-    /// memory behavior is what the replay speedup is made of. The MAC
-    /// itself is a flat lane loop over index-sliced operands, the shape
-    /// LLVM autovectorizes.
-    ///
-    /// `acc` is the caller's reusable whole-fabric accumulator scratch
-    /// (`rows × cols` vectors, row-major). Memory counters are untouched:
-    /// every captured issue was already accounted at issue time by
-    /// [`PeArray::validate_and_account`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_absorb_all(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        kind: PlanKind,
-        targets: &[u16],
-        tls: &[Vec<crate::replay::ReplayEntry>],
-        t_base: u64,
-        v_old: u64,
-        v_new: u64,
-        acc: &mut Vec<Vector>,
-    ) {
-        debug_assert!(v_new >= v_old);
-        debug_assert_eq!(rows * cols, self.n);
-        let n = self.n;
-        acc.clear();
-        match kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..rows {
-                    let s = targets[r] as usize * n + r * cols;
-                    acc.extend_from_slice(&self.spad[s..s + cols]);
-                }
-            }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                acc.extend((0..n).map(|idx| self.regs[idx][targets[idx / cols] as usize]));
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-        use crate::isa::LANES;
-        let t_lo = v_old as i64 - 3 * (cols as i64 - 1) - 2;
-        let t_hi = v_new as i64 - 3;
-        let col_range = |t: i64| {
-            let c_min = (v_old as i64 - t).div_euclid(3).max(0);
-            let c_max = (v_new as i64 - t - 3).div_euclid(3).min(cols as i64 - 1);
-            (c_min, c_max)
-        };
-        match kind {
-            PlanKind::MacSToSpad | PlanKind::MacSToReg => {
-                for t in t_lo..=t_hi {
-                    let (c_min, c_max) = col_range(t);
-                    if c_min > c_max {
-                        continue;
-                    }
-                    let (c0, len) = (c_min as usize, (c_max - c_min + 1) as usize);
-                    let j = (t as u64 - t_base) as usize;
-                    for r in 0..rows {
-                        if r + 2 < rows {
-                            let ahead = &tls[r + 2][j];
-                            let da = ahead.p1 as usize * n + (r + 2) * cols + c0;
-                            if da + len <= self.dmem.len() {
-                                Self::prefetch_bytes(
-                                    self.dmem[da..].as_ptr() as *const u8,
-                                    len * std::mem::size_of::<Vector>(),
-                                );
-                            }
-                        }
-                        let e = &tls[r][j];
-                        let m = e.imm;
-                        let base = r * cols;
-                        let d = e.p1 as usize * n + base + c0;
-                        let src = &self.dmem[d..d + len];
-                        let dst = &mut acc[base + c0..base + c0 + len];
-                        for i in 0..len {
-                            let w = src[i];
-                            let a = &mut dst[i];
-                            for l in 0..LANES {
-                                a.0[l] = a.0[l].wrapping_add(m.0[l].wrapping_mul(w.0[l]));
-                            }
-                        }
-                    }
-                }
-            }
-            PlanKind::MacVToReg => {
-                for t in t_lo..=t_hi {
-                    let (c_min, c_max) = col_range(t);
-                    if c_min > c_max {
-                        continue;
-                    }
-                    let (c0, len) = (c_min as usize, (c_max - c_min + 1) as usize);
-                    let j = (t as u64 - t_base) as usize;
-                    for r in 0..rows {
-                        if r + 2 < rows {
-                            let ahead = &tls[r + 2][j];
-                            let bytes = len * std::mem::size_of::<Vector>();
-                            let sa = ahead.p1 as usize * n + (r + 2) * cols + c0;
-                            let da = ahead.p2 as usize * n + (r + 2) * cols + c0;
-                            if sa + len <= self.spad.len() {
-                                Self::prefetch_bytes(self.spad[sa..].as_ptr() as *const u8, bytes);
-                            }
-                            if da + len <= self.dmem.len() {
-                                Self::prefetch_bytes(self.dmem[da..].as_ptr() as *const u8, bytes);
-                            }
-                        }
-                        let e = &tls[r][j];
-                        let base = r * cols;
-                        let s = e.p1 as usize * n + base + c0;
-                        let d = e.p2 as usize * n + base + c0;
-                        let mul = &self.spad[s..s + len];
-                        let src = &self.dmem[d..d + len];
-                        let dst = &mut acc[base + c0..base + c0 + len];
-                        for i in 0..len {
-                            let (sv, w) = (mul[i], src[i]);
-                            let a = &mut dst[i];
-                            for l in 0..LANES {
-                                a.0[l] = a.0[l].wrapping_add(sv.0[l].wrapping_mul(w.0[l]));
-                            }
-                        }
-                    }
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-        match kind {
-            PlanKind::MacSToSpad => {
-                for r in 0..rows {
-                    let s = targets[r] as usize * n + r * cols;
-                    self.spad[s..s + cols].copy_from_slice(&acc[r * cols..(r + 1) * cols]);
-                }
-            }
-            PlanKind::MacSToReg | PlanKind::MacVToReg => {
-                for idx in 0..n {
-                    self.regs[idx][targets[idx / cols] as usize] = acc[idx];
-                }
-            }
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        }
-    }
-
-    /// Reconstructs one row's pipeline slots at stretch flush, exactly as a
-    /// cycle-stepped run would have left them at the start of cycle `f`'s
-    /// PE sweep: per column `c`, the COMMIT slot holds issue `f − 3c − 2`
-    /// and the EXECUTE slot issue `f − 3c − 1`, each with its eagerly
-    /// computed chain result and forwarding metadata (`res_addr` is the
-    /// accumulator target, so post-flush loads forward exactly as in a
-    /// stepped run). Storage must already be absorbed through `f` via
-    /// [`PeArray::replay_absorb_all`]; `slot_handles[c]` carries the
-    /// re-interned `(COMMIT, EXECUTE)` records.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_finalize_row(
-        &mut self,
-        row: usize,
-        cols: usize,
-        kind: PlanKind,
-        target: u16,
-        tl: &[crate::replay::ReplayEntry],
-        t_base: u64,
-        f: u64,
-        slot_handles: &[(InstrHandle, InstrHandle)],
-    ) {
-        let n = self.n;
-        let res = match kind {
-            PlanKind::MacSToSpad => Addr::Spad(target),
-            PlanKind::MacSToReg | PlanKind::MacVToReg => Addr::Reg(target as u8),
-            PlanKind::Generic => unreachable!("generic plans are never captured"),
-        };
-        let cs = self.commit_idx();
-        let es = self.exec_idx();
-        for c in 0..cols {
-            let idx = row * cols + c;
-            let storage = match kind {
-                PlanKind::MacSToSpad => self.spad[target as usize * n + idx],
-                _ => self.regs[idx][target as usize],
-            };
-            let jc = (f - 3 * c as u64 - 2 - t_base) as usize;
-            let commit_res = self.replay_apply(kind, idx, storage, &tl[jc]);
-            let exec_res = self.replay_apply(kind, idx, commit_res, &tl[jc + 1]);
-            let (hc, he) = slot_handles[c];
-            debug_assert_eq!(
-                self.state[self.load_idx][idx],
-                Slot::Empty,
-                "replay flush: LOAD slot occupied"
-            );
-            self.state[cs][idx] = Slot::Full;
-            self.results[cs][idx] = commit_res;
-            self.handles[cs][idx] = hc;
-            self.res_addr[cs][idx] = res;
-            self.flush_addr[cs][idx] = Addr::Null;
-            self.state[es][idx] = Slot::Full;
-            self.results[es][idx] = exec_res;
-            self.handles[es][idx] = he;
-            self.res_addr[es][idx] = res;
-            self.flush_addr[es][idx] = Addr::Null;
-        }
     }
 }
 

@@ -180,26 +180,17 @@ pub struct Stats {
     /// diagnostic: `wake_events / orch_steps` is how event-driven the run
     /// was (0 under pure polling).
     pub wake_events: u64,
-    /// PE-cycles executed column-vectorized (batch pass or lockstep): the
-    /// batch fast path's whole-column LOAD+COMMIT passes over the SoA slabs
-    /// when every pipeline slot of a column prefix holds the same MAC plan
-    /// shape, and every PE-cycle of a column-lockstep run (each row issue
-    /// executed once across all columns; see `crate::fabric`). A scheduler
-    /// diagnostic: `batched_pe_cycles / active_pe_cycles` is the fraction
-    /// of swept PE work that was vectorized (1 for a lockstep run). The
+    /// PE-cycles executed by the column-lockstep engine (each row issue
+    /// executed once across all columns; see `crate::fabric`), 0 on the
+    /// scalar engine. A scheduler diagnostic: `batched_pe_cycles /
+    /// active_pe_cycles` is 1 for a lockstep run and 0 otherwise. The
     /// architectural counters are identical either way.
     pub batched_pe_cycles: u64,
-    /// Cycles fast-forwarded by the steady-state replay engine: the PE-array
-    /// sweep of these cycles was deferred and settled arithmetically at the
-    /// next stretch flush (see `crate::replay`). A scheduler diagnostic —
-    /// every architectural counter is identical with replay on or off;
-    /// `replayed_cycles / cycles` is the fraction of the run the engine
-    /// fast-forwarded.
+    /// Always 0. It counted the cycles of the steady-state replay engine,
+    /// which was removed once column lockstep carried those runs; the field
+    /// stays so readers of `Stats` that report a replay share (`canonbench`'s
+    /// `core.replay_share`) keep compiling and read 0.
     pub replayed_cycles: u64,
-    /// Uniform-issue stretches the replay engine captured and flushed (each
-    /// contributed ≥ 1 to `replayed_cycles`). A scheduler diagnostic:
-    /// `replayed_cycles / replay_stretches` is the mean stretch length.
-    pub replay_stretches: u64,
 }
 
 impl Stats {
@@ -231,7 +222,6 @@ impl Stats {
         self.wake_events += other.wake_events;
         self.batched_pe_cycles += other.batched_pe_cycles;
         self.replayed_cycles += other.replayed_cycles;
-        self.replay_stretches += other.replay_stretches;
     }
 
     /// Total scalar MAC operations performed (vector MACs × lanes).

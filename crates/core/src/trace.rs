@@ -239,8 +239,8 @@ pub enum TraceEvent {
         orch_polls_skipped: u64,
         /// Scheduler diagnostic (engine-dependent).
         wake_events: u64,
-        /// Scheduler diagnostic (engine-dependent): PE-cycles executed
-        /// through the column-vectorized batch fast path.
+        /// Scheduler diagnostic (engine-dependent): the fabric's
+        /// [`Stats::batched_pe_cycles`](crate::Stats) (lockstep PE-cycles).
         batched_pe_cycles: u64,
     },
 }

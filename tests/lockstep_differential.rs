@@ -8,20 +8,21 @@
 //! both ways and diff the full [`RunReport`] and the south collector
 //! sequence with its exit cycles. The only legitimate differences are the
 //! diagnostics that name the executing engine (`batched_pe_cycles`,
-//! `replayed_cycles`, `replay_stretches`), normalized to zero on both
-//! sides; `active_pe_cycles` and `wake_events` must match.
+//! `replayed_cycles`), normalized to zero on both sides; `active_pe_cycles`
+//! and `wake_events` must match.
 //!
 //! Directed tests pin the harness sentinels (`PanicAt`, `max_cycles`, the
 //! watchdog under `WithholdCredits`) to the same cycle and error, warm-pool
-//! reuse after a lockstep run, and the engine's reach: every tile of the
+//! reuse after a lockstep run, the engine's reach (every tile of the
 //! sweep's GEMM, SpMM and N:M cells engages, and SDDMM, Window, `Custom`
-//! rows, traced, polling and stepped-then-run fabrics do not.
+//! rows, traced, polling and stepped-then-run fabrics do not), and one
+//! large-tier 64×64 golden on both engines.
 
 use canon::arch::fabric::CollectedEntry;
 use canon::arch::fault::FaultAction;
 use canon::arch::kernels::gemm::RegAccFsm;
-use canon::arch::kernels::run_kernel;
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
+use canon::arch::kernels::{run_kernel, KernelInput};
 use canon::arch::orchestrator::assembler::{regacc_fsm_spec, spmm_fsm_spec};
 use canon::arch::orchestrator::RowProgram;
 use canon::arch::pool;
@@ -32,6 +33,7 @@ use canon::sparse::gen::{self, SparsityBand};
 use canon::sparse::Dense;
 use canon::sweep::backend::kernel_input;
 use canon::sweep::scenario::{standard_workloads, OpTemplate};
+use canon::sweep::store::fnv1a64;
 use canon::workloads::Workload;
 use proptest::prelude::*;
 
@@ -133,7 +135,6 @@ impl Problem {
 fn normalized(mut report: RunReport) -> RunReport {
     report.stats.batched_pe_cycles = 0;
     report.stats.replayed_cycles = 0;
-    report.stats.replay_stretches = 0;
     report
 }
 
@@ -434,4 +435,42 @@ fn lockstep_stays_off_outside_its_reach() {
     let mut stepped = p.fabric(&p.cfg());
     stepped.step().expect("steps");
     assert!(!took_lockstep(&stepped.run().expect("drains")), "stepped");
+}
+
+/// FNV-1a over the little-endian result matrix — byte-identical outputs.
+fn result_fp(result: &Dense) -> u64 {
+    let mut bytes = Vec::with_capacity(result.as_slice().len() * 4);
+    for &v in result.as_slice() {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
+/// Large-tier golden: one 64×64 GEMM with a deep, large-tier K band
+/// (K = 16384, 256 dmem words per fabric row). Pins the cycle count, MAC
+/// count, and result fingerprint at the `large` geometry on the default
+/// configuration (lockstep) and on the per-PE reference (`replay: false`).
+#[test]
+fn gemm_64x64_large_tier_golden() {
+    let mut rng = gen::seeded_rng(21);
+    let a = Dense::random(8, 16384, &mut rng);
+    let b = Dense::random(16384, 256, &mut rng);
+    let input = KernelInput::Gemm { a, b };
+    for replay in [true, false] {
+        let cfg = CanonConfig {
+            replay,
+            ..CanonConfig::default().with_geometry(64, 64)
+        };
+        let out = run_kernel(&cfg, &input).expect("large GEMM maps");
+        assert_eq!(
+            out.report.cycles, 2373,
+            "cycle count drifted (replay={replay})"
+        );
+        assert_eq!(out.report.stats.mac_instrs, 8_388_608);
+        assert_eq!(
+            result_fp(&out.result),
+            0x4f3d_9722_e307_3245,
+            "result drifted (replay={replay})"
+        );
+    }
 }
