@@ -244,12 +244,8 @@ pub struct SteadyState {
     pub active_pe_cycles: u64,
     /// Of those, PE-cycles the column-lockstep engine executed.
     pub batched_pe_cycles: u64,
-    /// Orchestrator FSM activations (includes settled parked windows).
+    /// Orchestrator FSM activations (one per live row per cycle).
     pub orch_steps: u64,
-    /// Orchestrator polls the event engine skipped (parked pure waits).
-    pub orch_polls_skipped: u64,
-    /// Row wake events raised (link/timer/slot).
-    pub wake_events: u64,
 }
 
 impl SteadyState {
@@ -592,8 +588,6 @@ fn bench_steady_state(alloc: AllocSnapshot) -> SteadyState {
         active_pe_cycles: report.stats.active_pe_cycles,
         batched_pe_cycles: report.stats.batched_pe_cycles,
         orch_steps: report.stats.orch_steps,
-        orch_polls_skipped: report.stats.orch_polls_skipped,
-        wake_events: report.stats.wake_events,
     }
 }
 
@@ -842,7 +836,7 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
     if let Some(ss) = &report.steady_state {
         let _ = writeln!(
             s,
-            "  \"steady_state\": {{\"name\":\"spmm-fabric\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{},\"orch_polls_skipped\":{},\"wake_events\":{}}},",
+            "  \"steady_state\": {{\"name\":\"spmm-fabric\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{}}},",
             ss.cycles,
             ss.allocs,
             ss.bytes,
@@ -850,9 +844,7 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
             ss.active_pe_cycles as f64 / (ss.cycles.max(1) * ss.pes.max(1) as u64) as f64,
             ss.batched_pe_cycles,
             ss.batch_hit_rate(),
-            ss.orch_steps,
-            ss.orch_polls_skipped,
-            ss.wake_events
+            ss.orch_steps
         );
     }
     let _ = writeln!(s, "  \"figures\": [");
@@ -1004,16 +996,12 @@ pub fn render_text(report: &BenchReport) -> String {
             ss.allocs as f64 / ss.cycles.max(1) as f64,
             ss.bytes
         );
-        // Scheduler activity: how much of the polled work the event-driven
-        // engine actually performs.
+        // Scheduler activity: the share of PE-cycles the active set sweeps.
         let _ = writeln!(
             s,
-            "scheduler: active PE sweeps {:.1}% of PE-cycles; {} of {} orch row-cycles settled without a poll ({:.1}%); {} wake events",
+            "scheduler: active PE sweeps {:.1}% of PE-cycles; {} orch steps",
             ss.active_pe_cycles as f64 / (ss.cycles.max(1) * ss.pes.max(1) as u64) as f64 * 100.0,
-            ss.orch_polls_skipped,
-            ss.orch_steps,
-            ss.orch_polls_skipped as f64 / ss.orch_steps.max(1) as f64 * 100.0,
-            ss.wake_events
+            ss.orch_steps
         );
         let _ = writeln!(
             s,
@@ -1070,8 +1058,6 @@ mod tests {
                 active_pe_cycles: 4100,
                 batched_pe_cycles: 1025,
                 orch_steps: 1000,
-                orch_polls_skipped: 250,
-                wake_events: 40,
             }),
             figures: vec![FigureBench {
                 name: "fig12+13",
@@ -1168,8 +1154,6 @@ mod tests {
             active_pe_cycles: 0,
             batched_pe_cycles: 0,
             orch_steps: 0,
-            orch_polls_skipped: 0,
-            wake_events: 0,
         });
         let err = check_alloc_gate(&r).unwrap_err();
         assert!(err.contains("0.2600"), "{err}");

@@ -7,13 +7,12 @@
 //!
 //! 1. **edge feed** — the north-edge stream movers push at most one token per
 //!    column into the north edge FIFOs (SDDMM's `A` stream);
-//! 2. **orchestrator phase** — every *woken* row delivers its due
-//!    south-channel credits (visible after
+//! 2. **orchestrator phase** — every live row, in ascending order,
+//!    delivers its due south-channel credits (visible after
 //!    [`CanonConfig::orch_msg_latency`] cycles), then its FSM observes its
 //!    meta stream head, delivered message, credits, and north-FIFO
 //!    occupancy, and issues one instruction into column 0 (possibly NOP);
-//!    rows whose observable inputs cannot have changed since their last
-//!    decision are skipped entirely (see *Event-driven wakeups* below);
+//!    drained rows return at once (see *Orchestrator scheduling* below);
 //! 3. **active sweep** — COMMIT (NoC pushes happen this phase, retiring
 //!    instructions are forwarded eastward as 4-byte [`InstrHandle`]s into
 //!    the shared issue ring) and LOAD (which also computes the EXECUTE
@@ -35,9 +34,10 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, the event engine, no north-edge feeders, and only vertical-only row programs ([`RowProgram::is_vertical_only`]): GEMM, SpMM and N:M | orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift is derived, not simulated |
-//! | scalar event engine | every other run: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | the active sweep below |
-//! | polling shadow | [`Fabric::set_polling`] (differential tests only) | as above, with every live row stepped every cycle |
+//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, no north-edge feeders, and only vertical-only row programs ([`RowProgram::is_vertical_only`]): GEMM, SpMM and N:M | orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift is derived, not simulated |
+//! | scalar engine | every other run: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | orchestrator phase, then the active sweep below |
+//!
+//! Both engines share one orchestrator phase (`Fabric::orchestrate`).
 //!
 //! ## Active-set scheduling
 //!
@@ -49,36 +49,17 @@
 //! PEs, and the per-cycle quiescence test collapses from a whole-fabric
 //! sweep to `active.is_empty()` plus O(rows) of orchestrator state.
 //!
-//! ## Event-driven wakeups
+//! ## Orchestrator scheduling
 //!
-//! The orchestrator phase is scheduled the same way, one level up: a
-//! [`RowSched`] wake bitset tracks which rows must be *stepped* this cycle,
-//! and everything a row's FSM can observe is covered by a wake event:
-//!
-//! * **link events** — a south push landing on a row's column-0 North FIFO
-//!   (its `north_tokens` observable) wakes the consuming row, as does a
-//!   north-edge feeder token on column 0;
-//! * **timed events** — credit returns and inter-orchestrator messages are
-//!   queued with a delivery cycle; the producer arms the consumer row's
-//!   timer at enqueue time, and [`RowSched::fire_due`] moves due rows back
-//!   into the wake set (one comparison per cycle when nothing is due);
-//! * **slot events** — consuming a message frees the sender's
-//!   `msg_slot_free` observable, waking the row above;
-//! * **self events** — a row that made progress (consumed input, issued a
-//!   real instruction, sent a message) trivially stays in the wake set.
-//!
-//! A row leaves the wake set when its action is a **pure wait**
-//! ([`OrchAction::park`], set by every back-pressured stall) or when it has
-//! drained. While parked it costs zero work per cycle; on wake the skipped
-//! window is settled arithmetically — `orch_steps`, `stall_cycles`, and the
-//! bubbles the polling engine would have injected (`cols` pipeline NOPs per
-//! skipped poll) are credited exactly, so cycle counts, results, and every
-//! architectural counter stay byte-identical to the polling engine
-//! (`tests/event_wake.rs` diffs the two on random programs;
-//! [`Fabric::set_polling`] keeps the shadow engine available). The only
-//! deliberately divergent counters are the scheduler diagnostics
-//! ([`Stats::active_pe_cycles`], [`Stats::orch_polls_skipped`],
-//! [`Stats::wake_events`]), which measure the work actually performed.
+//! The orchestrator phase polls: every cycle it steps rows `0..rows` in
+//! ascending order, as the hardware's per-row FSMs each issue one control
+//! instruction per cycle. A row that stalls is stepped again next cycle and
+//! records one `orch_steps`, one stall cycle under its cause, and one
+//! elided bubble each time. A drained row (no program, or a finished one
+//! with no deliverable message) returns before its FSM is consulted.
+//! Ascending order matters for the message channel: a row observes a
+//! zero-latency message from the row above in the same cycle, and a slot
+//! the row below freed in the previous one.
 //!
 //! ## Instruction handle ring
 //!
@@ -134,9 +115,9 @@ use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, Vector, L
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
 use crate::pe::{PeArray, PeMut, PeRef};
-use crate::sched::{ActiveSet, RowSched};
-use crate::stats::{RunReport, StallBreakdown, StallCause, Stats};
-use crate::trace::{TraceRecorder, TraceSink, WakeSource};
+use crate::sched::ActiveSet;
+use crate::stats::{RunReport, StallBreakdown, Stats};
+use crate::trace::{TraceRecorder, TraceSink};
 use crate::SimError;
 use std::collections::VecDeque;
 
@@ -156,19 +137,16 @@ pub struct CollectedEntry {
     pub cycle: u64,
 }
 
-/// `u64` sentinel for "no value" in the row table's cycle-stamped fields.
-const NEVER: u64 = u64::MAX;
-
 /// Sentinel in [`RowTable::last_state`] for a row that has never stepped
 /// (state ids are 3-bit in hardware, so the top byte value is free).
 const NO_STATE: u8 = u8::MAX;
 
 /// Per-row orchestrator state, struct-of-arrays: each field of the former
 /// boxed per-row record is a flat array indexed by row id, mirroring
-/// [`PeArray`]'s layout one level up. The (now sparse, event-driven) row
-/// dispatch touches a handful of hot fields per woken row — the cursor into
-/// the meta stream, the credit count, the queue fronts — and those are
-/// dense across rows instead of strided by a whole row record.
+/// [`PeArray`]'s layout one level up. The row dispatch touches a handful of
+/// hot fields per row — the cursor into the meta stream, the credit count,
+/// the queue fronts — and those are dense across rows instead of strided by
+/// a whole row record.
 struct RowTable {
     programs: Vec<Option<RowProgram>>,
     /// Input meta-data streams, consumed through `meta_pos` (a cursor into
@@ -189,15 +167,6 @@ struct RowTable {
     /// row's contribution to [`Stats::stall_cycles`].
     stall_causes: Vec<StallBreakdown>,
     meta_consumed: Vec<u64>,
-    /// Cycle at which the row parked on a pure-wait action ([`NEVER`] when
-    /// not parked). Settled arithmetically at the next wake.
-    parked_at: Vec<u64>,
-    /// Cause of the parked stall, if the parked action was one (its replay
-    /// counts `stall_cycles` under that cause).
-    parked_stall: Vec<Option<StallCause>>,
-    /// Settled orchestrator polls skipped while parked (the event-engine
-    /// saving reported as [`Stats::orch_polls_skipped`]).
-    polls_skipped: Vec<u64>,
 }
 
 impl RowTable {
@@ -219,9 +188,6 @@ impl RowTable {
             messages_sent: vec![0; rows],
             stall_causes: vec![StallBreakdown::default(); rows],
             meta_consumed: vec![0; rows],
-            parked_at: vec![NEVER; rows],
-            parked_stall: vec![None; rows],
-            polls_skipped: vec![0; rows],
         }
     }
 
@@ -247,9 +213,6 @@ impl RowTable {
         self.messages_sent.fill(0);
         self.stall_causes.fill(StallBreakdown::default());
         self.meta_consumed.fill(0);
-        self.parked_at.fill(NEVER);
-        self.parked_stall.fill(None);
-        self.polls_skipped.fill(0);
     }
 
     fn done(&self, r: usize) -> bool {
@@ -331,14 +294,6 @@ pub struct Fabric {
     pes: PeArray,
     grid: LinkGrid,
     rows: RowTable,
-    /// Orchestrator-row wake bitset + delivery timers (see [`RowSched`]).
-    sched: RowSched,
-    /// When true, every live row is stepped every cycle and nothing parks —
-    /// the pre-event polling engine, kept as a differential shadow for
-    /// `tests/event_wake.rs`.
-    polling: bool,
-    /// Distinct row wake events raised (link, timer, and slot events).
-    wake_events: u64,
     /// Issued-instruction ring; everything downstream of issue moves 4-byte
     /// handles into this slab.
     ring: InstrRing,
@@ -419,9 +374,6 @@ impl Fabric {
             pes: PeArray::new(n, cfg.dmem_words, cfg.spad_entries),
             grid: LinkGrid::new(cfg.rows, cfg.cols, cfg.link_fifo_depth, north_edge_feeder),
             rows,
-            sched: RowSched::new(cfg.rows),
-            polling: false,
-            wake_events: 0,
             // One issue per row per cycle, last read 3·cols − 1 cycles after
             // issue ⇒ at most rows·3·cols records are live at once; one
             // spare cycle of issue keeps wraps strictly slower than
@@ -517,9 +469,6 @@ impl Fabric {
         });
         self.pes.reset();
         self.grid.clear_links();
-        self.sched.reset();
-        self.polling = false;
-        self.wake_events = 0;
         self.ring.reset();
         self.bubble_horizon = 0;
         self.elided_bubbles = 0;
@@ -561,10 +510,6 @@ impl Fabric {
         assert!(
             self.active.is_empty(),
             "pristine fabric: active set not empty"
-        );
-        assert!(
-            self.sched.all_asleep(),
-            "pristine fabric: orchestrator rows awake"
         );
         assert!(
             self.inject_now.is_clear() && self.inject_next.is_clear(),
@@ -626,8 +571,7 @@ impl Fabric {
                 && s.stall_cycles == 0
                 && s.meta_tokens == 0
                 && s.offchip_read_bytes == 0
-                && s.offchip_write_bytes == 0
-                && s.wake_events == 0,
+                && s.offchip_write_bytes == 0,
             "pristine fabric: nonzero statistics in report: {s:?}"
         );
     }
@@ -685,10 +629,6 @@ impl Fabric {
     /// Panics when `r` is out of bounds.
     pub fn set_program(&mut self, r: usize, program: impl Into<RowProgram>) {
         self.rows.programs[r] = Some(program.into());
-        // A new program is a fresh decision source: wake the row and forget
-        // any parked pure-wait of the previous program.
-        self.rows.parked_at[r] = NEVER;
-        self.sched.wake(r);
     }
 
     /// Sets row `r`'s input meta-data stream.
@@ -699,18 +639,6 @@ impl Fabric {
     pub fn set_meta_stream(&mut self, r: usize, stream: Vec<MetaToken>) {
         self.rows.meta[r] = stream;
         self.rows.meta_pos[r] = 0;
-        // The meta head — an orchestrator observable — changed.
-        self.sched.wake(r);
-    }
-
-    /// Forces the pre-event **polling engine**: every live row is stepped
-    /// every cycle and pure waits never park. Architectural behaviour is
-    /// identical to the event-driven default (that equivalence is what
-    /// `tests/event_wake.rs` pins); only the scheduler diagnostics
-    /// ([`Stats::orch_polls_skipped`], [`Stats::wake_events`],
-    /// [`Stats::active_pe_cycles`]) differ. Must be set before stepping.
-    pub fn set_polling(&mut self, polling: bool) {
-        self.polling = polling;
     }
 
     /// Attaches a trace sink: from the next cycle on, every engine layer
@@ -735,32 +663,17 @@ impl Fabric {
         )));
     }
 
-    /// Detaches the trace recorder, closing the stream: still-parked rows'
-    /// pending windows are settled into their wait spans (exactly as
-    /// [`Fabric::report`] settles them, without disturbing the rows' own
-    /// accounting), all spans are flushed, and the
-    /// [`crate::trace::TraceEvent::RunEnd`] footer is recorded. Returns the
-    /// sink, or `None` when no trace was attached.
+    /// Detaches the trace recorder, closing the stream: all pending wait
+    /// spans are flushed and the [`crate::trace::TraceEvent::RunEnd`]
+    /// footer is recorded. Returns the sink, or `None` when no trace was
+    /// attached.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         let mut tr = self.trace.take()?;
-        let mut polls_skipped = 0;
-        for r in 0..self.rows.len() {
-            polls_skipped += self.rows.polls_skipped[r];
-            if self.rows.parked_at[r] != NEVER {
-                let pending = self.cycle.saturating_sub(self.rows.parked_at[r] + 1);
-                polls_skipped += pending;
-                if pending > 0 {
-                    tr.on_settle(r, pending);
-                }
-            }
-        }
         tr.finish(
             self.cycle,
             self.extra_offchip_read,
             self.extra_offchip_write,
             self.active_pe_cycles,
-            polls_skipped,
-            self.wake_events,
             self.batched_pe_cycles,
         );
         Some(tr.into_sink())
@@ -824,13 +737,12 @@ impl Fabric {
     }
 
     /// Dispatches orchestrator row `r` at cycle `now`: delivers due
-    /// credits, settles any parked window, steps the FSM, applies its
-    /// action, and decides whether the row stays in the wake set.
+    /// credits, steps the FSM, and applies its action.
     fn step_row(&mut self, r: usize, now: u64) -> Result<(), SimError> {
         let nrows = self.cfg.rows;
         let cols = self.cfg.cols;
         // Deliver due credit returns (observable only from this row's own
-        // step, so delivery can wait for a wake).
+        // step).
         while self.rows.credit_returns[r]
             .front()
             .is_some_and(|&deliver| deliver <= now)
@@ -842,35 +754,8 @@ impl Fabric {
             .front()
             .is_some_and(|&(deliver, _)| deliver <= now);
         if self.rows.programs[r].is_none() || (self.rows.done(r) && !has_deliverable_msg) {
-            // Drained: sleep until the next queued message (if any) becomes
-            // deliverable. Done rows never re-park, so no settling needed.
-            if !self.polling {
-                self.sched.sleep(r);
-                if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
-                    self.sched.arm(r, deliver);
-                }
-            }
+            // Drained (until a queued message becomes deliverable).
             return Ok(());
-        }
-        // Settle a parked window: the polling engine would have stepped
-        // this row on every skipped cycle, repeating the parked pure-wait —
-        // one orchestrator step (and stall, if stalled) plus one issued
-        // bubble per cycle. Steps and stalls are credited here; the bubbles
-        // (which touch nothing but per-PE instruction counters) are
-        // credited as `polls_skipped × cols` in [`Fabric::report`].
-        if self.rows.parked_at[r] != NEVER {
-            let skipped = now - self.rows.parked_at[r] - 1;
-            self.rows.orch_steps[r] += skipped;
-            if let Some(cause) = self.rows.parked_stall[r] {
-                self.rows.stall_causes[r].add(cause, skipped);
-            }
-            self.rows.polls_skipped[r] += skipped;
-            self.rows.parked_at[r] = NEVER;
-            if skipped > 0 {
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.on_settle(r, skipped);
-                }
-            }
         }
         let io = OrchIo {
             cycle: now,
@@ -912,14 +797,6 @@ impl Fabric {
         }
         if action.consumes_msg() {
             self.rows.inbox[r].pop_front();
-            // Slot event: the northern row's `msg_slot_free` observable may
-            // have flipped.
-            if r > 0 && !self.polling && self.sched.wake(r - 1) {
-                self.wake_events += 1;
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.on_wake(now, r - 1, WakeSource::SlotFreed);
-                }
-            }
         }
         let instr = action.instr;
         if instr.pushes_toward(Direction::South) && r + 1 < nrows {
@@ -934,12 +811,6 @@ impl Fabric {
         if instr.pops_from(Direction::North) && r > 0 {
             let deliver = now + self.cfg.orch_msg_latency;
             self.rows.credit_returns[r - 1].push_back(deliver);
-            // Timed event: the row above observes the credit at `deliver`
-            // (with zero latency, at its next step — it precedes us in the
-            // dispatch order, exactly as under polling).
-            if !self.polling {
-                self.sched.arm(r - 1, deliver);
-            }
         }
         if let Some(m) = action.msg_out() {
             self.rows.messages_sent[r] += 1;
@@ -952,22 +823,6 @@ impl Fabric {
                 }
                 let deliver = now + self.cfg.orch_msg_latency;
                 self.rows.inbox[r + 1].push_back((deliver, m));
-                if !self.polling {
-                    if deliver <= now {
-                        // Zero-latency message: the southern row observes it
-                        // this very cycle (it follows us in dispatch order),
-                        // so a timer — checked at phase start — would be a
-                        // cycle late.
-                        if self.sched.wake(r + 1) {
-                            self.wake_events += 1;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_wake(now, r + 1, WakeSource::Message);
-                            }
-                        }
-                    } else {
-                        self.sched.arm(r + 1, deliver);
-                    }
-                }
             }
         }
         debug_assert!(
@@ -1001,58 +856,19 @@ impl Fabric {
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.on_orch_step(now, r, &action, issued_handle);
         }
-        // Park decision: a pure wait (and only a pure wait) leaves the wake
-        // set; everything else keeps the row due next cycle.
-        if !self.polling
-            && action.parks()
-            && instr.is_plain_nop()
-            && !action.consumes_input()
-            && !action.consumes_msg()
-            && action.msg_out().is_none()
-        {
-            self.rows.parked_at[r] = now;
-            self.rows.parked_stall[r] = action.stall_cause();
-            if let Some(tr) = self.trace.as_deref_mut() {
-                tr.on_park(now, r);
-            }
-            self.sched.sleep(r);
-            // Arm timers for events already in flight towards this row.
-            if let Some(&deliver) = self.rows.credit_returns[r].front() {
-                self.sched.arm(r, deliver);
-            }
-            if let Some(&(deliver, _)) = self.rows.inbox[r].front() {
-                if deliver > now {
-                    self.sched.arm(r, deliver);
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Orchestrator phase of cycle `now`, event-driven (shared by the
-    /// scalar and lockstep engines): fires due delivery timers, then steps
-    /// only woken rows (ascending order — identical dispatch order to the
-    /// polling engine, which matters for message-channel checks). Credits
-    /// are delivered lazily at dispatch: rows observe them only in their
-    /// own step, so a sleeping row's queue can wait. A finished
-    /// orchestrator is still stepped while deliverable messages are
-    /// pending: its FSM keeps the bypass transitions of the DONE state so
-    /// upstream rows can drain through it.
+    /// Orchestrator phase of cycle `now` (shared by the scalar and
+    /// lockstep engines): steps every row in ascending order, which the
+    /// message-channel checks rely on. Credits are delivered at dispatch:
+    /// rows observe them only in their own step. A finished orchestrator is
+    /// still stepped while deliverable messages are pending: its FSM keeps
+    /// the bypass transitions of the DONE state so upstream rows can drain
+    /// through it.
     fn orchestrate(&mut self, now: u64) -> Result<(), SimError> {
-        if let Some(tr) = self.trace.as_deref_mut() {
-            self.wake_events += self
-                .sched
-                .fire_due_with(now, |r| tr.on_wake(now, r, WakeSource::Timer));
-        } else {
-            self.wake_events += self.sched.fire_due(now);
-        }
-        if self.polling || !self.sched.all_asleep() {
-            for r in 0..self.cfg.rows {
-                if !self.polling && !self.sched.is_awake(r) {
-                    continue;
-                }
-                self.step_row(r, now)?;
-            }
+        for r in 0..self.cfg.rows {
+            self.step_row(r, now)?;
         }
         Ok(())
     }
@@ -1069,9 +885,7 @@ impl Fabric {
         let nrows = self.cfg.rows;
 
         // 1. North-edge feeders: at most one token per column per cycle. A
-        // token landing on column c's edge FIFO wakes its consumer PE (0, c)
-        // — and, on column 0, the top orchestrator row, whose `north_tokens`
-        // observable just changed.
+        // token landing on column c's edge FIFO wakes its consumer PE (0, c).
         if self.feeders_pending > 0 {
             for c in 0..cols {
                 if let Some(&tok) = self.feeders[c].front() {
@@ -1084,12 +898,6 @@ impl Fabric {
                         }
                         self.extra_offchip_read += self.feeder_bytes_per_token;
                         self.active.insert(c);
-                        if c == 0 && !self.polling && self.sched.wake(0) {
-                            self.wake_events += 1;
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                tr.on_wake(now, 0, WakeSource::Feeder);
-                            }
-                        }
                     }
                 }
             }
@@ -1172,14 +980,6 @@ impl Fabric {
                     if eff.drives_south {
                         if r + 1 < nrows {
                             self.active.insert(idx + cols);
-                            // Link event: a column-0 south push changes the
-                            // consuming row's `north_tokens` observable.
-                            if c == 0 && !self.polling && self.sched.wake(r + 1) {
-                                self.wake_events += 1;
-                                if let Some(tr) = self.trace.as_deref_mut() {
-                                    tr.on_wake(now, r + 1, WakeSource::Link);
-                                }
-                            }
                         } else {
                             south_sink_dirty = true;
                         }
@@ -1456,27 +1256,10 @@ impl Fabric {
             stats.stall_cycles += self.rows.stall_causes[r].total();
             stats.stall_breakdown.merge(&self.rows.stall_causes[r]);
             stats.meta_tokens += self.rows.meta_consumed[r];
-            // Skipped polls, including a still-parked tail (reports taken
-            // after a watchdog/protocol abort): each skipped poll is one
-            // orchestrator step (+ stall) the polling engine would have
-            // performed, plus one bubble traversing the row's `cols` PEs.
-            let mut skipped = self.rows.polls_skipped[r];
-            if self.rows.parked_at[r] != NEVER {
-                let pending = self.cycle.saturating_sub(self.rows.parked_at[r] + 1);
-                stats.orch_steps += pending;
-                if let Some(cause) = self.rows.parked_stall[r] {
-                    stats.stall_cycles += pending;
-                    stats.stall_breakdown.add(cause, pending);
-                }
-                skipped += pending;
-            }
-            stats.orch_polls_skipped += skipped;
-            stats.instrs_executed += skipped * self.cfg.cols as u64;
         }
         // Elided bubbles: each would have latched into every column of its
         // row (`cols` pipeline NOPs counted by the marching simulator).
         stats.instrs_executed += self.elided_bubbles * self.cfg.cols as u64;
-        stats.wake_events = self.wake_events;
         stats.offchip_read_bytes = self.extra_offchip_read;
         stats.offchip_write_bytes = self.extra_offchip_write;
         stats.active_pe_cycles = self.active_pe_cycles;
@@ -1506,6 +1289,7 @@ mod tests {
     use super::*;
     use crate::isa::{Addr, Opcode};
     use crate::orchestrator::OrchAction;
+    use crate::stats::StallCause;
 
     /// A scripted orchestrator that plays back a fixed instruction sequence.
     struct Script {

@@ -97,15 +97,14 @@ impl Lockstep {
 }
 
 impl Fabric {
-    /// Whether this [`Fabric::run`] may take the lockstep engine: a fresh
-    /// fabric (cycle 0) on the untraced event engine with the fast engines
-    /// on ([`crate::CanonConfig::replay`]), no north-edge feeders, and only
+    /// Whether this [`Fabric::run`] may take the lockstep engine: a fresh,
+    /// untraced fabric (cycle 0) with the fast engine on
+    /// ([`crate::CanonConfig::replay`]), no north-edge feeders, and only
     /// vertical-only row programs ([`RowProgram::is_vertical_only`]).
     pub(super) fn lockstep_eligible(&self) -> bool {
         self.cycle == 0
             && self.cfg.replay
             && self.trace.is_none()
-            && !self.polling
             && !self.north_feeder
             && self.feeders_pending == 0
             && self
@@ -162,10 +161,6 @@ impl Fabric {
                     .lockstep_commit_row(r, cols, &self.ring, &mut self.lockstep.links, now)?;
             if eff.drives_south && r + 1 < nrows {
                 self.active.insert(idx + cols);
-                // Link event: the row below observes `north_tokens`.
-                if self.sched.wake(r + 1) {
-                    self.wake_events += 1;
-                }
             }
             if self.inject_now.kind[idx] == Inject::Instr {
                 self.inject_now.kind[idx] = Inject::None;

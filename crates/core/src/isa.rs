@@ -552,10 +552,11 @@ use crate::pe::NUM_REGS;
 /// A power-of-two ring of issued instruction records (see [`InstrHandle`]).
 ///
 /// Capacity must exceed the maximum number of simultaneously live issues.
-/// For the dynamic fabric that bound is `rows × (3·cols + 2)`: each row
-/// interns at most one record per cycle and a record's last reader is the
-/// COMMIT of the last column, `3·cols − 1` cycles after issue, so the ring
-/// wraps strictly slower than records retire.
+/// `Fabric::new` sizes the ring `rows × (3·cols + 1)`: each row interns at
+/// most one record per cycle, and a record's last reader is the COMMIT of
+/// the last column, `3·cols − 1` cycles after issue, so at most
+/// `rows × 3·cols` records are live at once; the spare cycle of issue per
+/// row keeps the ring wrapping strictly slower than records retire.
 #[derive(Debug)]
 pub struct InstrRing {
     buf: Box<[Instruction]>,

@@ -653,13 +653,11 @@ mod tests {
     }
 
     #[test]
-    fn assembled_stalls_are_parked_pure_waits() {
-        // The event-driven fabric parks rows on `OrchAction::park` and
-        // replays the action over the skipped cycles — the contract holds
-        // for assembled bitstreams too: a back-pressured LUT step must be a
-        // parked pure wait and a *fixed point* (re-stepping with the same
-        // inputs yields the same stall and leaves the datapath state
-        // untouched; the hardware hold happens before any register update).
+    fn assembled_stalls_hold_without_mutating_state() {
+        // A back-pressured LUT step is a pure wait that holds: re-stepping
+        // with the same inputs yields the same stall and leaves the
+        // datapath state untouched (the hardware hold happens before any
+        // register update).
         let mut p = spmm_fsm_spec(1, 4).into_program().unwrap();
         // Row end with a full window but zero credits: the flush must hold.
         let fill = OrchIo {
@@ -680,11 +678,14 @@ mod tests {
         let a1 = p.step(&starved);
         let a2 = p.step(&starved);
         for a in [&a1, &a2] {
-            assert!(a.stalled() && a.parks(), "stall must be a parked pure wait");
+            assert!(a.stalled(), "a held flush must record a stall");
             assert!(a.instr.is_plain_nop());
             assert!(!a.consumes_input() && !a.consumes_msg() && a.msg_out().is_none());
         }
-        assert_eq!(a1.state_id, a2.state_id, "stall must be a fixed point");
+        assert_eq!(
+            a1.state_id, a2.state_id,
+            "a repeated stall must hold its state"
+        );
         assert_eq!(
             (p.state(), p.meta()),
             state_before,
@@ -696,7 +697,7 @@ mod tests {
             ..starved
         };
         let a3 = p.step(&freed);
-        assert!(!a3.stalled() && !a3.parks());
+        assert!(!a3.stalled());
         assert_eq!(a3.instr.op, crate::isa::Opcode::MovFlush);
     }
 

@@ -105,12 +105,12 @@ pub struct OrchIo {
 /// The orchestrator's decision for one cycle.
 ///
 /// The struct is the per-row hand-off between every FSM step and the
-/// fabric, returned by value once per woken row per cycle, so it is kept
-/// `Copy` and slim: the two consume bits, the park bit, and the stall cause
-/// are packed into one flags byte instead of four discrete fields
+/// fabric, returned by value once per live row per cycle, so it is kept
+/// `Copy` and slim: the two consume bits, the message bit, and the stall
+/// cause are packed into one flags byte instead of discrete fields
 /// (construction goes through [`OrchAction::issue`]/[`OrchAction::nop`]/
-/// [`OrchAction::stall`] and the `take_*`/`send`/`park` builders; the
-/// accessors below read the bits back).
+/// [`OrchAction::stall`] and the `take_*`/`send` builders; the accessors
+/// below read the bits back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrchAction {
     /// Instruction issued to the first PE of the row (possibly NOP).
@@ -123,12 +123,11 @@ pub struct OrchAction {
     /// FSM main-state identifier after this cycle (3-bit State Register in
     /// Fig 5); the fabric counts changes as data-driven state transitions.
     pub state_id: u8,
-    /// Packed consume/park/message bits + stall cause (see the bit
-    /// constants).
+    /// Packed consume/message bits + stall cause (see the bit constants).
     flags: u8,
 }
 
-// The hand-off is returned by value once per woken row per cycle; keep it
+// The hand-off is returned by value once per live row per cycle; keep it
 // from quietly growing back the padding PR 6's flag packing removed.
 const _: () = assert!(std::mem::size_of::<OrchAction>() <= 52);
 
@@ -136,10 +135,8 @@ const _: () = assert!(std::mem::size_of::<OrchAction>() <= 52);
 const F_CONSUME_INPUT: u8 = 1 << 0;
 /// `flags` bit: the delivered message was consumed.
 const F_CONSUME_MSG: u8 = 1 << 1;
-/// `flags` bit: the action is a parkable pure wait (see [`OrchAction::park`]).
-const F_PARK: u8 = 1 << 2;
 /// `flags` bit: `msg` carries an outgoing message.
-const F_MSG_OUT: u8 = 1 << 3;
+const F_MSG_OUT: u8 = 1 << 2;
 /// `flags` bits 4..: stall cause + 1 (`0` = not stalled).
 const F_STALL_SHIFT: u8 = 4;
 
@@ -154,9 +151,7 @@ impl OrchAction {
         }
     }
 
-    /// A plain NOP action in the given state. Not parkable: programs that
-    /// make progress on their own (without any observable-input change)
-    /// return this and are re-polled next cycle.
+    /// A plain NOP action in the given state.
     pub fn nop(state_id: u8) -> OrchAction {
         OrchAction::issue(Instruction::NOP, state_id)
     }
@@ -164,19 +159,13 @@ impl OrchAction {
     /// A NOP action that records back-pressure, attributed to `cause`
     /// ([`Stats::stall_cycles`](crate::stats::Stats::stall_cycles) and the
     /// per-cause [`StallBreakdown`](crate::stats::StallBreakdown) both
-    /// count it). Parkable: a stalled program is by definition waiting on
-    /// an observable input (a credit return, a freed message slot, a north
-    /// token), so the event-driven engine skips it until one changes.
-    /// Stall paths must therefore be *fixed points*: re-stepping with the
-    /// same inputs yields the same stall and mutates nothing observable
-    /// (all in-tree FSMs return their stalls before any non-idempotent
-    /// state update). A program whose stall is **not** a fixed point —
-    /// e.g. one counting its own steps towards an internal timeout — must
-    /// clear `park` on the returned action to keep being polled every
-    /// cycle.
+    /// count it). The fabric steps the row again next cycle, so a program
+    /// that keeps stalling records one stall cycle per cycle until its
+    /// inputs (a credit return, a freed message slot, a north token)
+    /// change.
     pub fn stall(state_id: u8, cause: StallCause) -> OrchAction {
         let mut a = OrchAction::nop(state_id);
-        a.flags = F_PARK | ((cause as u8 + 1) << F_STALL_SHIFT);
+        a.flags = (cause as u8 + 1) << F_STALL_SHIFT;
         a
     }
 
@@ -243,37 +232,6 @@ impl OrchAction {
     pub fn clear_stall(&mut self) {
         self.flags &= (1 << F_STALL_SHIFT) - 1;
     }
-
-    /// True when this action is a **pure wait** the event-driven engine may
-    /// replay without re-stepping the program: the program asserts that
-    /// stepping it again with *unchanged* observable inputs ([`OrchIo`]:
-    /// meta head, delivered message, credits, message slot, north tokens)
-    /// would return this same action and leave it in an equivalent state.
-    ///
-    /// The fabric then removes the row from the wake set and revisits it
-    /// only when an observable input changes (a link event, a delivered
-    /// message or credit, a freed message slot); the skipped cycles are
-    /// accounted as if polled — `orch_steps`, `stall_cycles`, and the
-    /// issued bubbles stay byte-identical to the polling engine.
-    ///
-    /// A parkable action must be observably idle: a plain-NOP instruction,
-    /// no consumption, no outgoing message. [`OrchAction::stall`] sets this
-    /// flag (a back-pressured wait is the canonical pure wait);
-    /// [`OrchAction::nop`] does not, so stateful programs that ignore their
-    /// inputs (scripted tests, cycle-driven experiments) keep being polled
-    /// every cycle unless they opt in via [`OrchAction::park`].
-    #[inline]
-    pub fn parks(&self) -> bool {
-        self.flags & F_PARK != 0
-    }
-
-    /// Opts a non-stall action into parking (builder; see
-    /// [`OrchAction::parks`] for the contract).
-    #[must_use]
-    pub fn park(mut self) -> OrchAction {
-        self.flags |= F_PARK;
-        self
-    }
 }
 
 /// The data-to-instruction translation function executed by an orchestrator.
@@ -281,16 +239,12 @@ impl OrchAction {
 /// Implementations are per-kernel "microcode": native Rust FSMs in
 /// [`crate::kernels`], or assembled LUT bitstreams via [`lut::LutProgram`].
 ///
-/// Decisions must be functions of the *observable inputs* ([`OrchIo`]) and
-/// the program's own state — `io.cycle` is diagnostic only. Programs whose
-/// decisions depend on wall-cycle count would still run correctly under the
-/// event-driven fabric (they are polled every cycle unless they return a
-/// parked action, see [`OrchAction::park`]), but must never set `park`.
+/// Decisions should be functions of the *observable inputs* ([`OrchIo`])
+/// and the program's own state — `io.cycle` is diagnostic.
 pub trait OrchProgram {
     /// Computes this cycle's action from the observable inputs. Called once
-    /// per cycle until [`OrchProgram::done`] returns true — except on
-    /// cycles skipped after a parked action ([`OrchAction::park`]), which
-    /// the fabric replays without a call.
+    /// per cycle until [`OrchProgram::done`] returns true, and again on any
+    /// later cycle with a deliverable message.
     fn step(&mut self, io: &OrchIo) -> OrchAction;
 
     /// True once the orchestrator has finished its stream and drained all
@@ -427,9 +381,8 @@ mod tests {
         assert_eq!(a.state_id, 3);
         assert!(!a.stalled() && !a.consumes_input() && !a.consumes_msg());
         assert!(a.msg_out().is_none());
-        assert!(!a.parks());
         let s = OrchAction::stall(1, StallCause::Credit);
-        assert!(s.stalled() && s.parks());
+        assert!(s.stalled() && s.instr.is_plain_nop());
         assert_eq!(s.stall_cause(), Some(StallCause::Credit));
     }
 
@@ -441,7 +394,6 @@ mod tests {
             let mut cleared = s;
             cleared.clear_stall();
             assert_eq!(cleared.stall_cause(), None);
-            assert!(cleared.parks(), "clear_stall must keep the park bit");
         }
         let a = OrchAction::issue(Instruction::NOP, 1)
             .take_input()

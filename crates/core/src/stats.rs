@@ -70,7 +70,7 @@ impl std::fmt::Display for StallCause {
 ///
 /// Invariant (asserted by the trace replay tests): the field sum equals
 /// `stall_cycles` exactly — every stall cycle is attributed to exactly one
-/// cause, including the cycles settled arithmetically for parked rows.
+/// cause.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     /// Stalls waiting on a southbound-channel credit.
@@ -168,18 +168,6 @@ pub struct Stats {
     /// actually performs; the remainder is work the pre-scheduler simulator
     /// swept through for nothing.
     pub active_pe_cycles: u64,
-    /// Orchestrator polls the event-driven engine skipped: row-cycles on
-    /// which a live row was parked on a pure wait and the polling engine
-    /// would have rebuilt its `OrchIo` and re-stepped its FSM for the same
-    /// decision. A scheduler diagnostic — the architectural counters
-    /// (`orch_steps`, `stall_cycles`, issued bubbles) already include these
-    /// cycles as if polled.
-    pub orch_polls_skipped: u64,
-    /// Distinct row wake events raised into the orchestrator wake set (link
-    /// events, delivery timers, freed message slots). A scheduler
-    /// diagnostic: `wake_events / orch_steps` is how event-driven the run
-    /// was (0 under pure polling).
-    pub wake_events: u64,
     /// PE-cycles executed by the column-lockstep engine (each row issue
     /// executed once across all columns; see `crate::fabric`), 0 on the
     /// scalar engine. A scheduler diagnostic: `batched_pe_cycles /
@@ -218,8 +206,6 @@ impl Stats {
         self.offchip_read_bytes += other.offchip_read_bytes;
         self.offchip_write_bytes += other.offchip_write_bytes;
         self.active_pe_cycles += other.active_pe_cycles;
-        self.orch_polls_skipped += other.orch_polls_skipped;
-        self.wake_events += other.wake_events;
         self.batched_pe_cycles += other.batched_pe_cycles;
         self.replayed_cycles += other.replayed_cycles;
     }

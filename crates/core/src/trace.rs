@@ -7,7 +7,7 @@
 //! fabric drives from every engine layer: orchestrator FSM decisions
 //! (instruction issues, bubble steps, coalesced wait spans with their
 //! [`StallCause`]), PE commits, NoC link hops, off-chip bursts, collector
-//! emits, and (in event-driven mode) row wake/park scheduler diagnostics.
+//! emits.
 //! When no sink is attached the fabric's hot loops pay one untaken branch —
 //! the `repro bench --check` alloc/throughput gates pin that the trace-off
 //! engine is unchanged.
@@ -17,11 +17,7 @@
 //! The event stream is **architecturally complete**: [`replay_stats`]
 //! reconstructs the run's full [`Stats`] — including the per-cause stall
 //! breakdown summing to `stall_cycles` — byte-for-byte from the events
-//! alone, provided the sink was attached before the first cycle. The
-//! event-driven engine and the `set_polling(true)` shadow emit *identical*
-//! architectural streams (wait spans are coalesced identically whether the
-//! waiting row was parked or polled; see [`TraceEvent::is_architectural`]);
-//! `tests/event_wake.rs` diffs the two.
+//! alone, provided the sink was attached before the first cycle.
 //!
 //! ## Consumers
 //!
@@ -30,7 +26,7 @@
 //!   (issues, steps, stall spans colored by cause) and one per PE column
 //!   (commits), plus NoC/off-chip counter tracks.
 //! * [`render_profile`] prints a textual profile: top stall causes, per-row
-//!   occupancy, active-PE timeline buckets, and the wake-source mix.
+//!   occupancy, and active-PE timeline buckets.
 //!
 //! Capture is two lines (`repro trace` / `repro profile` wrap exactly
 //! this):
@@ -49,51 +45,11 @@ use crate::orchestrator::OrchAction;
 use crate::stats::{RunReport, StallCause, Stats};
 use std::sync::{Arc, Mutex};
 
-/// Why an orchestrator row was moved back into the wake set (event-driven
-/// engine diagnostics; never emitted under polling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WakeSource {
-    /// A north-edge feeder token landed on column 0.
-    Feeder,
-    /// A delivery timer (credit return or message) fired.
-    Timer,
-    /// A message slot below was freed (the consumer popped its inbox).
-    SlotFreed,
-    /// A zero-latency message arrived from the row above.
-    Message,
-    /// A south push landed on the row's column-0 North FIFO.
-    Link,
-}
-
-impl WakeSource {
-    /// All sources, in a fixed order (profile tables).
-    pub const ALL: [WakeSource; 5] = [
-        WakeSource::Feeder,
-        WakeSource::Timer,
-        WakeSource::SlotFreed,
-        WakeSource::Message,
-        WakeSource::Link,
-    ];
-
-    /// Short lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            WakeSource::Feeder => "feeder",
-            WakeSource::Timer => "timer",
-            WakeSource::SlotFreed => "slot_freed",
-            WakeSource::Message => "message",
-            WakeSource::Link => "link",
-        }
-    }
-}
-
 /// One cycle-stamped trace event.
 ///
 /// The architectural subset (see [`TraceEvent::is_architectural`]) is
-/// engine-independent; the scheduler diagnostics ([`TraceEvent::RowWake`],
-/// [`TraceEvent::RowPark`], the [`TraceEvent::RunEnd`] footer) describe the
-/// work actually performed and legitimately differ between the event-driven
-/// engine and the polling shadow.
+/// engine-independent; the scheduler diagnostics in the
+/// [`TraceEvent::RunEnd`] footer describe the work actually performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Stream header: geometry plus counter bases at attach time (all zero
@@ -213,32 +169,12 @@ pub enum TraceEvent {
         /// Producer-attached tag.
         tag: u32,
     },
-    /// Scheduler diagnostic: a row was woken (event-driven engine only).
-    RowWake {
-        /// Cycle.
-        cycle: u64,
-        /// Row.
-        row: usize,
-        /// What woke it.
-        source: WakeSource,
-    },
-    /// Scheduler diagnostic: a row parked on a pure wait.
-    RowPark {
-        /// Cycle.
-        cycle: u64,
-        /// Row.
-        row: usize,
-    },
     /// Stream footer: totals that close the books on the run.
     RunEnd {
         /// Cycles simulated while the sink was attached (final cycle count).
         cycles: u64,
         /// Scheduler diagnostic (engine-dependent).
         active_pe_cycles: u64,
-        /// Scheduler diagnostic (engine-dependent).
-        orch_polls_skipped: u64,
-        /// Scheduler diagnostic (engine-dependent).
-        wake_events: u64,
         /// Scheduler diagnostic (engine-dependent): the fabric's
         /// [`Stats::batched_pe_cycles`](crate::Stats) (lockstep PE-cycles).
         batched_pe_cycles: u64,
@@ -246,14 +182,12 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// True for events both engines must emit identically (everything
-    /// except scheduler diagnostics). `tests/event_wake.rs` diffs the
-    /// architectural subsequences of the two engines.
+    /// True for events that depend only on the simulated architecture
+    /// (everything except the [`TraceEvent::RunEnd`] footer's scheduler
+    /// diagnostics), so two programs with the same behaviour, e.g. a native
+    /// FSM and its assembled LUT twin, emit the same architectural stream.
     pub fn is_architectural(&self) -> bool {
-        !matches!(
-            self,
-            TraceEvent::RowWake { .. } | TraceEvent::RowPark { .. } | TraceEvent::RunEnd { .. }
-        )
+        !matches!(self, TraceEvent::RunEnd { .. })
     }
 }
 
@@ -363,9 +297,7 @@ impl TraceRecorder {
     /// Records one orchestrator step. `handle` is `Some` exactly when the
     /// action issued a real (non-bubble) instruction. Pure waits — bubble,
     /// no consumes, no message — coalesce into a pending [`TraceEvent::Wait`]
-    /// span that is flushed lazily at the row's next non-wait event; the
-    /// coalescing condition is engine-independent (a parked row's settled
-    /// window and a polled row's repeated pure waits produce the same span).
+    /// span that is flushed lazily at the row's next non-wait event.
     pub fn on_orch_step(
         &mut self,
         cycle: u64,
@@ -379,8 +311,8 @@ impl TraceRecorder {
         let stall = action.stall_cause();
         if handle.is_none() && !consumed_input && !consumed_msg && !sent_msg {
             // Pure wait: coalesce. Flush on any discontinuity (state or
-            // cause changed, or a gap — e.g. skipped cycles of a row that
-            // drained and re-armed).
+            // cause changed, or a gap — e.g. cycles of a row that drained
+            // and was re-activated by a late message).
             match &mut self.pending[row] {
                 Some(w)
                     if w.state == action.state_id
@@ -427,18 +359,6 @@ impl TraceRecorder {
         self.sink.record(&ev);
     }
 
-    /// Extends row `row`'s pending wait span by `skipped` settled cycles
-    /// (the event engine's parked-window arithmetic; the polling engine
-    /// records the same cycles one step at a time).
-    pub fn on_settle(&mut self, row: usize, skipped: u64) {
-        // A parked row always has a pending span (its park action was a
-        // pure wait) unless the sink was attached mid-park; in that case the
-        // pre-attach window is simply not traced.
-        if let Some(w) = &mut self.pending[row] {
-            w.len += skipped;
-        }
-    }
-
     /// Records a real instruction retiring from PE `(row, col)`.
     pub fn on_commit(
         &mut self,
@@ -465,17 +385,6 @@ impl TraceRecorder {
             lane,
             tag,
         });
-    }
-
-    /// Records a row wake (event-driven engine diagnostic).
-    pub fn on_wake(&mut self, cycle: u64, row: usize, source: WakeSource) {
-        self.sink
-            .record(&TraceEvent::RowWake { cycle, row, source });
-    }
-
-    /// Records a row parking (event-driven engine diagnostic).
-    pub fn on_park(&mut self, cycle: u64, row: usize) {
-        self.sink.record(&TraceEvent::RowPark { cycle, row });
     }
 
     /// End-of-cycle scan: diffs every link's push counter against the last
@@ -522,18 +431,13 @@ impl TraceRecorder {
     }
 
     /// Closes the stream: emits any off-chip tail, flushes every pending
-    /// wait span, and records the [`TraceEvent::RunEnd`] footer. The fabric
-    /// settles still-parked rows (via [`TraceRecorder::on_settle`]) before
-    /// calling this.
-    #[allow(clippy::too_many_arguments)]
+    /// wait span, and records the [`TraceEvent::RunEnd`] footer.
     pub fn finish(
         &mut self,
         cycles: u64,
         offchip_read: u64,
         offchip_write: u64,
         active_pe_cycles: u64,
-        orch_polls_skipped: u64,
-        wake_events: u64,
         batched_pe_cycles: u64,
     ) {
         self.scan_offchip(cycles, offchip_read, offchip_write);
@@ -543,8 +447,6 @@ impl TraceRecorder {
         self.sink.record(&TraceEvent::RunEnd {
             cycles,
             active_pe_cycles,
-            orch_polls_skipped,
-            wake_events,
             batched_pe_cycles,
         });
     }
@@ -717,28 +619,21 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
                 stats.offchip_read_bytes += read_bytes;
                 stats.offchip_write_bytes += write_bytes;
             }
-            TraceEvent::Commit { .. }
-            | TraceEvent::CollectorEmit { .. }
-            | TraceEvent::RowWake { .. }
-            | TraceEvent::RowPark { .. } => {}
+            TraceEvent::Commit { .. } | TraceEvent::CollectorEmit { .. } => {}
             TraceEvent::RunEnd {
                 cycles: c,
                 active_pe_cycles,
-                orch_polls_skipped,
-                wake_events,
                 batched_pe_cycles,
             } => {
                 cycles = c;
                 stats.active_pe_cycles = active_pe_cycles;
-                stats.orch_polls_skipped = orch_polls_skipped;
-                stats.wake_events = wake_events;
                 stats.batched_pe_cycles = batched_pe_cycles;
             }
         }
     }
     // Every orchestrator step clocks one instruction latch into each column
     // of its row — a real issue marches through `cols` PEs, an elided bubble
-    // is credited `cols` latches, a skipped poll likewise.
+    // is credited `cols` latches.
     stats.orch_steps = orch_steps;
     stats.instrs_executed = orch_steps * cols;
     RunReport {
@@ -765,8 +660,7 @@ fn cause_cname(cause: Option<StallCause>) -> &'static str {
 /// Writes the event stream as Chrome trace-event JSON (the
 /// `{"traceEvents":[...]}` object form), loadable in Perfetto or
 /// `chrome://tracing`. Track layout: pid 1 = orchestrator rows (one thread
-/// per row: issues, steps, wait spans colored by stall cause, wake/park
-/// instants), pid 2 = PE columns (one thread per column: commits), pid 3 =
+/// per row: issues, steps, wait spans colored by stall cause), pid 2 = PE columns (one thread per column: commits), pid 3 =
 /// collectors, plus `noc_hops` / `offchip` counter tracks. Cycle stamps map
 /// 1:1 to trace microseconds.
 ///
@@ -896,17 +790,6 @@ pub fn write_chrome_trace<W: std::io::Write>(
                     "{{\"ph\":\"i\",\"pid\":3,\"tid\":{tid},\"ts\":{cycle},\"name\":\"emit\",\"s\":\"t\",\"args\":{{\"lane\":{lane},\"tag\":{tag}}}}}"
                 );
             }
-            TraceEvent::RowWake { cycle, row, source } => {
-                item!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{row},\"ts\":{cycle},\"name\":\"wake:{}\",\"s\":\"t\"}}",
-                    source.name()
-                );
-            }
-            TraceEvent::RowPark { cycle, row } => {
-                item!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{row},\"ts\":{cycle},\"name\":\"park\",\"s\":\"t\"}}"
-                );
-            }
             TraceEvent::RunEnd { .. } => {}
         }
     }
@@ -919,7 +802,7 @@ pub fn write_chrome_trace<W: std::io::Write>(
 }
 
 /// Renders the textual profile: header, top stall causes, per-row occupancy
-/// histogram, active-PE timeline buckets, and the wake-source mix.
+/// histogram, and active-PE timeline buckets.
 pub fn render_profile(events: &[TraceEvent]) -> String {
     use std::fmt::Write as _;
     let report = replay_stats(events);
@@ -1050,34 +933,6 @@ pub fn render_profile(events: &[TraceEvent]) -> String {
         let _ = writeln!(out, "  [{lo:>6}..{hi:>6})  {:>5.1}%  {bar}", 100.0 * util);
     }
 
-    // Wake-source mix (event-driven engine diagnostics).
-    let mut mix = [0u64; 5];
-    for ev in events {
-        if let TraceEvent::RowWake { source, .. } = *ev {
-            mix[WakeSource::ALL.iter().position(|&s| s == source).unwrap()] += 1;
-        }
-    }
-    let total_wakes: u64 = mix.iter().sum();
-    let _ = writeln!(
-        out,
-        "\nwake sources ({} wake events, {} polls skipped):",
-        s.wake_events, s.orch_polls_skipped
-    );
-    if total_wakes == 0 {
-        let _ = writeln!(out, "  (none recorded — polling engine or no parking)");
-    } else {
-        for (i, &src) in WakeSource::ALL.iter().enumerate() {
-            if mix[i] > 0 {
-                let _ = writeln!(
-                    out,
-                    "  {:<11} {:>8}  {:>5.1}%",
-                    src.name(),
-                    mix[i],
-                    100.0 * mix[i] as f64 / total_wakes as f64
-                );
-            }
-        }
-    }
     out
 }
 
@@ -1100,11 +955,12 @@ mod tests {
         let wait = OrchAction::stall(3, StallCause::Credit);
         rec.on_orch_step(10, 0, &wait, None);
         rec.on_orch_step(11, 0, &wait, None);
-        rec.on_settle(0, 5); // parked window: cycles 12..=16
-        rec.on_orch_step(17, 0, &wait, None); // still contiguous
-                                              // A different cause flushes the span.
-        rec.on_orch_step(18, 0, &OrchAction::stall(3, StallCause::MsgSlot), None);
-        rec.finish(20, 0, 0, 0, 0, 0, 0);
+        // A gap (cycle 12 missing) starts a new span.
+        rec.on_orch_step(13, 0, &wait, None);
+        rec.on_orch_step(14, 0, &wait, None);
+        // A different cause flushes the span.
+        rec.on_orch_step(15, 0, &OrchAction::stall(3, StallCause::MsgSlot), None);
+        rec.finish(20, 0, 0, 0, 0);
         let evs = buf.take_events();
         let waits: Vec<_> = evs
             .iter()
@@ -1118,8 +974,9 @@ mod tests {
         assert_eq!(
             waits,
             vec![
-                (10, 8, Some(StallCause::Credit)),
-                (18, 1, Some(StallCause::MsgSlot)),
+                (10, 2, Some(StallCause::Credit)),
+                (13, 2, Some(StallCause::Credit)),
+                (15, 1, Some(StallCause::MsgSlot)),
             ]
         );
     }
@@ -1179,7 +1036,7 @@ mod tests {
         .take_input();
         rec.on_orch_step(0, 0, &issue, Some(InstrHandle::default()));
         rec.on_orch_step(1, 0, &OrchAction::stall(0, StallCause::Credit), None);
-        rec.finish(2, 8, 0, 0, 0, 0, 0);
+        rec.finish(2, 8, 0, 0, 0);
         let mut out = Vec::new();
         write_chrome_trace(&buf.take_events(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -1234,8 +1091,6 @@ mod tests {
             TraceEvent::RunEnd {
                 cycles: 4,
                 active_pe_cycles: 6,
-                orch_polls_skipped: 2,
-                wake_events: 1,
                 batched_pe_cycles: 3,
             },
         ];
@@ -1258,8 +1113,6 @@ mod tests {
         assert_eq!(s.noc_hops, 2);
         assert_eq!(s.offchip_read_bytes, 12);
         assert_eq!(s.offchip_write_bytes, 4);
-        assert_eq!(s.orch_polls_skipped, 2);
-        assert_eq!(s.wake_events, 1);
         assert_eq!(s.active_pe_cycles, 6);
         assert_eq!(s.batched_pe_cycles, 3);
     }

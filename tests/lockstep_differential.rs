@@ -9,13 +9,13 @@
 //! sequence with its exit cycles. The only legitimate differences are the
 //! diagnostics that name the executing engine (`batched_pe_cycles`,
 //! `replayed_cycles`), normalized to zero on both sides; `active_pe_cycles`
-//! and `wake_events` must match.
+//! must match.
 //!
 //! Directed tests pin the harness sentinels (`PanicAt`, `max_cycles`, the
 //! watchdog under `WithholdCredits`) to the same cycle and error, warm-pool
 //! reuse after a lockstep run, the engine's reach (every tile of the
 //! sweep's GEMM, SpMM and N:M cells engages, and SDDMM, Window, `Custom`
-//! rows, traced, polling and stepped-then-run fabrics do not), and one
+//! rows, traced and stepped-then-run fabrics do not), and one
 //! large-tier 64×64 golden on both engines.
 
 use canon::arch::fabric::CollectedEntry;
@@ -427,10 +427,6 @@ fn lockstep_stays_off_outside_its_reach() {
     let mut traced = p.fabric(&p.cfg());
     traced.set_trace_sink(Box::new(VecSink::default()));
     assert!(!took_lockstep(&traced.run().expect("drains")), "traced");
-    // The polling shadow engine.
-    let mut polling = p.fabric(&p.cfg());
-    polling.set_polling(true);
-    assert!(!took_lockstep(&polling.run().expect("drains")), "polling");
     // Stepped, then run.
     let mut stepped = p.fabric(&p.cfg());
     stepped.step().expect("steps");
