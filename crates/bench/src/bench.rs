@@ -395,7 +395,8 @@ fn bench_kernels(scale: Scale) -> Vec<KernelBench> {
 }
 
 /// The large tier's kernel list: deep-K shapes with long per-output MAC
-/// bursts (`K / rows` dmem words per column visit), while one per-PE run
+/// bursts (`K / g` dmem words per column visit at row-group height `g`,
+/// `g = rows` for the scratchpad SpMM cells), while one per-PE run
 /// stays under about a second of host time at 64×64. Every `K` is a
 /// multiple of 128 and every `N` a multiple of `cols·LANES`, so the shapes
 /// map at both large geometries.
@@ -539,9 +540,9 @@ pub fn golden_spmm_fabric() -> Fabric {
     let mut rng = gen::seeded_rng(7);
     let a = gen::skewed_sparse(24, 32, 0.55, 1.5, &mut rng);
     let b = Dense::random(32, 32, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows).expect("stream split");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("stream split");
     let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         fabric.set_program(r, SpmmFsm::new(16, 24));
@@ -562,9 +563,9 @@ pub fn golden_trace_fabric() -> Fabric {
     let mut rng = gen::seeded_rng(7);
     let a = gen::skewed_sparse(24, 32, 0.55, 1.5, &mut rng);
     let b = Dense::random(32, 32, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows).expect("stream split");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("stream split");
     let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         fabric.set_program(r, SpmmFsm::new(1, 24));

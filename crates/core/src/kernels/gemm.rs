@@ -13,6 +13,32 @@
 //! is no need of workload balancing with scratchpad", and the psum is flushed
 //! to the next row after every group — which is precisely the register-mode
 //! flush-on-row-end behaviour with the structured stream.
+//!
+//! ## Row-group fold
+//!
+//! [`RegAccFsm`] bypasses every upstream psum south, so the bottom PE row
+//! relays one psum per (flushing row, owned output row) pair above it. With
+//! `K` split across all `rows` that is about `m·rows` relays against only
+//! `m·K/rows` MACs to carry them, and large fabrics turn relay-bound. The
+//! mapping therefore folds `M` across row groups: the rows split into
+//! `G = rows/g` groups of `g` consecutive rows, group `i` owns the output
+//! rows `m ≡ i (mod G)`, and inside a group `K` splits `g` ways (the streams
+//! of [`build_row_streams`], the replicated `B` of [`preload_b_tile`]). The
+//! bottom row then relays `m·g − ⌈m/G⌉` psums, riding them on its
+//! `≈ nnz/rows` MACs, and flushes `⌈m/G⌉` times itself, so
+//!
+//! ```text
+//! cycles ≈ max(nnz/rows, m·g − ⌈m/G⌉) + ⌈m/G⌉
+//! ```
+//!
+//! [`pick_fold`] minimises this over the legal heights [`fold_candidates`]
+//! (powers of two dividing `rows`, plus `rows`, with `K % g == 0`,
+//! `K/g ≤ dmem_words` and `G ≤ m`), taking the larger `g` on a tie because
+//! it replicates `B` less. `g = rows` is the unfolded layout the scratchpad
+//! SpMM mapping uses; it stays one candidate, not a second code path.
+//!
+//! [`build_row_streams`]: crate::kernels::spmm::build_row_streams
+//! [`preload_b_tile`]: crate::kernels::spmm::preload_b_tile
 
 use crate::config::CanonConfig;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector};
@@ -140,6 +166,42 @@ impl OrchProgram for RegAccFsm {
     }
 }
 
+/// The row-group heights the register-accumulation mapping may fold an
+/// `m × k` operand into on `cfg` (ascending): powers of two dividing
+/// `cfg.rows`, plus `cfg.rows` itself, such that `k` splits evenly, each
+/// K-segment fits in data memory, and every group owns at least one output
+/// row. Empty when no height is legal.
+pub fn fold_candidates(cfg: &CanonConfig, m: usize, k: usize) -> Vec<usize> {
+    let rows = cfg.rows;
+    let mut heights: Vec<usize> = std::iter::successors(Some(1usize), |g| Some(g * 2))
+        .take_while(|&g| g < rows)
+        .filter(|&g| rows.is_multiple_of(g))
+        .collect();
+    heights.push(rows);
+    heights.retain(|&g| g > 0 && k.is_multiple_of(g) && k / g <= cfg.dmem_words && rows / g <= m);
+    heights
+}
+
+/// The fold cost model's predicted bottom-row cycles at height `g` (see the
+/// module docs): `max(nnz/rows, m·g − ⌈m/G⌉) + ⌈m/G⌉` with `G = rows/g`.
+fn fold_cost(rows: usize, m: usize, nnz: usize, g: usize) -> usize {
+    let owned = m.div_ceil(rows / g);
+    nnz.div_ceil(rows).max(m * g - owned) + owned
+}
+
+/// The row-group height the register-accumulation mapping runs an `m × k`
+/// operand with `nnz` streamed elements at: the [`fold_candidates`] entry of
+/// least predicted cycles (see the module docs), the larger height on a
+/// tie. Falls back to `cfg.rows` (the unfolded layout, whose mapping errors
+/// then describe the violated constraint) when no height is legal.
+pub fn pick_fold(cfg: &CanonConfig, m: usize, k: usize, nnz: usize) -> usize {
+    fold_candidates(cfg, m, k)
+        .into_iter()
+        .rev()
+        .min_by_key(|&g| fold_cost(cfg.rows, m, nnz, g))
+        .unwrap_or(cfg.rows)
+}
+
 /// Converts a dense matrix into a "dense CSR" that keeps explicit zeros, so
 /// that the data-agnostic GEMM stream contains every element (no sparsity
 /// exploitation — GEMM is the regular-workload reference point).
@@ -152,7 +214,9 @@ pub fn dense_as_full_csr(a: &Dense) -> CsrMatrix {
     CsrMatrix::new(m, k, row_ptr, col_idx, values).expect("dense CSR structure is valid")
 }
 
-/// Runs dense GEMM (`C = A × B`) on the Canon fabric.
+/// Runs dense GEMM (`C = A × B`) on the Canon fabric: the full stream under
+/// the register-accumulation mapping at the row-group fold [`pick_fold`]
+/// chooses.
 ///
 /// # Errors
 ///
@@ -213,6 +277,29 @@ mod tests {
         let out = run_gemm(&CanonConfig::default(), &a, &b).unwrap();
         let util = out.report.compute_utilization();
         assert!(util > 0.75, "dense GEMM utilization {util} too low");
+    }
+
+    #[test]
+    fn fold_pick_follows_the_cost_model() {
+        let cfg = |rows, dmem_words| CanonConfig {
+            dmem_words,
+            ..CanonConfig::default().with_geometry(rows, rows)
+        };
+        // Relay-bound: the smallest legal group wins.
+        assert_eq!(
+            fold_candidates(&cfg(64, 1024), 256, 256),
+            [1, 2, 4, 8, 16, 32, 64]
+        );
+        assert_eq!(pick_fold(&cfg(64, 1024), 256, 256, 256 * 256), 1);
+        // MAC-bound with a full data memory: only the unfolded layout fits.
+        assert_eq!(fold_candidates(&cfg(64, 8192), 2, 524_288), [64]);
+        // Two output rows allow at most two groups; K/g must fit in 64 words.
+        assert_eq!(fold_candidates(&cfg(8, 64), 2, 256), [4, 8]);
+        // One output row leaves nothing to fold.
+        assert_eq!(pick_fold(&cfg(8, 1024), 1, 64, 64), 8);
+        // No legal height: the unfolded layout, whose errors explain why.
+        assert_eq!(fold_candidates(&cfg(8, 1024), 4, 9), Vec::<usize>::new());
+        assert_eq!(pick_fold(&cfg(8, 1024), 4, 9, 36), 8);
     }
 
     #[test]

@@ -327,9 +327,11 @@ mod tests {
     }
 
     /// The per-PE layout `spmm::preload_b_tile` wrote through
-    /// `MemMut::preload` before the slab-order writer: PE `(r, c)` word `i`
-    /// is `B[rH + i][base + cL ..][..L]`, zero past either edge of `B`.
-    fn per_pe_b_tile(fabric: &mut Fabric, b: &Dense, h: usize, tile_base: usize) {
+    /// `MemMut::preload` before the slab-order writer, under the row-group
+    /// fold of height `group`: PE `(r, c)` word `i` is
+    /// `B[(r mod group)·H + i][base + cL ..][..L]`, zero past either edge of
+    /// `B`.
+    fn per_pe_b_tile(fabric: &mut Fabric, b: &Dense, h: usize, group: usize, tile_base: usize) {
         let cfg = fabric.config().clone();
         for r in 0..cfg.rows {
             for c in 0..cfg.cols {
@@ -337,7 +339,9 @@ mod tests {
                     .map(|i| {
                         let mut lanes = [0; LANES];
                         for (l, lane) in lanes.iter_mut().enumerate() {
-                            *lane = b.get(r * h + i, tile_base + c * LANES + l).unwrap_or(0);
+                            *lane = b
+                                .get((r % group) * h + i, tile_base + c * LANES + l)
+                                .unwrap_or(0);
                         }
                         Vector(lanes)
                     })
@@ -425,15 +429,18 @@ mod tests {
             let h = cfg.dmem_words / 2 + 1;
             let k = cfg.rows * h;
             // Two whole tiles plus a ragged third (N not a multiple of the
-            // tile width), and a B with fewer rows than rows·h.
+            // tile width), and a B with fewer rows than rows·h; unfolded and
+            // folded (B replicated per row group) layouts.
             for (n, b_rows) in [(2 * tile_n + 3, k), (tile_n - 1, k - 5)] {
                 let b = Dense::random(b_rows, n, &mut rng);
-                for tile_base in (0..n).step_by(tile_n) {
-                    let mut bulk = dirty_fabric(&cfg, false);
-                    let mut per_pe = dirty_fabric(&cfg, false);
-                    spmm::preload_b_tile(&mut bulk, &b, h, tile_base).unwrap();
-                    per_pe_b_tile(&mut per_pe, &b, h, tile_base);
-                    assert_same_dmem(&bulk, &per_pe);
+                for group in [cfg.rows, cfg.rows / 2, 1] {
+                    for tile_base in (0..n).step_by(tile_n) {
+                        let mut bulk = dirty_fabric(&cfg, false);
+                        let mut per_pe = dirty_fabric(&cfg, false);
+                        spmm::preload_b_tile(&mut bulk, &b, h, group, tile_base).unwrap();
+                        per_pe_b_tile(&mut per_pe, &b, h, group, tile_base);
+                        assert_same_dmem(&bulk, &per_pe);
+                    }
                 }
             }
         }
@@ -461,7 +468,7 @@ mod tests {
         let mut fabric = Fabric::new(&cfg, false);
         let b = Dense::zeros(cfg.rows * (cfg.dmem_words + 1), 8);
         assert!(matches!(
-            spmm::preload_b_tile(&mut fabric, &b, cfg.dmem_words + 1, 0),
+            spmm::preload_b_tile(&mut fabric, &b, cfg.dmem_words + 1, cfg.rows, 0),
             Err(SimError::Mapping { .. })
         ));
     }

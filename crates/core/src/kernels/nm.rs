@@ -7,6 +7,11 @@
 //! to the next row of PEs for every N elements processed." Canon supports
 //! *any* N:M ratio with the same mapping — unlike the 2:4 systolic baseline,
 //! which is hard-wired to one ratio.
+//!
+//! The register-accumulation mapping is the one dense GEMM uses, row-group
+//! fold included: [`pick_fold`](super::gemm::pick_fold) chooses the group
+//! height from the structured stream's `nnz` (fewer MACs per row leave
+//! fewer slots for the psum relays to ride on).
 
 use crate::config::CanonConfig;
 use crate::kernels::spmm::{run_spmm, SpmmMapping, SpmmOutput};
@@ -44,9 +49,9 @@ pub fn check_nm_structure(a: &CsrMatrix, n: usize, m_group: usize) -> Result<(),
     Ok(())
 }
 
-/// Runs N:M structured SpMM on Canon. The mapping is identical to SpMM but
-/// uses register accumulation (no scratchpad window), exploiting the
-/// compile-time-known balance.
+/// Runs N:M structured SpMM on Canon. The mapping is SpMM's register
+/// accumulation (no scratchpad window) under the cost model's row-group
+/// fold, exploiting the compile-time-known balance.
 ///
 /// # Errors
 ///

@@ -17,6 +17,10 @@
 //!   southern row either accumulates them (in-window: Fig 8 path 1.1) or
 //!   bypasses them further south (out-of-window: path 1.2). Fragments exiting
 //!   the bottom edge are summed by the collector (Listing 3's second loop).
+//!
+//! The register-accumulation mode (`use_scratchpad: false`, the GEMM / N:M
+//! mapping) reuses these streams and this preload under a row-group fold:
+//! see [`build_row_streams`] and the [`gemm`](super::gemm) module docs.
 
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
@@ -303,28 +307,51 @@ pub struct SpmmOutput {
     pub report: RunReport,
 }
 
-/// Builds the per-row meta streams for a sparse operand: row `r` receives
-/// the non-zeros with columns in `[rH, (r+1)H)` (column indices localised),
-/// one `RowEnd` per output row, and a final `End`.
-pub fn build_row_streams(a: &CsrMatrix, rows: usize) -> Result<Vec<Vec<MetaToken>>, SimError> {
+/// Builds the per-row meta streams for a sparse operand under the row-group
+/// fold of height `group` (see the [`gemm`](super::gemm) module docs).
+///
+/// The `rows` PE rows split into `G = rows / group` groups of `group`
+/// consecutive rows; group `i` owns the output rows `m ≡ i (mod G)`. Inside
+/// a group, `K` splits `group` ways into segments of `H = K / group`: row `r`
+/// receives the non-zeros of its owned output rows with columns in
+/// `[(r mod group)·H, (r mod group + 1)·H)` (column indices localised), one
+/// `RowEnd` per owned output row, and a final `End`. `group == rows` is the
+/// unfolded layout — every row owns every output row and holds one `K/rows`
+/// segment — which the scratchpad SpMM mapping always uses.
+///
+/// # Errors
+///
+/// Returns [`SimError::Mapping`] unless `group` divides both `rows` and `K`.
+pub fn build_row_streams(
+    a: &CsrMatrix,
+    rows: usize,
+    group: usize,
+) -> Result<Vec<Vec<MetaToken>>, SimError> {
     let k = a.cols();
-    if !k.is_multiple_of(rows) {
+    if group == 0 || !rows.is_multiple_of(group) {
         return Err(SimError::Mapping {
-            reason: format!("K = {k} must be a multiple of the row count {rows}"),
+            reason: format!("row group {group} must divide the row count {rows}"),
         });
     }
-    let h = k / rows;
+    if !k.is_multiple_of(group) {
+        return Err(SimError::Mapping {
+            reason: format!("K = {k} must be a multiple of the row group {group} (of {rows} rows)"),
+        });
+    }
+    let h = k / group;
+    let groups = rows / group;
     let mut streams: Vec<Vec<MetaToken>> = vec![Vec::new(); rows];
     for m in 0..a.rows() {
+        let owners = &mut streams[(m % groups) * group..][..group];
         for (c, v) in a.row_iter(m) {
-            let r = c / h;
-            streams[r].push(MetaToken::Nnz {
+            let seg = c / h;
+            owners[seg].push(MetaToken::Nnz {
                 row: m as u32,
-                col: (c - r * h) as u32,
+                col: (c - seg * h) as u32,
                 value: v,
             });
         }
-        for s in streams.iter_mut() {
+        for s in owners.iter_mut() {
             s.push(MetaToken::RowEnd { row: m as u32 });
         }
     }
@@ -334,11 +361,13 @@ pub fn build_row_streams(a: &CsrMatrix, rows: usize) -> Result<Vec<Vec<MetaToken
     Ok(streams)
 }
 
-/// Preloads the `B` tile for column tile `tile` into every PE's data memory.
-/// PE `(r, c)` receives `B[rH + i][base + cL .. base + (c+1)L]` at word `i`
-/// (lanes past `N`, and rows past `K`, read as zero). Word `i` of PE row `r`
-/// is one contiguous run of `B` row `rH + i`, so the tile is copied in slab
-/// order, one `n`-wide data-memory row per word.
+/// Preloads the `B` tile for column tile `tile` into every PE's data memory
+/// under the row-group fold of height `group` (see [`build_row_streams`]).
+/// PE `(r, c)` receives `B[(r mod group)·h + i][base + cL .. base + (c+1)L]`
+/// at word `i` (lanes past `N`, and rows past `K`, read as zero), so each
+/// row group holds its own copy of the tile. Word `i` of PE row `r` is one
+/// contiguous run of one `B` row, so the tile is copied in slab order, one
+/// `n`-wide data-memory row per word.
 ///
 /// # Errors
 ///
@@ -347,6 +376,7 @@ pub fn preload_b_tile(
     fabric: &mut Fabric,
     b: &Dense,
     h: usize,
+    group: usize,
     tile_base: usize,
 ) -> Result<(), SimError> {
     let dmem_words = fabric.config().dmem_words;
@@ -355,7 +385,7 @@ pub fn preload_b_tile(
             reason: format!("K-segment of {h} rows exceeds data memory ({dmem_words} words)"),
         });
     }
-    super::preload_stationary(fabric, h, |i, r| match r * h + i {
+    super::preload_stationary(fabric, h, |i, r| match (r % group) * h + i {
         brow if brow < b.rows() => b.row(brow).get(tile_base..).unwrap_or(&[]),
         _ => &[],
     });
@@ -364,16 +394,44 @@ pub fn preload_b_tile(
 
 /// Runs SpMM (`C = A × B`) on the Canon fabric, tiling over output columns.
 ///
+/// The scratchpad mapping uses the unfolded layout (row group = `cfg.rows`);
+/// the register-accumulation mapping folds output rows across row groups
+/// whose height [`pick_fold`](super::gemm::pick_fold) chooses per shape.
+///
 /// # Errors
 ///
 /// Returns [`SimError::Mapping`] when shapes violate the mapping constraints
-/// (`K` must be a multiple of `cfg.rows`, and the K-segment must fit in data
-/// memory), and propagates simulation protocol errors.
+/// (`K` must be a multiple of the row-group height, and the K-segment must
+/// fit in data memory), and propagates simulation protocol errors.
 pub fn run_spmm(
     cfg: &CanonConfig,
     mapping: &SpmmMapping,
     a: &CsrMatrix,
     b: &Dense,
+) -> Result<SpmmOutput, SimError> {
+    let group = if mapping.use_scratchpad {
+        cfg.rows
+    } else {
+        super::gemm::pick_fold(cfg, a.rows(), a.cols(), a.nnz())
+    };
+    run_spmm_folded(cfg, mapping, a, b, group)
+}
+
+/// [`run_spmm`] at an explicit row-group height `group` (see
+/// [`build_row_streams`]) instead of the cost model's pick — the hook the
+/// mapping-invariant tests use to brute-force every legal fold.
+///
+/// # Errors
+///
+/// As [`run_spmm`]; additionally rejects a folded layout
+/// (`group != cfg.rows`) under the scratchpad window, whose FSM tracks
+/// consecutive output-row ids.
+pub fn run_spmm_folded(
+    cfg: &CanonConfig,
+    mapping: &SpmmMapping,
+    a: &CsrMatrix,
+    b: &Dense,
+    group: usize,
 ) -> Result<SpmmOutput, SimError> {
     if a.cols() != b.rows() {
         return Err(SimError::Mapping {
@@ -386,18 +444,21 @@ pub fn run_spmm(
             ),
         });
     }
+    if mapping.use_scratchpad && group != cfg.rows {
+        return Err(SimError::Mapping {
+            reason: format!(
+                "the scratchpad window needs the unfolded layout (row group {group} != rows = {})",
+                cfg.rows
+            ),
+        });
+    }
     let m = a.rows();
     let n = b.cols();
     let k = a.cols();
-    if !k.is_multiple_of(cfg.rows) {
-        return Err(SimError::Mapping {
-            reason: format!("K = {k} must be a multiple of rows = {}", cfg.rows),
-        });
-    }
-    let h = k / cfg.rows;
+    let streams = build_row_streams(a, cfg.rows, group)?;
+    let h = k / group;
     let tile_n = cfg.cols * LANES;
     let tiles = n.div_ceil(tile_n);
-    let streams = build_row_streams(a, cfg.rows)?;
     let depth = mapping.spad_depth.min(cfg.spad_entries).max(1);
 
     let mut result = Dense::zeros(m, n);
@@ -405,7 +466,7 @@ pub fn run_spmm(
     for t in 0..tiles {
         let tile_base = t * tile_n;
         let mut fabric = crate::pool::acquire(cfg, false);
-        preload_b_tile(&mut fabric, b, h, tile_base)?;
+        preload_b_tile(&mut fabric, b, h, group, tile_base)?;
         for r in 0..cfg.rows {
             fabric.set_meta_stream(r, streams[r].clone());
             if mapping.use_scratchpad {
@@ -433,11 +494,12 @@ pub fn run_spmm(
             }
         }
         // Off-chip traffic: each B tile is loaded once (k·tile_cols bytes,
-        // totalling k·n across tiles); the streamed A is fetched from DRAM
-        // once and replayed across column tiles from the edge stream buffers
-        // (Table 1's 288 KB includes them), costing 1 B per value, 1 B per
-        // coordinate when the stream is sparse, and 1 B per row-end token;
-        // C is written out once.
+        // totalling k·n across tiles) — a folded layout's per-group copies
+        // are one broadcast read, and preload writes stay uncounted; the
+        // streamed A is fetched from DRAM once and replayed across column
+        // tiles from the edge stream buffers (Table 1's 288 KB includes
+        // them), costing 1 B per value, 1 B per coordinate when the stream
+        // is sparse, and 1 B per row-end token; C is written out once.
         let tile_cols = tile_n.min(n - tile_base);
         fabric.add_offchip_read_bytes((k * tile_cols) as u64);
         if t == 0 {

@@ -517,24 +517,19 @@ pub fn regacc_fsm_spec(m_total: usize) -> FsmSpec {
         use_imm: true,
         ..MicroOp::NOP
     };
+    // The flush tags the collector entry and the PSUM message with the row
+    // the RowEnd token closes: under the row-group fold a row owns every
+    // G-th output row, so the ids are not a 0, 1, 2, … sequence a counter
+    // could track.
     let flush = MicroOp {
         state_out: state::FLUSH,
         op: Opcode::MovFlush,
         op1: AddrSel::Reg0,
         res: AddrSel::PortSouth,
         tag: TagSel::InputRow,
-        msg: MsgSel::PsumMsgRid, // placeholder, fixed below
+        msg: MsgSel::PsumInputRow,
         consume_input: true,
         ..MicroOp::NOP
-    };
-    // The flush message announces the row id just completed (input row).
-    // The LUT datapath exposes PSUM(meta0) and PSUM(msg_rid); reuse meta0 by
-    // tracking the current row id in meta0: increment it at every row end.
-    let flush = MicroOp {
-        msg: MsgSel::PsumMeta0,
-        meta0: MetaUpdate::Inc,
-        tag: TagSel::Meta0,
-        ..flush
     };
     let bypass_mac = MicroOp {
         route: RouteSel::NorthToSouth,

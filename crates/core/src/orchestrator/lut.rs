@@ -221,6 +221,9 @@ pub enum MsgSel {
     PsumMeta0 = 1,
     /// `PSUM(msg_rid)` — bypass relay.
     PsumMsgRid = 2,
+    /// `PSUM(input_row)` — flush notification for the row the input token
+    /// ends.
+    PsumInputRow = 3,
 }
 
 /// Collector-tag selector (2 bits).
@@ -394,11 +397,7 @@ impl MicroOp {
             0 => MsgSel::None,
             1 => MsgSel::PsumMeta0,
             2 => MsgSel::PsumMsgRid,
-            other => {
-                return Err(SimError::BadMicrocode {
-                    reason: format!("invalid message selector {other}"),
-                })
-            }
+            _ => MsgSel::PsumInputRow,
         };
         let tag = match get(2) {
             0 => TagSel::Zero,
@@ -660,6 +659,10 @@ impl LutProgram {
             MsgSel::PsumMsgRid => Some(OrchMessage {
                 id: msg_id::PSUM,
                 rid: inp.msg_rid,
+            }),
+            MsgSel::PsumInputRow => Some(OrchMessage {
+                id: msg_id::PSUM,
+                rid: inp.input_row,
             }),
         };
         // Note: msg generation reads meta0 *before* the update, matching the

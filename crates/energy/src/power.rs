@@ -45,6 +45,13 @@ impl EnergyBreakdown {
 
 /// Energy of a Canon fabric run, split per Fig 11's categories
 /// (data memory, scratchpad read/write, compute, control & routing).
+///
+/// The `dram` component prices the off-chip bytes the kernel mappers
+/// record. A stationary operand is one read per column tile even when the
+/// mapping replicates it on chip — the GEMM / N:M row-group fold copies the
+/// `B` tile into every row group, and that counts as one broadcast read of
+/// `k·tile_cols` bytes, as the unfolded layout does. Preload writes into
+/// the data memories are uncounted, like the EDDO memory movers they model.
 pub fn canon_energy(report: &RunReport) -> EnergyBreakdown {
     let s = &report.stats;
     let dmem = s.dmem_reads as f64 * e::DMEM_READ + s.dmem_writes as f64 * e::DMEM_WRITE;

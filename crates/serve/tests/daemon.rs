@@ -185,8 +185,9 @@ fn duplicate_inflight_submits_coalesce_to_one_simulation() {
         ..opts_for(&dir)
     });
 
-    // ~150 ms in flight: long enough for the duplicate to join it.
-    let cell = slow_cell("first", "SpMM-2:4", 150);
+    // ~150 ms in flight: long enough for the duplicate to join it. The
+    // cell (392 cycles at this scale) runs past its 150-cycle budget.
+    let cell = slow_cell("first", "SDDMM-Win2", 150);
     let mut dup = cell.clone();
     dup.id = "second".into();
 

@@ -1,11 +1,11 @@
 //! The parallel sweep driver.
 //!
-//! [`run_sweep`] fans a [`ScenarioGrid`] out over a work-stealing pool of
-//! `std` scoped threads: cells are dealt into per-worker deques in
-//! contiguous blocks, a worker drains its own deque from the front and
-//! steals from the back of its neighbours' when empty — cheap cells (cache
-//! probes, unsupported architectures, small shapes) never leave a thread
-//! idle while a large Canon simulation finishes elsewhere.
+//! [`run_sweep`] fans a [`ScenarioGrid`] out over a pool of `std` scoped
+//! threads that take cells from one shared cursor, longest first: Canon
+//! tensor cells by descending `useful_macs`, then every other cell in grid
+//! order. The most expensive simulation starts at once instead of landing
+//! last on one worker, and the cheap cells (baseline models, unsupported
+//! architectures, loop nests) fill the other workers' tails.
 //!
 //! Results are written back by *scenario index*, so the record order — and
 //! therefore the JSONL file the store rewrites — is byte-identical whatever
@@ -44,10 +44,12 @@ use crate::store::{
 };
 use canon_core::fault::{FaultAction, FaultPlan};
 use canon_core::{CanonConfig, SimError};
-use std::collections::VecDeque;
+use canon_energy::Arch;
+use canon_workloads::Workload;
+use std::cmp::Reverse;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// Sweep execution options.
@@ -333,6 +335,21 @@ pub fn execute_cell(
     (rec, attempt as u64)
 }
 
+/// The dispatch order of the scenario indices `cells`: Canon tensor cells
+/// by descending `useful_macs` (the estimate of their simulation cost),
+/// then every other cell. The sort is stable, so ties and the tail keep
+/// grid order.
+fn longest_first(grid: &ScenarioGrid, mut cells: Vec<usize>) -> Vec<usize> {
+    cells.sort_by_key(|&i| {
+        let s = &grid.scenarios[i];
+        match (&s.arch, &s.op) {
+            (Arch::Canon, Workload::Tensor(op)) => (false, Reverse(op.useful_macs())),
+            _ => (true, Reverse(0)),
+        }
+    });
+    cells
+}
+
 /// Runs the grid, consulting, journaling into, and finally rewriting
 /// `store`.
 ///
@@ -382,13 +399,8 @@ pub fn run_sweep(
     let cache_hits = slots.len() - misses.len();
 
     let jobs = opts.jobs.clamp(1, misses.len().max(1));
-    // Contiguous deal: worker w owns a block of neighbouring cells, which
-    // share operands and shapes, so stealing (from the back) tends to move
-    // whole foreign cells rather than interleave one cell's architectures.
-    let queues: Vec<Mutex<VecDeque<usize>>> = misses
-        .chunks(misses.len().div_ceil(jobs).max(1))
-        .map(|chunk| Mutex::new(chunk.iter().copied().collect()))
-        .collect();
+    let order = longest_first(grid, misses);
+    let cursor = AtomicUsize::new(0);
     let executed = AtomicUsize::new(0);
     let retries_total = std::sync::atomic::AtomicU64::new(0);
     // Stop-taking-new-cells flag: set by the caller's shutdown handle
@@ -403,9 +415,10 @@ pub fn run_sweep(
     };
     // One operand cache for the whole sweep: the architectures of a cell
     // (and the same cell at other geometries) share materialized inputs.
-    // Sized with the worker count — each worker drains its own contiguous
-    // chunk with a distinct (op, seed), so capacity must comfortably cover
-    // the keys live across all workers or the FIFO thrashes.
+    // The Canon cells run first, so the baselines re-use their operands
+    // only if the FIFO holds every (op, seed) of the grid: one geometry of
+    // the standard grid has 14, and the capacity grows with the worker
+    // count for the keys in flight.
     let cache = OperandCache::with_capacity(16.max(2 * jobs));
 
     let wall_start = std::time::Instant::now();
@@ -418,13 +431,13 @@ pub fn run_sweep(
     let mut journal_error: Option<io::Error> = None;
     let mut sim_cycles: u64 = 0;
     std::thread::scope(|scope| {
-        if opts.progress && !misses.is_empty() {
+        if opts.progress && !order.is_empty() {
             // Progress monitor: one line on stderr, rewritten in place, with
             // the throughput numbers a long sweep is usually watched for.
             let executed = &executed;
             let finished = &finished;
             let cache = &cache;
-            let total = misses.len();
+            let total = order.len();
             scope.spawn(move || loop {
                 let done = executed.load(Ordering::Relaxed);
                 let secs = wall_start.elapsed().as_secs_f64();
@@ -451,8 +464,8 @@ pub fn run_sweep(
                 std::thread::sleep(Duration::from_millis(200));
             });
         }
-        for w in 0..queues.len() {
-            let queues = &queues;
+        for _ in 0..jobs {
+            let (order, cursor) = (&order, &cursor);
             let keys = &keys;
             let executed = &executed;
             let retries_total = &retries_total;
@@ -470,15 +483,9 @@ pub fn run_sweep(
                     if stop_requested() {
                         break;
                     }
-                    // Own deque first (front), then steal from the back
-                    // of the first non-empty victim. The own-queue guard
-                    // is dropped before any victim lock is taken.
-                    let own = queues[w].lock().unwrap().pop_front();
-                    let task = own.or_else(|| {
-                        (1..queues.len())
-                            .find_map(|d| queues[(w + d) % queues.len()].lock().unwrap().pop_back())
-                    });
-                    let Some(idx) = task else { break };
+                    let Some(&idx) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
                     let scenario = &grid.scenarios[idx];
                     let cfg = opts.cell_cfg(idx);
                     let (rec, retries) =
@@ -639,6 +646,25 @@ mod tests {
         assert_eq!(second.stats.executed, 0);
         assert_eq!(second.stats.cache_hits, grid.scenarios.len());
         assert_eq!(second.records, first.records);
+    }
+
+    #[test]
+    fn dispatch_is_longest_canon_cell_first() {
+        let grid = tiny_grid();
+        let order = longest_first(&grid, (0..grid.scenarios.len()).collect());
+        let canon: Vec<usize> = order
+            .iter()
+            .copied()
+            .take_while(|&i| grid.scenarios[i].arch == canon_energy::Arch::Canon)
+            .collect();
+        // GEMM (32·32·32 MACs) before the sparse SpMM cell.
+        assert_eq!(canon.len(), 2);
+        let macs = |i: usize| grid.scenarios[i].op.useful_macs();
+        assert!(macs(canon[0]) > macs(canon[1]));
+        // The other architectures follow in grid order.
+        let rest = &order[canon.len()..];
+        assert!(rest.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(rest.len(), grid.scenarios.len() - 2);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   Canon and the four baseline simulators, replacing per-figure dispatch
 //!   (loop nests on the tensor-only baselines surface as `Unsupported`, the
 //!   figures' `X` cells);
-//! * [`engine`] — a work-stealing thread-pool driver over `std` scoped
-//!   threads; output ordering is deterministic regardless of completion
+//! * [`engine`] — a thread-pool driver over `std` scoped threads that
+//!   dispatches the costliest cells first; output ordering is deterministic regardless of completion
 //!   order, so equal grids produce byte-identical result files at any
 //!   thread count. Cells execute under `catch_unwind` with per-cell
 //!   wall-clock/cycle budgets and bounded transient retry, so panics,

@@ -30,8 +30,10 @@ use std::path::{Path, PathBuf};
 /// (iso-MAC) baselines. `v3`: SDDMM auto-pads K to the next `cols·lanes`
 /// multiple — cells that previously cached mapping-error records now
 /// simulate (results of previously-succeeding cells are unchanged, but the
-/// error records must not be served from stale stores).
-pub const CODE_SALT: &str = "canon-sweep-v3";
+/// error records must not be served from stale stores). `v4`: the GEMM /
+/// N:M register-accumulation mapping folds output rows across PE row
+/// groups, which changes those cells' cycles and activity counts.
+pub const CODE_SALT: &str = "canon-sweep-v4";
 
 /// Stored-record schema version (`2` added the explicit `salt` field and
 /// the loop-workload descriptors).

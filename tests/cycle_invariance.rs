@@ -8,7 +8,9 @@
 //! shape, plus one fabric-level run whose full south-collector sequence
 //! (tag, lane, exit cycle, payload) is fingerprinted. Any divergence in
 //! cycle counts, activity counters, results, or collector sequences fails
-//! this suite.
+//! this suite. A deliberate model change re-pins the constants it moves
+//! (the GEMM golden's cycles and traffic moved with the row-group fold of
+//! the register-accumulation mapping; its result fingerprint did not).
 
 use canon::arch::kernels::{run_kernel, KernelOutput};
 use canon::arch::CanonConfig;
@@ -79,10 +81,11 @@ fn gemm_golden_cycles_and_result() {
             n: 32,
         },
         seed: 11,
-        cycles: 344,
-        instrs: 14152,
+        // Register accumulation at row-group fold g = 1 on this shape.
+        cycles: 169,
+        instrs: 8736,
         macs: 8192,
-        noc_hops: 9216,
+        noc_hops: 1152,
         stalls: 0,
         result_fp: 0x17ce2c8a6b0d0c57,
     });

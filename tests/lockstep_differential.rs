@@ -93,8 +93,8 @@ impl Problem {
         let mut rng = gen::seeded_rng(self.seed);
         let a = gen::skewed_sparse(self.m, k, self.sparsity, 2.0, &mut rng);
         let b = Dense::random(k, self.cols * 4, &mut rng);
-        let streams = build_row_streams(&a, self.rows).expect("K is a multiple of rows");
-        preload_b_tile(fabric, &b, k / self.rows, 0).expect("tile fits");
+        let streams = build_row_streams(&a, self.rows, self.rows).expect("K is a multiple of rows");
+        preload_b_tile(fabric, &b, k / self.rows, self.rows, 0).expect("tile fits");
         for (r, stream) in streams.into_iter().enumerate() {
             fabric.set_meta_stream(r, stream);
             let regacc = r < self.regacc_rows;
@@ -458,8 +458,9 @@ fn gemm_64x64_large_tier_golden() {
             ..CanonConfig::default().with_geometry(64, 64)
         };
         let out = run_kernel(&cfg, &input).expect("large GEMM maps");
+        // Register accumulation at row-group fold g = 16 on this shape.
         assert_eq!(
-            out.report.cycles, 2373,
+            out.report.cycles, 2367,
             "cycle count drifted (replay={replay})"
         );
         assert_eq!(out.report.stats.mac_instrs, 8_388_608);

@@ -2,7 +2,7 @@
 //! assembled from the symbolic SpMM microcode) must be cycle-identical to
 //! the native Rust FSM on the full fabric.
 
-use canon::arch::kernels::spmm::{run_spmm, OrchKind, SpmmMapping};
+use canon::arch::kernels::spmm::{run_spmm, run_spmm_folded, OrchKind, SpmmMapping};
 use canon::arch::CanonConfig;
 use canon::sparse::{gen, reference, Dense};
 
@@ -75,31 +75,64 @@ fn lut_matches_native_across_seeds() {
     }
 }
 
-fn compare_regacc(seed: u64, m: usize, k: usize, n: usize, sparsity: f64) {
+/// Diffs the native register-accumulation FSM against its LUT twin at row
+/// group `group` (the cost model's pick when `None`) on `cfg`.
+fn compare_regacc(
+    cfg: &CanonConfig,
+    seed: u64,
+    (m, k, n): (usize, usize, usize),
+    sparsity: f64,
+    group: Option<usize>,
+) {
     let mut rng = gen::seeded_rng(seed);
     let a = gen::random_sparse(m, k, sparsity, &mut rng);
     let b = Dense::random(k, n, &mut rng);
-    let cfg = CanonConfig::default();
-    let mk = |kind| SpmmMapping {
-        spad_depth: 1,
-        use_scratchpad: false,
-        orchestrator: kind,
+    let run = |kind| {
+        let mapping = SpmmMapping {
+            spad_depth: 1,
+            use_scratchpad: false,
+            orchestrator: kind,
+        };
+        match group {
+            Some(g) => run_spmm_folded(cfg, &mapping, &a, &b, g),
+            None => run_spmm(cfg, &mapping, &a, &b),
+        }
+        .unwrap()
     };
-    let native = run_spmm(&cfg, &mk(OrchKind::Native), &a, &b).unwrap();
-    let lut = run_spmm(&cfg, &mk(OrchKind::Lut), &a, &b).unwrap();
+    let native = run(OrchKind::Native);
+    let lut = run(OrchKind::Lut);
     assert_eq!(native.result, reference::spmm(&a, &b));
     assert_eq!(lut.result, native.result);
     assert_eq!(
         native.report.cycles, lut.report.cycles,
-        "register-mode LUT path must be cycle-identical (seed {seed})"
+        "register-mode LUT path must be cycle-identical (seed {seed}, group {group:?})"
     );
     assert_eq!(native.report.stats.noc_hops, lut.report.stats.noc_hops);
+    assert_eq!(
+        native.report.stats.orch_messages,
+        lut.report.stats.orch_messages
+    );
 }
 
 #[test]
 fn regacc_lut_matches_native_structured() {
     // The GEMM / N:M register-accumulation microcode through the bitstream.
-    compare_regacc(30, 24, 32, 32, 0.0); // dense
-    compare_regacc(31, 32, 64, 32, 0.5);
-    compare_regacc(32, 40, 32, 40, 0.8);
+    let cfg = CanonConfig::default();
+    compare_regacc(&cfg, 30, (24, 32, 32), 0.0, None); // dense
+    compare_regacc(&cfg, 31, (32, 64, 32), 0.5, None);
+    compare_regacc(&cfg, 32, (40, 32, 40), 0.8, None);
+}
+
+#[test]
+fn regacc_lut_matches_native_folded() {
+    // Row groups below `rows`: each row flushes every G-th output row, so
+    // the flush must carry the RowEnd token's row, not a running count.
+    let cfg = CanonConfig::default();
+    for (seed, group) in [(33, 1), (34, 2), (35, 4)] {
+        compare_regacc(&cfg, seed, (24, 32, 32), 0.0, Some(group));
+        compare_regacc(&cfg, seed + 10, (21, 64, 40), 0.6, Some(group));
+    }
+    let wide = CanonConfig::default().with_geometry(16, 16);
+    compare_regacc(&wide, 36, (48, 64, 64), 0.0, Some(4));
+    compare_regacc(&wide, 37, (64, 128, 64), 0.5, None);
 }

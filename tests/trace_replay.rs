@@ -61,9 +61,9 @@ fn spmm_fabric(depth: usize, seed: u64, lut: bool) -> Fabric {
     let mut rng = gen::seeded_rng(seed);
     let a = gen::skewed_sparse(m, k, 0.75, 2.0, &mut rng);
     let b = Dense::random(k, 16, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows).expect("K divisible by rows");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("K divisible by rows");
     let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, k / cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, k / cfg.rows, cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         if lut {
@@ -124,9 +124,9 @@ fn gemm_trace_replays_stats_exactly() {
     let mut rng = gen::seeded_rng(23);
     let a = gen::random_sparse(m, k, 0.8, &mut rng);
     let b = Dense::random(k, 16, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows).expect("K divisible by rows");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("K divisible by rows");
     let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, k / cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, k / cfg.rows, cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         fabric.set_program(r, RegAccFsm::new(m));
