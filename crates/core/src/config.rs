@@ -52,13 +52,16 @@ pub struct CanonConfig {
     pub watchdog_slack: u64,
     /// Simulator-host knob (not an architectural parameter): the
     /// column-lockstep engine. On, a [`Fabric::run`](crate::Fabric::run)
-    /// that starts on a fresh, untraced, vertical-only fabric simulates each
-    /// row issue once across all columns (see the engine table in
-    /// `canon_core::fabric`). Off, every run steps each PE every cycle: the
-    /// per-PE reference that `tests/lockstep_differential.rs` and
-    /// `repro --no-replay` compare against. Architecturally invisible either way — cycle counts, stats
+    /// that starts on a fresh, untraced fabric whose rows are all
+    /// lockstep-safe (GEMM, SpMM, N:M, SDDMM and Window) and whose feeder
+    /// streams have equal length simulates each row issue once across all
+    /// columns (see the engine table in `canon_core::fabric`). Off, every
+    /// run steps each PE every cycle: the per-PE reference that
+    /// `tests/lockstep_differential.rs` and `repro --no-replay` compare
+    /// against. Architecturally invisible either way — cycle counts, stats
     /// (including the stall breakdown), and collector streams are
-    /// identical; only the `Stats::batched_pe_cycles` diagnostic differs.
+    /// identical; only the `Stats::batched_pe_cycles` diagnostic and
+    /// [`RunReport::engine`](crate::RunReport) differ.
     /// The name predates lockstep (it used to switch a steady-state replay
     /// engine, since removed) and is kept because the `--no-replay` flag
     /// and the CI store comparisons are built on it.

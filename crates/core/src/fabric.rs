@@ -34,8 +34,10 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, no north-edge feeders, and only vertical-only row programs ([`RowProgram::is_vertical_only`]): GEMM, SpMM and N:M | orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift is derived, not simulated |
-//! | scalar engine | every other run: SDDMM and Window (north-edge feeders and a West→East psum chain), [`RowProgram::Custom`] rows, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | orchestrator phase, then the active sweep below |
+//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
+//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | edge feed, orchestrator phase, then the active sweep below |
+//!
+//! [`RunReport::engine`] names the engine that ran.
 //!
 //! Both engines share one orchestrator phase (`Fabric::orchestrate`).
 //!
@@ -116,7 +118,7 @@ use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
 use crate::pe::{PeArray, PeMut, PeRef};
 use crate::sched::ActiveSet;
-use crate::stats::{RunReport, StallBreakdown, Stats};
+use crate::stats::{Engine, RunReport, StallBreakdown, Stats};
 use crate::trace::{TraceRecorder, TraceSink};
 use crate::SimError;
 use std::collections::VecDeque;
@@ -329,6 +331,9 @@ pub struct Fabric {
     batched_pe_cycles: u64,
     /// Column-lockstep engine state (see [`lockstep`]).
     lockstep: lockstep::Lockstep,
+    /// The engine(s) [`Fabric::run`] has used so far (`None` before the
+    /// first run).
+    engine: Option<Engine>,
     extra_offchip_read: u64,
     extra_offchip_write: u64,
     /// Host wall time accumulated inside [`Fabric::run`] (ns).
@@ -395,6 +400,7 @@ impl Fabric {
             active_pe_cycles: 0,
             batched_pe_cycles: 0,
             lockstep: lockstep::Lockstep::new(cfg.rows, cfg.cols, cfg.link_fifo_depth),
+            engine: None,
             extra_offchip_read: 0,
             extra_offchip_write: 0,
             wall_ns: 0,
@@ -486,6 +492,7 @@ impl Fabric {
         self.active_pe_cycles = 0;
         self.batched_pe_cycles = 0;
         self.lockstep.reset();
+        self.engine = None;
         self.extra_offchip_read = 0;
         self.extra_offchip_write = 0;
         self.wall_ns = 0;
@@ -1148,9 +1155,13 @@ impl Fabric {
         // would overshoot the budget by seconds.
         let wall_check_mask: u64 = if slow_ns != 0 { 0 } else { 0x3FF };
         let lockstep = self.lockstep_eligible();
-        if lockstep {
+        let engine = if lockstep {
             self.lockstep_engage();
-        }
+            Engine::Lockstep
+        } else {
+            Engine::Scalar
+        };
+        self.engine = Some(self.engine.map_or(engine, |e| e.combine(engine)));
         let result = loop {
             if self.quiescent() {
                 break Ok(());
@@ -1236,8 +1247,7 @@ impl Fabric {
             stats.spad_reads += pe.spad.read_count();
             stats.spad_writes += pe.spad.write_count();
         }
-        stats.noc_hops =
-            self.grid.total_pushes() + self.lockstep.links.pushes() * self.cfg.cols as u64;
+        stats.noc_hops = self.grid.total_pushes() + self.lockstep.noc_hops(self.cfg.cols);
         // Planned fast-path issues are batch-accounted at issue time (the
         // per-PE counters cover only generic-path executions).
         let batch = self.pes.batch_counters();
@@ -1269,6 +1279,7 @@ impl Fabric {
             pes: self.cfg.pe_count(),
             stats,
             wall_ns: self.wall_ns,
+            engine: self.engine.unwrap_or(Engine::Scalar),
         }
     }
 }
@@ -1443,6 +1454,30 @@ mod tests {
         // cycle 3 + 3 columns × 3 stages).
         assert_eq!(r.stats.active_pe_cycles, 0);
         assert_eq!(r.cycles, 3 + 9);
+    }
+
+    #[test]
+    fn reset_clears_planned_accumulator_writes() {
+        // A scalar MacS into the scratchpad takes the planned path, whose
+        // write-back bounds and counts are settled at issue: the reset
+        // must still find and zero the accumulator it wrote.
+        let cfg = small_cfg();
+        let mut f = Fabric::new(&cfg, false);
+        for c in 0..3 {
+            f.pe_mut(0, c).dmem.preload(0, &[Vector::splat(2)]);
+        }
+        let mac = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Spad(3))
+            .with_imm(Vector::splat(3));
+        f.set_program(
+            0,
+            RowProgram::custom(Script {
+                instrs: vec![mac].into(),
+            }),
+        );
+        f.run().unwrap();
+        assert_eq!(f.pe(0, 2).spad.word(3), Vector::splat(6));
+        f.reset(&cfg);
+        f.assert_pristine();
     }
 
     #[test]

@@ -163,6 +163,7 @@ pub fn run_spatial(
             pes: cfg.pe_count(),
             stats,
             wall_ns: wall_start.elapsed().as_nanos() as u64,
+            engine: crate::stats::Engine::Scalar,
         },
     })
 }

@@ -523,6 +523,7 @@ pub fn run_spmm_folded(
             Some(mut acc) => {
                 acc.cycles += report.cycles;
                 acc.wall_ns += report.wall_ns;
+                acc.engine = acc.engine.combine(report.engine);
                 acc.stats.merge(&report.stats);
                 acc
             }
@@ -533,6 +534,7 @@ pub fn run_spmm_folded(
         pes: cfg.pe_count(),
         stats: Default::default(),
         wall_ns: 0,
+        engine: Default::default(),
     });
     Ok(SpmmOutput { result, report })
 }

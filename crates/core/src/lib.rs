@@ -62,7 +62,7 @@ pub use config::CanonConfig;
 pub use fabric::Fabric;
 pub use fault::{FaultAction, FaultPlan};
 pub use isa::{Addr, Instruction, Opcode, Vector, LANES};
-pub use stats::{RunReport, StallBreakdown, StallCause, Stats};
+pub use stats::{Engine, RunReport, StallBreakdown, StallCause, Stats};
 
 /// Errors produced by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,6 +22,7 @@
 use crate::fabric::CollectedEntry;
 use crate::isa::{Direction, Vector, LANES};
 use crate::SimError;
+use std::collections::VecDeque;
 
 /// A NoC payload: one [`Vector`] plus the output-row tag attached by the
 /// producing instruction (used by the edge collectors, preserved by
@@ -380,15 +381,19 @@ impl Link {
     }
 }
 
-/// The southbound links of the column-lockstep engine (see
+/// The row-granular links of the column-lockstep engine (see
 /// `crate::fabric`'s engine table): one FIFO per fabric row whose entries
 /// are `cols` wide, because every column of a row sees the same push/pop
 /// sequence as column 0, shifted by `3c` cycles, and so holds the same
 /// occupancy at the same column-0 time. Row link `r` for `r` in `1..rows`
 /// feeds row `r`'s North ports and carries the bounded-link protocol
-/// checks; row 0 reads the zero-source north edge; pushes out of the bottom
-/// row land in the south-edge `sink`, stamped with each column's own exit
-/// cycle (`cycle + 3c`).
+/// checks. Row link 0 is the north edge: zeros on a zero-source fabric; on
+/// a feeder fabric its `k`-th pop reads token `k` of every column's
+/// stream, and its length is column 0's edge-FIFO occupancy, pushed by the
+/// engine's feeder phase ([`RowLinks::push_north`]). Pushes out of the
+/// bottom row land in the south-edge `sink`, stamped with each column's own
+/// exit cycle (`cycle + 3c`); the West→East chain's exits from the last
+/// column land in `east_sink`, stamped `cycle + 3·(cols − 1)`.
 #[derive(Debug)]
 pub(crate) struct RowLinks {
     rows: usize,
@@ -401,14 +406,27 @@ pub(crate) struct RowLinks {
     buf: Vec<TaggedVector>,
     head: Vec<usize>,
     len: Vec<usize>,
-    /// Row-level pushes, south sink included (one per `cols` link pushes).
+    /// Row-level pushes, edge sinks included (one per `cols` link pushes).
     pushes: u64,
+    /// Whether row link 0 is a feeder FIFO (else a zero source).
+    north_fed: bool,
+    /// The north-edge streams token-major: token `k` of column `c` at
+    /// `k·cols + c`.
+    north: Vec<TaggedVector>,
+    /// Row-0 pops so far (the index of the next north-edge token).
+    north_popped: usize,
     /// South-edge exits in push order, each stamped with its own
     /// column's exit cycle (the fabric lends its south collector's storage
     /// for the run).
     pub(crate) sink: Vec<CollectedEntry>,
+    /// East-edge exits in (cycle, row) order (the fabric lends its east
+    /// collector's storage for the run).
+    pub(crate) east_sink: Vec<CollectedEntry>,
     /// Scratch row for one south-edge push (reused).
     sink_row: Vec<TaggedVector>,
+    /// Column-0 cycle of each row's last West pop (checks that every
+    /// horizontal link holds at most one entry).
+    last_west: Vec<Option<u64>>,
 }
 
 impl RowLinks {
@@ -422,8 +440,13 @@ impl RowLinks {
             head: vec![0; rows],
             len: vec![0; rows],
             pushes: 0,
+            north_fed: false,
+            north: Vec::new(),
+            north_popped: 0,
             sink: Vec::new(),
+            east_sink: Vec::new(),
             sink_row: Vec::new(),
+            last_west: vec![None; rows],
         }
     }
 
@@ -439,6 +462,30 @@ impl RowLinks {
             .resize(self.rows * self.capacity * self.cols, TaggedVector::ZERO);
     }
 
+    /// Makes row link 0 a feeder FIFO over `streams` (one per column, all
+    /// of equal length), empty until [`RowLinks::push_north`] fills it.
+    pub(crate) fn feed_north(&mut self, streams: &[VecDeque<TaggedVector>]) {
+        debug_assert_eq!(streams.len(), self.cols);
+        self.north_fed = true;
+        let tokens = streams.first().map_or(0, VecDeque::len);
+        self.north.clear();
+        self.north.reserve(tokens * self.cols);
+        for k in 0..tokens {
+            self.north.extend(streams.iter().map(|s| s[k]));
+        }
+    }
+
+    /// One token lands on column 0's north-edge FIFO.
+    pub(crate) fn push_north(&mut self) {
+        debug_assert!(self.north_fed && self.len[0] < self.capacity);
+        self.len[0] += 1;
+    }
+
+    /// Row-0 pops so far.
+    pub(crate) fn north_popped(&self) -> usize {
+        self.north_popped
+    }
+
     /// Row-level pushes so far; every one stands for `cols` link pushes.
     pub(crate) fn pushes(&self) -> u64 {
         self.pushes
@@ -446,7 +493,13 @@ impl RowLinks {
 
     /// True when no row link holds entries and no push was counted.
     pub(crate) fn is_clear(&self) -> bool {
-        self.pushes == 0 && self.len.iter().all(|&l| l == 0) && self.sink.is_empty()
+        self.pushes == 0
+            && self.len.iter().all(|&l| l == 0)
+            && self.sink.is_empty()
+            && self.east_sink.is_empty()
+            && !self.north_fed
+            && self.north_popped == 0
+            && self.last_west.iter().all(Option::is_none)
     }
 
     /// Drops every queued entry and the push count (fabric reuse).
@@ -454,11 +507,16 @@ impl RowLinks {
         self.head.fill(0);
         self.len.fill(0);
         self.pushes = 0;
+        self.north_fed = false;
+        self.north.clear();
+        self.north_popped = 0;
         self.sink.clear();
+        self.east_sink.clear();
+        self.last_west.fill(None);
     }
 
     /// Pops the head entry of row link `r` into `dst` (`cols` wide): zeros
-    /// on the north edge, a protocol error when an internal link is empty.
+    /// on a zero-source north edge, a protocol error when a FIFO is empty.
     #[inline]
     pub(crate) fn pop(
         &mut self,
@@ -467,18 +525,39 @@ impl RowLinks {
         ctx: ErrCtx,
         dst: &mut [TaggedVector],
     ) -> Result<(), SimError> {
-        if r == 0 {
+        if r == 0 && !self.north_fed {
             dst.fill(TaggedVector::ZERO);
             return Ok(());
         }
         if self.len[r] == 0 {
             return Err(Link::pop_underflow(cycle, ctx));
         }
-        let at = (r * self.capacity + self.head[r]) * self.cols;
-        dst.copy_from_slice(&self.buf[at..at + self.cols]);
-        self.head[r] = (self.head[r] + 1) % self.capacity;
+        if r == 0 {
+            let at = self.north_popped * self.cols;
+            dst.copy_from_slice(&self.north[at..at + self.cols]);
+            self.north_popped += 1;
+        } else {
+            let at = (r * self.capacity + self.head[r]) * self.cols;
+            dst.copy_from_slice(&self.buf[at..at + self.cols]);
+            self.head[r] = (self.head[r] + 1) % self.capacity;
+        }
         self.len[r] -= 1;
         Ok(())
+    }
+
+    /// Row `r`'s West pop of the chain issued at column-0 cycle `cycle`:
+    /// each column pairs it with its west neighbour's East push of the same
+    /// issue, which commits one cycle earlier in real time. Chain issues of
+    /// one row are at least two cycles apart, so that push is the only
+    /// entry on the horizontal link.
+    #[inline]
+    pub(crate) fn note_west_pop(&mut self, r: usize, cycle: u64) {
+        debug_assert!(
+            self.last_west[r].is_none_or(|t| t + 2 <= cycle),
+            "row {r}: West pops at cycles {:?} and {cycle} would queue two entries",
+            self.last_west[r]
+        );
+        self.last_west[r] = Some(cycle);
     }
 
     /// Pushes one `cols`-wide entry into row link `r` — the south sink when
@@ -515,6 +594,20 @@ impl RowLinks {
         }
         self.pushes += 1;
         Ok(())
+    }
+
+    /// Row `r`'s chain push East at column-0 cycle `cycle`: the `cols − 1`
+    /// internal pushes were consumed by the LOAD-time scan, so only the
+    /// last column's `exit` reaches the east sink, at its own commit cycle.
+    #[inline]
+    pub(crate) fn push_east(&mut self, r: usize, cycle: u64, exit: TaggedVector) {
+        self.east_sink.push(CollectedEntry {
+            tag: exit.tag,
+            lane: r,
+            value: exit.value,
+            cycle: cycle + 3 * (self.cols as u64 - 1),
+        });
+        self.pushes += 1;
     }
 }
 

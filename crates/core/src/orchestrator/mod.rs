@@ -300,18 +300,23 @@ impl RowProgram {
         RowProgram::Custom(Box::new(program))
     }
 
-    /// True when every instruction the program can issue moves data only
-    /// vertically — no West/East port and no phantom south drive — the
-    /// condition under which the fabric may run its row in column lockstep
-    /// (see [`crate::fabric`]). The SpMM-window and register-accumulation
-    /// FSMs qualify; a LUT program qualifies when its instruction table
-    /// does ([`lut::LutProgram::is_vertical_only`]); SDDMM (a West→East
-    /// psum chain) and open [`RowProgram::Custom`] programs do not.
-    pub fn is_vertical_only(&self) -> bool {
+    /// True when the fabric may run this row in column lockstep (see
+    /// [`crate::fabric`]): every instruction the program can issue moves
+    /// data only vertically (no West/East port, no phantom south drive), or
+    /// its only West/East instruction is SDDMM's chain, which pops West and
+    /// pushes East in one instruction. The SpMM-window, register-
+    /// accumulation and SDDMM FSMs qualify; a LUT program qualifies when
+    /// its instruction table is vertical-only
+    /// ([`lut::LutProgram::is_vertical_only`]); open
+    /// [`RowProgram::Custom`] programs do not.
+    pub fn lockstep_safe(&self) -> bool {
         match self {
-            RowProgram::Idle(_) | RowProgram::Spmm(_) | RowProgram::RegAcc(_) => true,
+            RowProgram::Idle(_)
+            | RowProgram::Spmm(_)
+            | RowProgram::RegAcc(_)
+            | RowProgram::Sddmm(_) => true,
             RowProgram::Lut(p) => p.is_vertical_only(),
-            RowProgram::Sddmm(_) | RowProgram::Custom(_) => false,
+            RowProgram::Custom(_) => false,
         }
     }
 }

@@ -160,6 +160,8 @@ pub struct MemMut<'a> {
     len: usize,
     reads: &'a mut u64,
     writes: &'a mut u64,
+    /// The slab's dirty-row mark (see [`PeArray::reset`]).
+    dirty: &'a mut usize,
     what: &'static str,
 }
 
@@ -197,6 +199,7 @@ impl MemMut<'_> {
         if addr < self.len {
             self.slab[addr * self.stride + self.offset] = v;
             *self.writes += 1;
+            *self.dirty = (*self.dirty).max(addr + 1);
             Ok(())
         } else {
             Err(mem_oob(self.what, "write", addr, self.len))
@@ -220,6 +223,7 @@ impl MemMut<'_> {
         for (i, &w) in data.iter().enumerate() {
             self.slab[(base + i) * self.stride + self.offset] = w;
         }
+        *self.dirty = (*self.dirty).max(base + data.len());
     }
 
     /// Number of counted reads.
@@ -237,6 +241,28 @@ impl MemMut<'_> {
 fn mem_oob(what: &str, op: &str, addr: usize, len: usize) -> SimError {
     SimError::AddressOutOfRange {
         context: format!("{what} {op} {addr} of {len}"),
+    }
+}
+
+/// A slab of `len` zero vectors, allocated zeroed: the OS maps its pages
+/// on first touch, so a fabric keeps resident only the slab rows its runs
+/// write (with [`PeArray::reset`]'s dirty-row marks, also across reuse).
+/// `vec![Vector::ZERO; len]` would write every word up front.
+fn zeroed_slab(len: usize) -> Vec<Vector> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let layout = std::alloc::Layout::array::<Vector>(len).expect("slab size overflows");
+    // SAFETY: `layout` has nonzero size. A `Vector` holds only `i32`s, so
+    // all-zero bytes are a valid `Vector` (`Vector::ZERO`), and the
+    // allocation comes from the global allocator with exactly the layout a
+    // `Vec<Vector>` of capacity `len` frees with.
+    unsafe {
+        let ptr = std::alloc::alloc_zeroed(layout).cast::<Vector>();
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(ptr, len, len)
     }
 }
 
@@ -315,7 +341,7 @@ fn lockstep_pop(
             dst,
         ),
         Direction::South | Direction::East => Err(unwired_port(row, 0, "reads", d)),
-        Direction::West => unreachable!("lockstep rows never read a West port"),
+        Direction::West => unreachable!("lockstep rows read West only as the chain's op2"),
     }
 }
 
@@ -339,7 +365,7 @@ fn lockstep_push(
             fill,
         ),
         Direction::North | Direction::West => Err(unwired_port(row, 0, "writes", d)),
-        Direction::East => unreachable!("lockstep rows never write an East port"),
+        Direction::East => unreachable!("lockstep rows write East only as the chain result"),
     }
 }
 
@@ -432,6 +458,13 @@ pub struct PeArray {
     /// Scratchpad entries of all PEs (the accumulator banks), same layout.
     spad: Vec<Vector>,
     spad_entries: usize,
+    /// Dirty-row marks: every write path raises them, so words
+    /// `dmem_dirty..` of every PE's data memory (and `spad_dirty..` of its
+    /// scratchpad) are still zero. [`PeArray::reset`] zeroes only the
+    /// rows below them, so a reused fabric re-zeroes — and keeps resident —
+    /// only the slab pages a run touched.
+    dmem_dirty: usize,
+    spad_dirty: usize,
     /// Number of PEs (the slab stride).
     n: usize,
     mem_counts: Vec<MemCounts>,
@@ -475,10 +508,12 @@ impl PeArray {
     /// Creates `n` PEs with the given memory capacities (in vector words).
     pub fn new(n: usize, dmem_words: usize, spad_entries: usize) -> PeArray {
         PeArray {
-            dmem: vec![Vector::ZERO; n * dmem_words],
+            dmem: zeroed_slab(n * dmem_words),
             dmem_words,
-            spad: vec![Vector::ZERO; n * spad_entries],
+            spad: zeroed_slab(n * spad_entries),
             spad_entries,
+            dmem_dirty: 0,
+            spad_dirty: 0,
             n,
             mem_counts: vec![MemCounts::default(); n],
             regs: vec![[Vector::ZERO; NUM_REGS]; n],
@@ -497,13 +532,16 @@ impl PeArray {
     }
 
     /// Returns the array to its post-construction state in place, reusing
-    /// every allocation: memories and registers zeroed, pipeline slots
-    /// emptied, all counters cleared. After this call the array is
-    /// indistinguishable from `PeArray::new(n, dmem_words, spad_entries)`
-    /// (fabric reuse across warm-pool requests depends on that).
+    /// every allocation: memories (the rows below the dirty marks) and
+    /// registers zeroed, pipeline slots emptied, all counters cleared.
+    /// After this call the array is indistinguishable from
+    /// `PeArray::new(n, dmem_words, spad_entries)` (fabric reuse across
+    /// warm-pool requests depends on that).
     pub fn reset(&mut self) {
-        self.dmem.fill(Vector::ZERO);
-        self.spad.fill(Vector::ZERO);
+        self.dmem[..self.dmem_dirty * self.n].fill(Vector::ZERO);
+        self.spad[..self.spad_dirty * self.n].fill(Vector::ZERO);
+        self.dmem_dirty = 0;
+        self.spad_dirty = 0;
         self.mem_counts.fill(MemCounts::default());
         for regs in &mut self.regs {
             *regs = [Vector::ZERO; NUM_REGS];
@@ -576,6 +614,7 @@ impl PeArray {
                 len: self.dmem_words,
                 reads: &mut mc.dmem_reads,
                 writes: &mut mc.dmem_writes,
+                dirty: &mut self.dmem_dirty,
                 what: "dmem",
             },
             spad: MemMut {
@@ -585,6 +624,7 @@ impl PeArray {
                 len: self.spad_entries,
                 reads: &mut mc.spad_reads,
                 writes: &mut mc.spad_writes,
+                dirty: &mut self.spad_dirty,
                 what: "spad",
             },
         }
@@ -599,6 +639,7 @@ impl PeArray {
     /// Panics when `a` is not below the data-memory capacity.
     pub(crate) fn dmem_row_mut(&mut self, a: usize) -> &mut [Vector] {
         assert!(a < self.dmem_words, "dmem word {a} of {}", self.dmem_words);
+        self.dmem_dirty = self.dmem_dirty.max(a + 1);
         &mut self.dmem[a * self.n..(a + 1) * self.n]
     }
 
@@ -630,7 +671,9 @@ impl PeArray {
             v,
             &mut mc.dmem_writes,
             "dmem",
-        )
+        )?;
+        self.dmem_dirty = self.dmem_dirty.max(a + 1);
+        Ok(())
     }
 
     /// Reads PE `idx`'s scratchpad entry `a`, counting the access.
@@ -661,7 +704,9 @@ impl PeArray {
             v,
             &mut mc.spad_writes,
             "spad",
-        )
+        )?;
+        self.spad_dirty = self.spad_dirty.max(a + 1);
+        Ok(())
     }
 
     /// Activity counters of PE `idx`.
@@ -1025,6 +1070,7 @@ impl PeArray {
                 self.batch_mem.dmem_reads += cols;
                 self.batch_mem.spad_reads += cols;
                 self.batch_mem.spad_writes += cols; // COMMIT write-back
+                self.spad_dirty = self.spad_dirty.max(b as usize + 1);
             }
             Plan::MacSToReg { a, .. } => {
                 if a as usize >= self.dmem_words {
@@ -1714,6 +1760,9 @@ impl PeArray {
         } = scratch;
         let want = instr.op != Opcode::Nop;
         let mut shared = false;
+        // SDDMM's chain reads West as op2: those values come from the scan
+        // below, and no link is popped.
+        let chain = instr.op2 == Addr::Port(Direction::West);
         self.lockstep_operand(
             base,
             instr.op1,
@@ -1726,18 +1775,20 @@ impl PeArray {
             &mut shared,
             op1,
         )?;
-        self.lockstep_operand(
-            base,
-            instr.op2,
-            instr,
-            links,
-            row,
-            cycle,
-            want,
-            popped,
-            &mut shared,
-            op2,
-        )?;
+        if !chain {
+            self.lockstep_operand(
+                base,
+                instr.op2,
+                instr,
+                links,
+                row,
+                cycle,
+                want,
+                popped,
+                &mut shared,
+                op2,
+            )?;
+        }
         // Read-modify-write opcodes read the old result value here.
         if matches!(instr.op, Opcode::MacV | Opcode::MacS | Opcode::Acc) {
             match instr.res {
@@ -1766,6 +1817,24 @@ impl PeArray {
             } else {
                 lockstep_pop(links, route.from, row, cycle, routed)?;
             }
+        }
+        if chain {
+            // The West→East chain as a row scan. Column `c`'s West pop pairs
+            // with column `c − 1`'s East push of this same issue, which
+            // commits one cycle before the pop in real time: `out[c]` is
+            // this instruction's lane result with `out[c − 1]` as its West
+            // operand, and column 0 reads the zero-source west edge.
+            debug_assert!(
+                instr.res == Addr::Port(Direction::East) && instr.route.is_none(),
+                "a lockstep West read must be the chain (pop West, push East)"
+            );
+            links.note_west_pop(row, cycle);
+            let mut prev = Vector::ZERO;
+            for c in 0..cols {
+                prev = Self::lane_result(instr.op, op1[c], prev, res_in[c]);
+                out[c] = prev;
+            }
+            return Ok(());
         }
         match instr.op {
             // Write-back skips NOPs, but a reader of the result address
@@ -1854,6 +1923,7 @@ impl PeArray {
                         }
                         self.batch_mem.dmem_writes += cols as u64;
                     }
+                    self.dmem_dirty = self.dmem_dirty.max(a + 1);
                     self.dmem[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
                 }
@@ -1865,9 +1935,20 @@ impl PeArray {
                         }
                         self.batch_mem.spad_writes += cols as u64;
                     }
+                    self.spad_dirty = self.spad_dirty.max(a + 1);
                     self.spad[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
                 }
+                // The chain's East push: only the last column's value
+                // leaves the array (the scan consumed the others at LOAD).
+                Addr::Port(Direction::East) => links.push_east(
+                    row,
+                    cycle,
+                    TaggedVector {
+                        value: self.results[cs][base + cols - 1],
+                        tag: instr.tag,
+                    },
+                ),
                 Addr::Port(d) => {
                     let results = &self.results[cs][span.clone()];
                     lockstep_push(links, d, row, cycle, |dst| {
@@ -2165,6 +2246,20 @@ mod tests {
         run_one(&mut pes, &mut g, i);
         assert!(g.vertical(1, 0).is_empty());
         assert_eq!(pes.counters(0).instrs, 1);
+    }
+
+    #[test]
+    fn reset_zeroes_every_row_a_write_path_dirtied() {
+        let mut pes = PeArray::new(4, 8, 8);
+        let v = Vector::splat(3);
+        pes.pe_mut(1).dmem.preload(5, &[v]);
+        pes.pe_mut(2).dmem.write(2, v).unwrap();
+        pes.pe_mut(3).spad.write(6, v).unwrap();
+        pes.dmem_row_mut(1).fill(v);
+        assert_eq!((pes.dmem_dirty, pes.spad_dirty), (6, 7));
+        pes.reset();
+        assert_eq!((pes.dmem_dirty, pes.spad_dirty), (0, 0));
+        assert!(pes.dmem.iter().chain(&pes.spad).all(|&w| w == Vector::ZERO));
     }
 
     #[test]

@@ -216,6 +216,31 @@ impl Stats {
     }
 }
 
+/// The fabric engine that simulated a run (see the engine table in
+/// [`crate::fabric`]). Both engines produce the same report otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// Per-PE stepping (also the trace replay and the spatial runner).
+    #[default]
+    Scalar,
+    /// Column lockstep.
+    Lockstep,
+    /// A report summed over runs that took different engines (multi-tile
+    /// kernels, or a fabric run again after a run).
+    Mixed,
+}
+
+impl Engine {
+    /// The engine of a report summed from runs on `self` and `other`.
+    pub fn combine(self, other: Engine) -> Engine {
+        if self == other {
+            self
+        } else {
+            Engine::Mixed
+        }
+    }
+}
+
 /// The result of running a kernel on the fabric: cycle count, geometry, and
 /// activity counters.
 #[derive(Debug, Clone)]
@@ -233,10 +258,14 @@ pub struct RunReport {
     /// host-dependent and therefore excluded from equality (two runs of the
     /// same workload compare equal even though their wall times differ).
     pub wall_ns: u64,
+    /// The engine that simulated the run. Like `wall_ns`, excluded from
+    /// equality: both engines are architecturally identical.
+    pub engine: Engine,
 }
 
 /// Equality covers the architectural outcome (cycles, geometry, counters)
-/// and deliberately ignores `wall_ns`, which varies run to run on the host.
+/// and deliberately ignores `wall_ns`, which varies run to run on the host,
+/// and `engine`.
 impl PartialEq for RunReport {
     fn eq(&self, other: &RunReport) -> bool {
         self.cycles == other.cycles && self.pes == other.pes && self.stats == other.stats
@@ -330,6 +359,7 @@ mod tests {
             pes: 64,
             stats,
             wall_ns: 0,
+            engine: Engine::Scalar,
         };
         assert!((r.compute_utilization() - 1.0).abs() < 1e-12);
         assert_eq!(r.macs_per_cycle(), 256.0);
@@ -343,6 +373,7 @@ mod tests {
             pes: 64,
             stats: Stats::new(),
             wall_ns: 0,
+            engine: Engine::Scalar,
         };
         assert_eq!(r.compute_utilization(), 0.0);
         assert_eq!(r.macs_per_cycle(), 0.0);
@@ -356,8 +387,24 @@ mod tests {
             pes: 64,
             stats: Stats::new(),
             wall_ns,
+            engine: Engine::Scalar,
         };
         assert_eq!(mk(10), mk(999));
         assert!((mk(1_000_000).cycles_per_sec() - 1e6).abs() < 1e-3);
+    }
+
+    #[test]
+    fn engine_is_excluded_from_equality() {
+        let mk = |engine| RunReport {
+            cycles: 1000,
+            pes: 64,
+            stats: Stats::new(),
+            wall_ns: 0,
+            engine,
+        };
+        assert_eq!(mk(Engine::Scalar), mk(Engine::Lockstep));
+        assert_eq!(Engine::Lockstep.combine(Engine::Lockstep), Engine::Lockstep);
+        assert_eq!(Engine::Lockstep.combine(Engine::Scalar), Engine::Mixed);
+        assert_eq!(Engine::Mixed.combine(Engine::Lockstep), Engine::Mixed);
     }
 }

@@ -641,6 +641,7 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
         pes: rows * cols as usize,
         stats,
         wall_ns: 0,
+        engine: crate::stats::Engine::Scalar,
     }
 }
 

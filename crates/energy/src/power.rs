@@ -165,6 +165,7 @@ mod tests {
             pes: 64,
             stats,
             wall_ns: 0,
+            engine: Default::default(),
         }
     }
 

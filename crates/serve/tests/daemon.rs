@@ -1,7 +1,7 @@
 //! In-process daemon integration tests: the full request lifecycle —
 //! caching, coalescing, backpressure, cancellation, structured failure
-//! replies, drain — plus torn-tail journal recovery under the daemon's
-//! append path.
+//! replies, drain — plus torn-tail journal recovery and failed journal
+//! appends under the daemon's append path.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -539,4 +539,59 @@ fn second_store_user_fails_fast_while_daemon_holds_the_lock() {
     shutdown_and_join(&socket, handle);
     // Lock released on daemon exit.
     drop(canon_sweep::StoreLock::acquire(&opts.store).unwrap());
+}
+
+/// A failed journal append must not acknowledge or index its record: the
+/// store path is pointed at a full device after startup (the appender opens
+/// lazily, on the first append), so every append fails. Each submit gets an
+/// `error` reply, the daemon keeps serving, nothing is indexed (a resubmit
+/// simulates again and fails again instead of hitting the cache), and a
+/// restart over a real file converges to a store with the one record.
+#[cfg(target_os = "linux")]
+#[test]
+fn journal_append_failure_replies_error_and_indexes_nothing() {
+    let dir = scratch("full");
+    let opts = opts_for(&dir);
+    let (handle, socket) = start_daemon(opts.clone());
+    std::os::unix::fs::symlink("/dev/full", &opts.store).unwrap();
+    let mut c = Client::connect(&socket).unwrap();
+    for id in ["a", "b"] {
+        match c.request(&Request::Submit(gemm(id))).unwrap() {
+            Reply::Error { id: got, message } => {
+                assert_eq!(got, id);
+                assert!(
+                    message.contains("result journal append failed"),
+                    "message: {message}"
+                );
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+    let status = match c.request(&Request::Status).unwrap() {
+        Reply::Status(s) => s,
+        other => panic!("expected status, got {other:?}"),
+    };
+    assert_eq!(status.store_records, 0, "nothing may be indexed");
+    assert_eq!(status.completed, 0);
+    assert_eq!(status.cache_hits, 0);
+    shutdown_and_join(&socket, handle);
+
+    // Restart over a real (missing) file: the cell simulates, lands, and
+    // then serves from the index.
+    std::fs::remove_file(&opts.store).unwrap();
+    let (handle, socket) = start_daemon(opts.clone());
+    let mut c = Client::connect(&socket).unwrap();
+    for (id, cached) in [("c", false), ("d", true)] {
+        match c.request(&Request::Submit(gemm(id))).unwrap() {
+            Reply::Result(r) => {
+                assert_eq!(r.status, "ok");
+                assert_eq!(r.cached, cached, "submit {id}");
+            }
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    shutdown_and_join(&socket, handle);
+    let store = canon_sweep::ResultStore::open(&opts.store).unwrap();
+    assert_eq!(store.len(), 1);
+    assert!(!store.recovery().has_damage());
 }

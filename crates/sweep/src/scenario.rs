@@ -444,16 +444,20 @@ impl GridBuilder {
 
     /// Expands the cartesian product into a deterministic scenario order.
     pub fn build(self) -> ScenarioGrid {
-        let mut scenarios = Vec::new();
-        let bands_of = |w: &WorkloadSpec| -> Vec<Option<SparsityBand>> {
-            if w.template.band_sensitive() && !self.bands.is_empty() {
-                self.bands.iter().copied().map(Some).collect()
+        let banded: Vec<Option<SparsityBand>> = self.bands.iter().copied().map(Some).collect();
+        let bands_of = |w: &WorkloadSpec| -> &[Option<SparsityBand>] {
+            if w.template.band_sensitive() && !banded.is_empty() {
+                &banded
             } else {
-                vec![None]
+                &[None]
             }
         };
+        let cells: usize = self.workloads.iter().map(|w| bands_of(w).len()).sum();
+        let mut scenarios = Vec::with_capacity(
+            cells * self.scales.len() * self.geometries.len() * self.archs.len(),
+        );
         for w in &self.workloads {
-            for band in bands_of(w) {
+            for &band in bands_of(w) {
                 for &scale in &self.scales {
                     let op = w.template.instantiate(band, scale.max(1));
                     let seed = cell_seed(self.base_seed, &w.name, band, scale);
@@ -485,12 +489,19 @@ pub const DEFAULT_BASE_SEED: u64 = 0xCA50_0001;
 
 /// Operand seed of one workload cell: identical across architectures and
 /// geometries so every backend sees the same inputs.
+///
+/// The seed is [`crate::store::fnv1a64`] of
+/// `"{base}:{workload}:{band|-}:{scale}"`, hashed as it is formatted (no
+/// intermediate string).
 pub fn cell_seed(base: u64, workload: &str, band: Option<SparsityBand>, scale: usize) -> u64 {
-    let material = format!(
-        "{base}:{workload}:{}:{scale}",
-        band.map_or_else(|| "-".into(), |b| b.to_string())
-    );
-    crate::store::fnv1a64(material.as_bytes())
+    use std::fmt::Write;
+    let mut h = crate::store::Fnv1a::new();
+    let written = match band {
+        Some(b) => write!(h, "{base}:{workload}:{b}:{scale}"),
+        None => write!(h, "{base}:{workload}:-:{scale}"),
+    };
+    written.expect("hashing cannot fail");
+    h.0
 }
 
 #[cfg(test)]
@@ -521,6 +532,36 @@ mod tests {
         assert!(loops
             .iter()
             .any(|s| s.op == Workload::Loop(LoopKernel { name: "2mm", n: 16 })));
+    }
+
+    #[test]
+    fn cell_seed_matches_the_formatted_fnv1a_formula() {
+        let formula = |base: u64, workload: &str, band: Option<SparsityBand>, scale: usize| {
+            let material = format!(
+                "{base}:{workload}:{}:{scale}",
+                band.map_or_else(|| "-".into(), |b| b.to_string())
+            );
+            crate::store::fnv1a64(material.as_bytes())
+        };
+        let bands = [
+            None,
+            Some(SparsityBand::S1),
+            Some(SparsityBand::S2),
+            Some(SparsityBand::S3),
+        ];
+        for base in [0, 1, 9001, DEFAULT_BASE_SEED, u64::MAX] {
+            for workload in ["GEMM", "SDDMM-Win2", "", "a:b:-", "ünï ✓"] {
+                for band in bands {
+                    for scale in [0, 1, 4, usize::MAX] {
+                        assert_eq!(
+                            cell_seed(base, workload, band, scale),
+                            formula(base, workload, band, scale),
+                            "{base} {workload:?} {band:?} {scale}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,12 +41,33 @@ pub const STORE_SCHEMA: u32 = 2;
 
 /// 64-bit FNV-1a.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.0
+}
+
+/// A streaming 64-bit FNV-1a hasher ([`fnv1a64`] in pieces); as a
+/// [`std::fmt::Write`] it hashes formatted text without building it.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Stable fingerprint of the Canon configuration fields that affect results.

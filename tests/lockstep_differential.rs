@@ -1,36 +1,42 @@
 //! Column-lockstep differential: the lockstep engine must be
 //! **perf-only**.
 //!
-//! Lockstep runs a vertical-only fabric one column-0 cycle at a time and
-//! executes each row issue on all columns at once (see the engine table in
+//! Lockstep runs a fabric one column-0 cycle at a time and executes each
+//! row issue on all columns at once (see the engine table in
 //! `canon_core::fabric`). `CanonConfig::replay = false` keeps the per-PE
 //! stepping reference, so these properties run the same random program
-//! both ways and diff the full [`RunReport`] and the south collector
-//! sequence with its exit cycles. The only legitimate differences are the
-//! diagnostics that name the executing engine (`batched_pe_cycles`,
-//! `replayed_cycles`), normalized to zero on both sides; `active_pe_cycles`
-//! must match.
+//! both ways and diff the full [`RunReport`] and both collector sequences
+//! with their exit cycles. The only legitimate differences are the
+//! diagnostics that name the executing engine (`engine`,
+//! `batched_pe_cycles`, `replayed_cycles`), normalized on both sides;
+//! `active_pe_cycles` must match.
 //!
-//! Directed tests pin the harness sentinels (`PanicAt`, `max_cycles`, the
-//! watchdog under `WithholdCredits`) to the same cycle and error, warm-pool
-//! reuse after a lockstep run, the engine's reach (every tile of the
-//! sweep's GEMM, SpMM and N:M cells engages, and SDDMM, Window, `Custom`
-//! rows, traced and stepped-then-run fabrics do not), and one
-//! large-tier 64×64 golden on both engines.
+//! Two problem families cover the engine's dataflows: SpMM / GEMM / LUT
+//! rows (vertical links only) and SDDMM rows (north-edge feeders and the
+//! West→East psum chain). Directed tests pin the harness sentinels
+//! (`PanicAt`, `max_cycles`, the watchdog under `WithholdCredits`) to the
+//! same cycle and error for both, warm-pool reuse after a lockstep run, the
+//! engine's reach (every tile of the sweep's GEMM, SpMM, N:M, SDDMM and
+//! Window cells engages, and `Custom` rows, unequal feeder streams, traced
+//! and stepped-then-run fabrics do not), and one large-tier 64×64 golden on
+//! both engines.
 
 use canon::arch::fabric::CollectedEntry;
 use canon::arch::fault::FaultAction;
 use canon::arch::kernels::gemm::RegAccFsm;
+use canon::arch::kernels::sddmm::SddmmFsm;
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
 use canon::arch::kernels::{run_kernel, KernelInput};
+use canon::arch::noc::TaggedVector;
 use canon::arch::orchestrator::assembler::{regacc_fsm_spec, spmm_fsm_spec};
+use canon::arch::orchestrator::MetaToken;
 use canon::arch::orchestrator::RowProgram;
 use canon::arch::pool;
-use canon::arch::stats::RunReport;
+use canon::arch::stats::{Engine, RunReport};
 use canon::arch::trace::VecSink;
-use canon::arch::{CanonConfig, Fabric, SimError};
+use canon::arch::{CanonConfig, Fabric, SimError, Vector, LANES};
 use canon::sparse::gen::{self, SparsityBand};
-use canon::sparse::Dense;
+use canon::sparse::{Dense, Mask};
 use canon::sweep::backend::kernel_input;
 use canon::sweep::scenario::{standard_workloads, OpTemplate};
 use canon::sweep::store::fnv1a64;
@@ -63,6 +69,46 @@ struct Problem {
     seed: u64,
     regacc_rows: usize,
     lut_every: usize,
+}
+
+/// A problem both engines run: its configuration and how it loads onto a
+/// fabric.
+trait Case {
+    fn cfg(&self) -> CanonConfig;
+
+    /// Whether the north edge is a token-stream feeder.
+    fn north_feeder(&self) -> bool;
+
+    /// Loads the problem onto a fresh (or freshly reset) fabric.
+    fn load(&self, fabric: &mut Fabric);
+
+    fn fabric(&self, cfg: &CanonConfig) -> Fabric {
+        let mut fabric = Fabric::new(cfg, self.north_feeder());
+        self.load(&mut fabric);
+        fabric
+    }
+
+    /// The per-PE stepping reference (`replay: false`).
+    fn reference(&self) -> Fabric {
+        self.fabric(&CanonConfig {
+            replay: false,
+            ..self.cfg()
+        })
+    }
+}
+
+impl Case for Problem {
+    fn cfg(&self) -> CanonConfig {
+        self.cfg()
+    }
+
+    fn north_feeder(&self) -> bool {
+        false
+    }
+
+    fn load(&self, fabric: &mut Fabric) {
+        self.load(fabric, false);
+    }
 }
 
 impl Problem {
@@ -115,19 +161,111 @@ impl Problem {
             fabric.set_program(r, program);
         }
     }
+}
 
-    fn fabric(&self, cfg: &CanonConfig) -> Fabric {
-        let mut fabric = Fabric::new(cfg, false);
-        self.load(&mut fabric, false);
-        fabric
+/// An SDDMM problem mapped as `run_sddmm` maps it (§4.1.2), with the knobs
+/// the kernel fixes opened up: the A-buffer depth, the link FIFO depth
+/// (shallow ones force credit stalls), and whether the bottom row forwards
+/// `A` into the south edge sink.
+#[derive(Debug, Clone, Copy)]
+struct Sddmm {
+    rows: usize,
+    cols: usize,
+    /// Streamed `A` rows.
+    m: usize,
+    /// `A` tokens per row (`K = w · cols · LANES`).
+    w: usize,
+    /// Keys per PE row (`N = h · rows`).
+    h: usize,
+    /// Zero fraction of a random mask; `None` for a diagonal window.
+    sparsity: Option<f64>,
+    cyclic: bool,
+    depth: usize,
+    link_depth: usize,
+    bottom_forwards: bool,
+    seed: u64,
+}
+
+impl Case for Sddmm {
+    fn cfg(&self) -> CanonConfig {
+        CanonConfig {
+            rows: self.rows,
+            cols: self.cols,
+            link_fifo_depth: self.link_depth,
+            ..CanonConfig::default()
+        }
     }
 
-    /// The per-PE stepping reference (`replay: false`).
-    fn reference(&self) -> Fabric {
-        self.fabric(&CanonConfig {
-            replay: false,
-            ..self.cfg()
-        })
+    fn north_feeder(&self) -> bool {
+        true
+    }
+
+    fn load(&self, fabric: &mut Fabric) {
+        let (rows, cols, m, w, h) = (self.rows, self.cols, self.m, self.w, self.h);
+        let (n, k) = (h * rows, w * cols * LANES);
+        let mut rng = gen::seeded_rng(self.seed);
+        let a = Dense::random(m, k, &mut rng);
+        let b = Dense::random(n, k, &mut rng);
+        let mask = match self.sparsity {
+            Some(s) => gen::random_mask(m, n, s, &mut rng),
+            None => Mask::window(m, n, 1 + self.seed as usize % 4),
+        };
+        let slice = |row: &[i32], ww: usize, x: usize| {
+            let mut lanes = [0; LANES];
+            lanes.copy_from_slice(&row[(ww * cols + x) * LANES..][..LANES]);
+            Vector(lanes)
+        };
+        for y in 0..rows {
+            for x in 0..cols {
+                for hh in 0..h {
+                    let key = if self.cyclic {
+                        hh * rows + y
+                    } else {
+                        y * h + hh
+                    };
+                    for ww in 0..w {
+                        let v = slice(b.row(key), ww, x);
+                        fabric.pe_mut(y, x).dmem.preload(hh * w + ww, &[v]);
+                    }
+                }
+            }
+        }
+        for x in 0..cols {
+            let tokens = (0..m * w)
+                .map(|t| TaggedVector {
+                    value: slice(a.row(t / w), t % w, x),
+                    tag: t as u32,
+                })
+                .collect();
+            fabric.set_feeder(x, tokens);
+        }
+        for y in 0..rows {
+            let mut stream = Vec::new();
+            for mm in 0..m {
+                for col in mask.row_iter(mm) {
+                    let local = if self.cyclic {
+                        (col % rows == y).then_some(col / rows)
+                    } else {
+                        (col / h == y).then_some(col % h)
+                    };
+                    if let Some(local) = local {
+                        stream.push(MetaToken::MaskPos {
+                            row: mm as u32,
+                            col: local as u32,
+                        });
+                    }
+                }
+                stream.push(MetaToken::MRowEnd { row: mm as u32 });
+            }
+            stream.push(MetaToken::End);
+            fabric.set_meta_stream(y, stream);
+            let (n_base, n_stride) = if self.cyclic { (y, rows) } else { (y * h, 1) };
+            let forward_south = y + 1 < rows || self.bottom_forwards;
+            fabric.set_program(
+                y,
+                SddmmFsm::new(w, m, n, n_base, n_stride, self.depth, forward_south),
+            );
+        }
     }
 }
 
@@ -138,22 +276,15 @@ fn normalized(mut report: RunReport) -> RunReport {
     report
 }
 
-/// Whether the run took the lockstep engine: it vectorizes every active
-/// PE-cycle and never replays.
 fn took_lockstep(report: &RunReport) -> bool {
-    report.stats.active_pe_cycles > 0
-        && report.stats.batched_pe_cycles == report.stats.active_pe_cycles
-        && report.stats.replayed_cycles == 0
+    report.engine == Engine::Lockstep
 }
 
 fn assert_lockstep_invisible(lock: (&Fabric, RunReport), reference: (&Fabric, RunReport)) {
     let (lf, lr) = lock;
     let (rf, rr) = reference;
-    assert!(
-        took_lockstep(&lr),
-        "lockstep did not engage: {:?}",
-        lr.stats
-    );
+    assert!(took_lockstep(&lr), "lockstep did not engage: {lr:?}");
+    assert_eq!(rr.engine, Engine::Scalar);
     assert_eq!(
         normalized(lr),
         normalized(rr),
@@ -164,7 +295,11 @@ fn assert_lockstep_invisible(lock: (&Fabric, RunReport), reference: (&Fabric, Ru
         rf.south_collected(),
         "south collector sequence diverged"
     );
-    assert!(lf.east_collected().is_empty() && rf.east_collected().is_empty());
+    assert_eq!(
+        lf.east_collected(),
+        rf.east_collected(),
+        "east collector sequence diverged"
+    );
 }
 
 proptest! {
@@ -208,6 +343,49 @@ proptest! {
         let rr = reference.run().expect("reference run drains");
         assert_lockstep_invisible((&lock, lr), (&reference, rr));
     }
+
+    /// Random SDDMM problems from 8×8 through 64×64: Block and Cyclic
+    /// partitions, random and window masks, A-buffer depths, shallow link
+    /// FIFOs (credit stalls) and a bottom row that forwards into the south
+    /// sink or not. Lockstep's feeder-backed row link 0 and chain scan must
+    /// reproduce every report field and both collectors.
+    #[test]
+    fn sddmm_lockstep_is_architecturally_invisible(
+        seed in 0u64..10_000,
+        rows_sel in 0usize..4,
+        cols_sel in 0usize..4,
+        m in 1usize..12,
+        w in 1usize..4,
+        h in 1usize..4,
+        mask_sel in 0usize..4,
+        cyclic in 0u8..2,
+        extra_depth in 0usize..3,
+        link_depth in 3usize..9,
+        bottom_forwards in 0u8..2,
+    ) {
+        let dims = [8usize, 16, 32, 64];
+        let (rows, cols) = (dims[rows_sel], dims[cols_sel]);
+        // Keep the per-PE reference affordable in the dev profile.
+        let (m, w, h) = if rows * cols > 1024 { (m.min(4), 1, 1) } else { (m, w, h) };
+        let p = Sddmm {
+            rows,
+            cols,
+            m,
+            w,
+            h,
+            sparsity: [Some(0.0), Some(0.5), Some(0.9), None][mask_sel],
+            cyclic: cyclic == 1,
+            depth: w + extra_depth,
+            link_depth,
+            bottom_forwards: bottom_forwards == 1,
+            seed,
+        };
+        let mut lock = p.fabric(&p.cfg());
+        let mut reference = p.reference();
+        let lr = lock.run().expect("lockstep run drains");
+        let rr = reference.run().expect("reference run drains");
+        assert_lockstep_invisible((&lock, lr), (&reference, rr));
+    }
 }
 
 /// The dense, deep-band 8×8 problem the sentinel tests abort mid-run.
@@ -225,12 +403,35 @@ fn dense() -> Problem {
     }
 }
 
-/// One run's outcome: the result, the fabric's report, and its south
-/// collector.
-type Outcome = (Result<RunReport, SimError>, RunReport, Vec<CollectedEntry>);
+/// The 8×8 SDDMM problem the sentinel tests abort mid-run: a half-dense
+/// mask, with the bottom row forwarding so both edge collectors fill.
+fn sddmm() -> Sddmm {
+    Sddmm {
+        rows: 8,
+        cols: 8,
+        m: 24,
+        w: 2,
+        h: 2,
+        sparsity: Some(0.5),
+        cyclic: false,
+        depth: 4,
+        link_depth: 8,
+        bottom_forwards: true,
+        seed: 3,
+    }
+}
+
+/// One run's outcome: the result, the fabric's report, and its south and
+/// east collectors.
+type Outcome = (
+    Result<RunReport, SimError>,
+    RunReport,
+    Vec<CollectedEntry>,
+    Vec<CollectedEntry>,
+);
 
 /// Runs `p` under `tweak` with and without the fast engines.
-fn run_both(p: &Problem, tweak: impl Fn(&mut CanonConfig)) -> [Outcome; 2] {
+fn run_both(p: &dyn Case, tweak: impl Fn(&mut CanonConfig)) -> [Outcome; 2] {
     [true, false].map(|fast| {
         let mut cfg = CanonConfig {
             replay: fast,
@@ -239,128 +440,173 @@ fn run_both(p: &Problem, tweak: impl Fn(&mut CanonConfig)) -> [Outcome; 2] {
         tweak(&mut cfg);
         let mut fabric = p.fabric(&cfg);
         let result = fabric.run();
-        (result, fabric.report(), fabric.south_collected().to_vec())
+        (
+            result,
+            fabric.report(),
+            fabric.south_collected().to_vec(),
+            fabric.east_collected().to_vec(),
+        )
     })
 }
 
 #[test]
 fn panic_at_fires_at_the_same_cycle() {
-    for replay in [true, false] {
-        let cfg = CanonConfig {
-            replay,
-            fault: Some(FaultAction::PanicAt { cycle: 300 }),
-            ..dense().cfg()
-        };
-        let mut fabric = dense().fabric(&cfg);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fabric.run()))
-            .expect_err("injected panic must fire");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".into());
-        assert!(
-            msg.contains("injected fault") && msg.contains("cycle 300"),
-            "unexpected panic payload with replay={replay}: {msg}"
-        );
+    let cases: [(&dyn Case, u64); 2] = [(&dense(), 300), (&sddmm(), 150)];
+    for (p, at) in cases {
+        let full = p.reference().run().expect("drains").cycles;
+        assert!(at < full, "panic cycle {at} past the end ({full})");
+        for replay in [true, false] {
+            let cfg = CanonConfig {
+                replay,
+                fault: Some(FaultAction::PanicAt { cycle: at }),
+                ..p.cfg()
+            };
+            let mut fabric = p.fabric(&cfg);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fabric.run()))
+                .expect_err("injected panic must fire");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic".into());
+            assert!(
+                msg.contains("injected fault") && msg.contains(&format!("cycle {at}")),
+                "unexpected panic payload with replay={replay}: {msg}"
+            );
+        }
     }
 }
 
 #[test]
 fn cycle_ceiling_fires_at_the_same_cycle_mid_run_and_in_the_drain() {
-    let mut reference = dense().reference();
-    let full = reference.run().expect("drains").cycles;
-    let exits = reference.south_collected();
-    // Mid-run; exactly on a south-edge exit, which the aborted run must not
-    // have collected yet; and inside the last `3·(cols − 1)` cycles, where
-    // column 0 has drained and lockstep only counts down the lagging
-    // columns.
-    for ceiling in [300, exits[exits.len() / 2].cycle, full - 5] {
-        let [(lock, _, lock_exits), (reference, _, reference_exits)] = run_both(&dense(), |cfg| {
-            cfg.max_cycles = Some(ceiling);
-        });
-        let lock = lock.expect_err("lockstep run must time out");
-        let reference = reference.expect_err("reference run must time out");
-        assert!(
-            matches!(&lock, SimError::Timeout { cycle, .. } if *cycle == ceiling),
-            "{lock}"
-        );
-        assert_eq!(lock.to_string(), reference.to_string());
-        assert_eq!(
-            lock_exits, reference_exits,
-            "exits collected before the abort"
-        );
+    let cases: [&dyn Case; 2] = [&dense(), &sddmm()];
+    for p in cases {
+        let mut reference = p.reference();
+        let full = reference.run().expect("drains").cycles;
+        let south = reference.south_collected();
+        let east = reference.east_collected();
+        // Mid-run; exactly on a south- and an east-edge exit, which the
+        // aborted run must not have collected yet; and inside the last
+        // `3·(cols − 1)` cycles, where column 0 has drained and lockstep
+        // only counts down the lagging columns.
+        let mut ceilings = vec![full / 2, south[south.len() / 2].cycle, full - 5];
+        if !east.is_empty() {
+            ceilings.push(east[east.len() / 2].cycle);
+            ceilings.push(east[east.len() - 1].cycle);
+        }
+        for ceiling in ceilings {
+            let [(lock, _, lock_south, lock_east), (reference, _, ref_south, ref_east)] =
+                run_both(p, |cfg| {
+                    cfg.max_cycles = Some(ceiling);
+                });
+            let lock = lock.expect_err("lockstep run must time out");
+            let reference = reference.expect_err("reference run must time out");
+            assert!(
+                matches!(&lock, SimError::Timeout { cycle, .. } if *cycle == ceiling),
+                "{lock}"
+            );
+            assert_eq!(lock.to_string(), reference.to_string());
+            assert_eq!(
+                lock_south, ref_south,
+                "south exits collected before the abort"
+            );
+            assert_eq!(lock_east, ref_east, "east exits collected before the abort");
+        }
     }
 }
 
 #[test]
 fn withheld_credits_trip_the_watchdog_at_the_same_cycle() {
-    let [(lock, lock_report, lock_exits), (reference, reference_report, reference_exits)] =
-        run_both(&dense(), |cfg| {
-            cfg.fault = Some(FaultAction::WithholdCredits);
-            cfg.watchdog_factor = 2;
-            cfg.watchdog_slack = 100;
-        });
-    let lock = lock.expect_err("lockstep run must deadlock");
-    let reference = reference.expect_err("reference run must deadlock");
-    assert!(matches!(lock, SimError::Deadlock { .. }), "{lock}");
-    assert_eq!(lock.to_string(), reference.to_string());
-    assert_eq!(lock_report.cycles, reference_report.cycles);
-    assert_eq!(lock_exits, reference_exits);
+    let cases: [&dyn Case; 2] = [&dense(), &sddmm()];
+    for p in cases {
+        let [(lock, lock_report, lock_south, lock_east), (reference, ref_report, ref_south, ref_east)] =
+            run_both(p, |cfg| {
+                cfg.fault = Some(FaultAction::WithholdCredits);
+                cfg.watchdog_factor = 2;
+                cfg.watchdog_slack = 100;
+            });
+        let lock = lock.expect_err("lockstep run must deadlock");
+        let reference = reference.expect_err("reference run must deadlock");
+        assert!(matches!(lock, SimError::Deadlock { .. }), "{lock}");
+        assert_eq!(lock.to_string(), reference.to_string());
+        assert_eq!(lock_report.cycles, ref_report.cycles);
+        assert_eq!(lock_south, ref_south);
+        assert_eq!(lock_east, ref_east);
+    }
 }
 
-/// A warm-pool fabric reused after lockstep runs — one drained, one aborted
-/// mid-flight by the cycle ceiling with row links still occupied — must
-/// audit pristine and reproduce a cold run exactly.
+/// A warm-pool fabric reused after runs on either engine — one drained, one
+/// aborted mid-flight by the cycle ceiling with links, accumulators (and,
+/// for SDDMM, feeder streams) still occupied — must audit pristine and
+/// reproduce a cold run exactly.
 #[test]
 fn pooled_fabric_reuse_after_lockstep_matches_a_cold_run() {
-    let first = Problem {
-        regacc_rows: 0,
-        ..dense()
-    };
-    let second = Problem {
-        seed: 11,
-        sparsity: 0.4,
-        ..dense()
-    };
-    let cfg = dense().cfg();
-    let aborting = CanonConfig {
-        max_cycles: Some(200),
-        ..cfg.clone()
-    };
-    let _pool = pool::install(1);
-    for first_cfg in [&cfg, &aborting] {
-        {
-            let mut warm = pool::acquire(first_cfg, false);
-            first.load(&mut warm, false);
-            let run = warm.run();
-            if first_cfg.max_cycles.is_some() {
-                assert!(matches!(run, Err(SimError::Timeout { .. })), "{run:?}");
-            } else {
-                assert!(took_lockstep(&run.expect("first run drains")));
+    let spmm: [&dyn Case; 2] = [
+        &Problem {
+            regacc_rows: 0,
+            ..dense()
+        },
+        &Problem {
+            seed: 11,
+            sparsity: 0.4,
+            ..dense()
+        },
+    ];
+    let sddmm: [&dyn Case; 2] = [
+        &sddmm(),
+        &Sddmm {
+            seed: 12,
+            cyclic: true,
+            sparsity: None,
+            ..sddmm()
+        },
+    ];
+    for [first, second] in [spmm, sddmm] {
+        let cfg = second.cfg();
+        let full = first.reference().run().expect("drains").cycles;
+        let first_cfgs = [None, Some(full / 2)].map(|max_cycles| {
+            [true, false].map(|replay| CanonConfig {
+                replay,
+                max_cycles,
+                ..cfg.clone()
+            })
+        });
+        let _pool = pool::install(1);
+        for first_cfg in first_cfgs.iter().flatten() {
+            {
+                let mut warm = pool::acquire(first_cfg, first.north_feeder());
+                first.load(&mut warm);
+                let run = warm.run();
+                if first_cfg.max_cycles.is_some() {
+                    assert!(matches!(run, Err(SimError::Timeout { .. })), "{run:?}");
+                } else {
+                    let run = run.expect("first run drains");
+                    assert_eq!(took_lockstep(&run), first_cfg.replay);
+                }
             }
+            let mut warm = pool::acquire(&cfg, second.north_feeder());
+            warm.assert_pristine();
+            second.load(&mut warm);
+            let warm_report = warm.run().expect("warm run drains");
+            let mut cold = second.fabric(&cfg);
+            let cold_report = cold.run().expect("cold run drains");
+            assert!(took_lockstep(&warm_report));
+            assert_eq!(
+                RunReport {
+                    wall_ns: 0,
+                    ..warm_report
+                },
+                RunReport {
+                    wall_ns: 0,
+                    ..cold_report
+                }
+            );
+            assert_eq!(warm.south_collected(), cold.south_collected());
+            assert_eq!(warm.east_collected(), cold.east_collected());
         }
-        let mut warm = pool::acquire(&cfg, false);
-        warm.assert_pristine();
-        second.load(&mut warm, false);
-        let warm_report = warm.run().expect("warm run drains");
-        let mut cold = second.fabric(&cfg);
-        let cold_report = cold.run().expect("cold run drains");
-        assert!(took_lockstep(&warm_report));
-        assert_eq!(
-            RunReport {
-                wall_ns: 0,
-                ..warm_report
-            },
-            RunReport {
-                wall_ns: 0,
-                ..cold_report
-            }
-        );
-        assert_eq!(warm.south_collected(), cold.south_collected());
+        // One construction; every later acquire reused that fabric.
+        let stats = pool::stats().expect("pool installed");
+        assert_eq!((stats.misses, stats.hits), (1, 7));
     }
-    // One construction; every later acquire reused that fabric.
-    let stats = pool::stats().expect("pool installed");
-    assert_eq!((stats.misses, stats.hits), (1, 3));
 }
 
 /// The sweep's Canon tensor templates at smoke scale.
@@ -372,19 +618,23 @@ fn template(name: &str) -> OpTemplate {
         .template
 }
 
-fn tensor_input(name: &str, band: Option<SparsityBand>) -> canon::arch::kernels::KernelInput {
-    match template(name).instantiate(band, 4) {
+fn tensor_input(
+    name: &str,
+    band: Option<SparsityBand>,
+    scale: usize,
+) -> canon::arch::kernels::KernelInput {
+    match template(name).instantiate(band, scale) {
         Workload::Tensor(op) => kernel_input(&op, 5),
         other => panic!("{name} is not a tensor workload: {other:?}"),
     }
 }
 
-/// Lockstep must carry every tile of the GEMM, SpMM (all bands) and N:M
-/// cells at the small and large geometries: the summed report of a
-/// multi-tile kernel vectorizes every active PE-cycle only if every tile
-/// did.
+/// Lockstep must carry every tile of the GEMM, SpMM (all bands), N:M, SDDMM
+/// (all bands) and Window cells at the small and large geometries, with no
+/// knob: a multi-tile kernel's summed report names the lockstep engine only
+/// if every tile took it.
 #[test]
-fn lockstep_reaches_every_gemm_spmm_and_nm_tile() {
+fn lockstep_reaches_every_tensor_tile() {
     let cells = [
         ("GEMM", None),
         ("SpMM", Some(SparsityBand::S1)),
@@ -392,15 +642,22 @@ fn lockstep_reaches_every_gemm_spmm_and_nm_tile() {
         ("SpMM", Some(SparsityBand::S3)),
         ("SpMM-2:4", None),
         ("SpMM-2:8", None),
+        ("SDDMM", Some(SparsityBand::S1)),
+        ("SDDMM", Some(SparsityBand::S2)),
+        ("SDDMM", Some(SparsityBand::S3)),
+        ("SDDMM-Win1", None),
+        ("SDDMM-Win2", None),
     ];
     for (rows, cols) in [(8, 8), (16, 8), (64, 64)] {
         let cfg = CanonConfig::default().with_geometry(rows, cols);
         for (name, band) in cells {
-            let out = run_kernel(&cfg, &tensor_input(name, band)).expect("maps");
+            // SDDMM's 128 keys at scale 4 cannot fill 64 PE rows.
+            let scale = if (name, rows) == ("SDDMM", 64) { 2 } else { 4 };
+            let out = run_kernel(&cfg, &tensor_input(name, band, scale)).expect("maps");
             assert!(
                 took_lockstep(&out.report),
                 "{name} {band:?} at {rows}x{cols} left lockstep: {:?}",
-                out.report.stats
+                out.report
             );
         }
     }
@@ -409,12 +666,6 @@ fn lockstep_reaches_every_gemm_spmm_and_nm_tile() {
 /// Lockstep must stay off wherever it is not exact or not requested.
 #[test]
 fn lockstep_stays_off_outside_its_reach() {
-    let cfg = CanonConfig::default();
-    // SDDMM and Window: north-edge feeders and a West→East psum chain.
-    for name in ["SDDMM", "SDDMM-Win1"] {
-        let out = run_kernel(&cfg, &tensor_input(name, Some(SparsityBand::S2))).expect("maps");
-        assert!(!took_lockstep(&out.report), "{name} took lockstep");
-    }
     let p = dense();
     // `Custom` rows.
     let mut custom = Fabric::new(&p.cfg(), false);
@@ -423,6 +674,13 @@ fn lockstep_stays_off_outside_its_reach() {
         !took_lockstep(&custom.run().expect("drains")),
         "custom rows"
     );
+    // Feeder streams of unequal length (the no-underflow argument needs
+    // equal ones): the last column's first pop underflows.
+    let q = sddmm();
+    let mut ragged = q.fabric(&q.cfg());
+    ragged.set_feeder(q.cols - 1, Vec::new());
+    assert!(ragged.run().is_err(), "ragged feeders");
+    assert_eq!(ragged.report().engine, Engine::Scalar, "ragged feeders");
     // Traced fabrics.
     let mut traced = p.fabric(&p.cfg());
     traced.set_trace_sink(Box::new(VecSink::default()));
