@@ -8,9 +8,10 @@
 //!   simulated **cycles per host second** (the simulator-throughput metric;
 //!   wall time is taken from [`RunReport::wall_ns`], i.e. the fabric step
 //!   loop only, excluding operand materialization);
-//! * **steady state** — one fabric-level SpMM run bracketed by the harness's
-//!   global allocation counter, reporting allocations per simulated cycle
-//!   (the zero-allocation-step-loop evidence);
+//! * **steady state** — one fabric-level SpMM run per engine (column
+//!   lockstep and per-PE stepping) bracketed by the harness's global
+//!   allocation counter, reporting allocations per simulated cycle (the
+//!   zero-allocation-step-loop evidence);
 //! * **figures / sweep** — end-to-end wall time of the multi-backend figure
 //!   harness and of a cold standard sweep (cells include baselines and
 //!   operand materialization, so this measures the whole pipeline).
@@ -41,9 +42,9 @@ use std::time::Instant;
 pub type AllocSnapshot = fn() -> (u64, u64);
 
 /// Allocation-regression gate for `repro bench --check`: the steady-state
-/// step loop must stay below this many heap allocations per simulated cycle
-/// (the zero-allocation hot path measures well under 0.2 — amortized
-/// collector growth only, see the committed `BENCH_sim.json`; the 0.25
+/// step loop of each engine must stay below this many heap allocations per
+/// simulated cycle (the zero-allocation hot path measures well under 0.2 —
+/// amortized collector growth only, see the committed `BENCH_sim.json`; the 0.25
 /// ceiling leaves headroom for noise, not for an allocating hot path,
 /// which lands at tens of allocations per cycle).
 pub const MAX_ALLOCS_PER_CYCLE: f64 = 0.25;
@@ -190,18 +191,22 @@ pub fn check_large_gate(report: &BenchReport, baseline: &str) -> Result<Option<f
 /// bench --check` turns it into a non-zero exit so CI fails when the
 /// zero-allocation property of the step loop rots.
 pub fn check_alloc_gate(report: &BenchReport) -> Result<(), String> {
-    let Some(ss) = &report.steady_state else {
+    if report.steady_state.is_empty() {
         return Err(
             "allocation gate needs a steady-state profile (counting allocator hook)".into(),
         );
-    };
-    let ratio = ss.allocs as f64 / ss.cycles.max(1) as f64;
-    if ratio > MAX_ALLOCS_PER_CYCLE {
-        return Err(format!(
-            "steady-state step loop allocates {ratio:.4} times per simulated cycle \
-             ({} allocs / {} cycles), above the {MAX_ALLOCS_PER_CYCLE} gate",
-            ss.allocs, ss.cycles
-        ));
+    }
+    for ss in &report.steady_state {
+        let ratio = ss.allocs_per_cycle();
+        if ratio > MAX_ALLOCS_PER_CYCLE {
+            return Err(format!(
+                "{} steady-state step loop allocates {ratio:.4} times per simulated cycle \
+                 ({} allocs / {} cycles), above the {MAX_ALLOCS_PER_CYCLE} gate",
+                ss.engine(),
+                ss.allocs,
+                ss.cycles
+            ));
+        }
     }
     Ok(())
 }
@@ -232,6 +237,9 @@ pub struct KernelBench {
 /// Allocation + scheduler profile of one fabric run.
 #[derive(Debug, Clone)]
 pub struct SteadyState {
+    /// [`CanonConfig::lockstep`] of the measured run: on, the run takes
+    /// column lockstep; off, per-PE stepping.
+    pub lockstep: bool,
     /// Cycles of the measured run.
     pub cycles: u64,
     /// Heap allocations during [`Fabric::run`].
@@ -249,6 +257,20 @@ pub struct SteadyState {
 }
 
 impl SteadyState {
+    /// The engine configuration, as reports name it.
+    pub fn engine(&self) -> &'static str {
+        if self.lockstep {
+            "lockstep"
+        } else {
+            "per-PE"
+        }
+    }
+
+    /// Heap allocations per simulated cycle (the gated figure).
+    pub fn allocs_per_cycle(&self) -> f64 {
+        self.allocs as f64 / self.cycles.max(1) as f64
+    }
+
     /// Share of the swept PE work the column-lockstep engine carried
     /// (`batched_pe_cycles / active_pe_cycles`).
     pub fn batch_hit_rate(&self) -> f64 {
@@ -273,7 +295,7 @@ pub struct LargeKernelBench {
     /// Interleaved A/B pairs measured.
     pub reps: usize,
     /// Simulated cycles per host second with per-PE stepping
-    /// (`replay: false`).
+    /// (`lockstep: false`).
     pub scalar_cps: f64,
     /// Simulated cycles per host second with the default engine
     /// configuration (column lockstep where the run is eligible; this is
@@ -327,11 +349,12 @@ pub struct BenchReport {
     /// Per-kernel simulator throughput.
     pub kernels: Vec<KernelBench>,
     /// Large-tier measurements (64×64 / 128×64 fabrics, deep-K operands)
-    /// with interleaved batch-off/batch-on A/B. Empty when the large tier
-    /// was skipped (`--reps 0`).
+    /// with an interleaved per-PE / default-engine A/B. Empty when the
+    /// large tier was skipped (`--reps 0`).
     pub large: Vec<LargeKernelBench>,
-    /// Step-loop allocation profile (`None` without an allocator hook).
-    pub steady_state: Option<SteadyState>,
+    /// Step-loop allocation profiles, default engine (lockstep) first, then
+    /// per-PE stepping; empty without an allocator hook.
+    pub steady_state: Vec<SteadyState>,
     /// Figure harness wall times.
     pub figures: Vec<FigureBench>,
     /// Cold-sweep throughput.
@@ -492,7 +515,7 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
                 ..default
             };
             let cfg_per_pe = CanonConfig {
-                replay: false,
+                lockstep: false,
                 ..cfg_default.clone()
             };
             let input = kernel_input(&op, seed);
@@ -536,16 +559,20 @@ fn bench_large(reps: usize) -> Vec<LargeKernelBench> {
 /// constructor, so the allocation claim and the golden collector sequence
 /// always describe the same scenario.
 pub fn golden_spmm_fabric() -> Fabric {
-    let cfg = CanonConfig::default();
+    golden_spmm_on(&CanonConfig::default(), 16)
+}
+
+/// The golden SpMM band on `cfg` with a psum window of `depth` entries.
+fn golden_spmm_on(cfg: &CanonConfig, depth: usize) -> Fabric {
     let mut rng = gen::seeded_rng(7);
     let a = gen::skewed_sparse(24, 32, 0.55, 1.5, &mut rng);
     let b = Dense::random(32, 32, &mut rng);
     let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("stream split");
-    let mut fabric = Fabric::new(&cfg, false);
+    let mut fabric = Fabric::new(cfg, false);
     preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0).expect("tile fits");
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, SpmmFsm::new(16, 24));
+        fabric.set_program(r, SpmmFsm::new(depth, 24));
     }
     fabric
 }
@@ -560,36 +587,38 @@ pub fn golden_trace_fabric() -> Fabric {
         link_fifo_depth: 4,
         ..CanonConfig::default()
     };
-    let mut rng = gen::seeded_rng(7);
-    let a = gen::skewed_sparse(24, 32, 0.55, 1.5, &mut rng);
-    let b = Dense::random(32, 32, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("stream split");
-    let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0).expect("tile fits");
-    for (r, stream) in streams.into_iter().enumerate() {
-        fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, SpmmFsm::new(1, 24));
-    }
-    fabric
+    golden_spmm_on(&cfg, 1)
 }
 
-fn bench_steady_state(alloc: AllocSnapshot) -> SteadyState {
-    // One throwaway run warms allocator pools and code paths.
-    let mut warm = golden_spmm_fabric();
-    warm.run().expect("spmm runs");
-    let mut fabric = golden_spmm_fabric();
-    let (a0, b0) = alloc();
-    let report = fabric.run().expect("spmm runs");
-    let (a1, b1) = alloc();
-    SteadyState {
-        cycles: report.cycles,
-        allocs: a1 - a0,
-        bytes: b1 - b0,
-        pes: report.pes,
-        active_pe_cycles: report.stats.active_pe_cycles,
-        batched_pe_cycles: report.stats.batched_pe_cycles,
-        orch_steps: report.stats.orch_steps,
-    }
+/// The allocation profile of the golden SpMM run on each engine: the
+/// default configuration takes column lockstep, `lockstep: false` steps
+/// every PE through [`Fabric::step`].
+fn bench_steady_state(alloc: AllocSnapshot) -> Vec<SteadyState> {
+    [true, false]
+        .map(|lockstep| {
+            let cfg = CanonConfig {
+                lockstep,
+                ..CanonConfig::default()
+            };
+            // One throwaway run warms allocator pools and code paths.
+            let mut warm = golden_spmm_on(&cfg, 16);
+            warm.run().expect("spmm runs");
+            let mut fabric = golden_spmm_on(&cfg, 16);
+            let (a0, b0) = alloc();
+            let report = fabric.run().expect("spmm runs");
+            let (a1, b1) = alloc();
+            SteadyState {
+                lockstep,
+                cycles: report.cycles,
+                allocs: a1 - a0,
+                bytes: b1 - b0,
+                pes: report.pes,
+                active_pe_cycles: report.stats.active_pe_cycles,
+                batched_pe_cycles: report.stats.batched_pe_cycles,
+                orch_steps: report.stats.orch_steps,
+            }
+        })
+        .into()
 }
 
 fn bench_figures(scale: Scale) -> Vec<FigureBench> {
@@ -671,7 +700,7 @@ pub fn run_bench(
         calib_ops_per_sec: calibrate_host(),
         kernels: bench_kernels(scale),
         large: bench_large(large_reps),
-        steady_state: alloc.map(bench_steady_state),
+        steady_state: alloc.map(bench_steady_state).unwrap_or_default(),
         figures: bench_figures(scale),
         sweep: bench_sweep(scale, jobs),
     }
@@ -834,14 +863,20 @@ pub fn render_json(report: &BenchReport, baseline: Option<&str>) -> String {
             .collect();
         let _ = writeln!(s, "  \"large_replay\": {{{}}},", per_geom.join(","));
     }
-    if let Some(ss) = &report.steady_state {
+    for ss in &report.steady_state {
+        // The default engine keeps the key older baselines carry.
+        let (key, name) = if ss.lockstep {
+            ("steady_state", "spmm-fabric")
+        } else {
+            ("steady_state_per_pe", "spmm-fabric-per-pe")
+        };
         let _ = writeln!(
             s,
-            "  \"steady_state\": {{\"name\":\"spmm-fabric\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{}}},",
+            "  \"{key}\": {{\"name\":\"{name}\",\"cycles\":{},\"allocs\":{},\"bytes\":{},\"allocs_per_cycle\":{:.4},\"active_pe_ratio\":{:.4},\"batched_pe_cycles\":{},\"batch_hit_rate\":{:.4},\"orch_steps\":{}}},",
             ss.cycles,
             ss.allocs,
             ss.bytes,
-            ss.allocs as f64 / ss.cycles.max(1) as f64,
+            ss.allocs_per_cycle(),
             ss.active_pe_cycles as f64 / (ss.cycles.max(1) * ss.pes.max(1) as u64) as f64,
             ss.batched_pe_cycles,
             ss.batch_hit_rate(),
@@ -988,13 +1023,14 @@ pub fn render_text(report: &BenchReport) -> String {
             );
         }
     }
-    if let Some(ss) = &report.steady_state {
+    for ss in &report.steady_state {
         let _ = writeln!(
             s,
-            "steady-state step loop: {} allocs / {} cycles = {:.4} allocs/cycle ({} bytes)",
+            "steady-state step loop ({}): {} allocs / {} cycles = {:.4} allocs/cycle ({} bytes)",
+            ss.engine(),
             ss.allocs,
             ss.cycles,
-            ss.allocs as f64 / ss.cycles.max(1) as f64,
+            ss.allocs_per_cycle(),
             ss.bytes
         );
         // Scheduler activity: the share of PE-cycles the active set sweeps.
@@ -1051,15 +1087,28 @@ mod tests {
                 scalar_cps: 4_000.0,
                 replay_cps: 30_000.0,
             }],
-            steady_state: Some(SteadyState {
-                cycles: 164,
-                allocs: 12,
-                bytes: 4096,
-                pes: 64,
-                active_pe_cycles: 4100,
-                batched_pe_cycles: 1025,
-                orch_steps: 1000,
-            }),
+            steady_state: vec![
+                SteadyState {
+                    lockstep: true,
+                    cycles: 164,
+                    allocs: 12,
+                    bytes: 4096,
+                    pes: 64,
+                    active_pe_cycles: 4100,
+                    batched_pe_cycles: 1025,
+                    orch_steps: 1000,
+                },
+                SteadyState {
+                    lockstep: false,
+                    cycles: 164,
+                    allocs: 16,
+                    bytes: 4096,
+                    pes: 64,
+                    active_pe_cycles: 4100,
+                    batched_pe_cycles: 0,
+                    orch_steps: 1000,
+                },
+            ],
             figures: vec![FigureBench {
                 name: "fig12+13",
                 wall_ms: 42.0,
@@ -1086,7 +1135,10 @@ mod tests {
             extract_section_number(&json, "sweep", "cycles_per_sec"),
             Some(12_345_600.0)
         );
+        assert!(json.contains("\"steady_state\": {\"name\":\"spmm-fabric\""));
         assert!(json.contains("\"allocs_per_cycle\":0.0732"));
+        assert!(json.contains("\"steady_state_per_pe\": {\"name\":\"spmm-fabric-per-pe\""));
+        assert!(json.contains("\"allocs_per_cycle\":0.0976"));
         assert!(json.contains("\"baseline\": null"));
     }
 
@@ -1145,20 +1197,17 @@ mod tests {
     #[test]
     fn alloc_gate_accepts_lean_profiles_and_rejects_regressions() {
         let mut r = tiny_report();
-        // 12 allocs / 164 cycles ≈ 0.073 — passes.
+        // 12 and 16 allocs / 164 cycles ≈ 0.073 and 0.098 — both pass.
         assert!(check_alloc_gate(&r).is_ok());
-        r.steady_state = Some(SteadyState {
-            cycles: 100,
-            allocs: 26,
-            bytes: 0,
-            pes: 64,
-            active_pe_cycles: 0,
-            batched_pe_cycles: 0,
-            orch_steps: 0,
-        });
-        let err = check_alloc_gate(&r).unwrap_err();
-        assert!(err.contains("0.2600"), "{err}");
-        r.steady_state = None;
+        // Either engine above the gate fails it, and the message names it.
+        for (i, engine) in [(0, "lockstep"), (1, "per-PE")] {
+            let mut r = tiny_report();
+            r.steady_state[i].cycles = 100;
+            r.steady_state[i].allocs = 26;
+            let err = check_alloc_gate(&r).unwrap_err();
+            assert!(err.contains("0.2600") && err.starts_with(engine), "{err}");
+        }
+        r.steady_state.clear();
         assert!(check_alloc_gate(&r).is_err());
     }
 

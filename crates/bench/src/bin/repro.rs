@@ -213,7 +213,7 @@ fn usage() -> ! {
            --geom LIST  sweep fabric geometries, e.g. 8x8,16x16 (default: 8x8,\n\
                         or 64x64,128x64 under --large); baselines are\n\
                         provisioned iso-MAC at each point\n\
-           --no-replay  (sweep) disable the column-lockstep engine and\n\
+           --per-pe     (sweep) disable the column-lockstep engine and\n\
                         step every PE of every cell; the result store must\n\
                         be byte-identical either way (CI diffs the two)\n\
            --resume     (sweep) continue an interrupted sweep from the store\n\
@@ -240,12 +240,12 @@ fn usage() -> ! {
                         compute speedups against\n\
            --reps N     (bench) interleaved per-PE/default-engine pairs per\n\
                         large-tier cell (default 3; 0 skips the large tier)\n\
-           --check      (bench) exit non-zero if the steady-state step loop\n\
-                        exceeds the allocation gate (allocs/cycle) or the\n\
-                        kernels/large-tier geomeans regress >10% against the\n\
-                        baseline (--baseline FILE, else the committed\n\
-                        BENCH_sim.json); a baseline without a large section\n\
-                        skips that gate with a warning\n\
+           --check      (bench) exit non-zero if either engine's steady-state\n\
+                        step loop exceeds the allocation gate (allocs/cycle)\n\
+                        or the kernels/large-tier geomeans regress >10%\n\
+                        against the baseline (--baseline FILE, else the\n\
+                        committed BENCH_sim.json); a baseline without a\n\
+                        large section skips that gate with a warning\n\
          exit codes: 0 ok; 1 fatal error; 2 usage; 3 sweep/submit completed\n\
                      with quarantined cell failures; 130 interrupted (SIGINT\n\
                      drain); 143 serve drained by SIGTERM"
@@ -347,9 +347,9 @@ struct SweepRunOpts {
     cell_cycle_budget: Option<u64>,
     max_retries: u32,
     /// Column lockstep on (the default engine configuration).
-    /// `--no-replay` forces per-PE stepping so CI can byte-diff the two
+    /// `--per-pe` forces per-PE stepping so CI can byte-diff the two
     /// paths' result stores.
-    replay: bool,
+    lockstep: bool,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -417,7 +417,7 @@ fn run_standard_sweep(
             jobs,
             progress,
             base_cfg: CanonConfig {
-                replay: run.replay,
+                lockstep: run.lockstep,
                 ..CanonConfig::default()
             },
             cell_wall_budget: run.cell_wall_budget,
@@ -539,7 +539,7 @@ fn main() {
     } else {
         false
     };
-    let replay = if let Some(pos) = args.iter().position(|a| a == "--no-replay") {
+    let lockstep = if let Some(pos) = args.iter().position(|a| a == "--per-pe") {
         args.remove(pos);
         false
     } else {
@@ -616,7 +616,7 @@ fn main() {
         if check {
             match bench::check_alloc_gate(&report) {
                 Ok(()) => println!(
-                    "allocation gate passed (<= {} allocs/cycle)",
+                    "allocation gate passed on both engines (<= {} allocs/cycle)",
                     bench::MAX_ALLOCS_PER_CYCLE
                 ),
                 Err(msg) => {
@@ -717,7 +717,7 @@ fn main() {
             workers: jobs,
             queue_capacity,
             base_cfg: CanonConfig {
-                replay,
+                lockstep,
                 wall_budget_ns: cell_wall_budget.map(|d| d.as_nanos() as u64),
                 max_cycles: cell_cycle_budget,
                 ..CanonConfig::default()
@@ -903,7 +903,7 @@ fn main() {
         cell_wall_budget,
         cell_cycle_budget,
         max_retries,
-        replay,
+        lockstep,
         shutdown: install_sigint_flag(),
     };
     let mut exit_code = 0;

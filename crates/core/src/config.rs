@@ -57,15 +57,12 @@ pub struct CanonConfig {
     /// streams have equal length simulates each row issue once across all
     /// columns (see the engine table in `canon_core::fabric`). Off, every
     /// run steps each PE every cycle: the per-PE reference that
-    /// `tests/lockstep_differential.rs` and `repro --no-replay` compare
+    /// `tests/lockstep_differential.rs` and `repro --per-pe` compare
     /// against. Architecturally invisible either way — cycle counts, stats
     /// (including the stall breakdown), and collector streams are
     /// identical; only the `Stats::batched_pe_cycles` diagnostic and
     /// [`RunReport::engine`](crate::RunReport) differ.
-    /// The name predates lockstep (it used to switch a steady-state replay
-    /// engine, since removed) and is kept because the `--no-replay` flag
-    /// and the CI store comparisons are built on it.
-    pub replay: bool,
+    pub lockstep: bool,
     /// Harness knob: hard ceiling on simulated cycles per `Fabric::run`
     /// call. `None` (the default) leaves only the deadlock watchdog;
     /// `Some(n)` aborts a still-live run after `n` cycles with
@@ -99,7 +96,7 @@ impl Default for CanonConfig {
             offchip_bytes_per_cycle: 17.0,
             watchdog_factor: 64,
             watchdog_slack: 10_000,
-            replay: true,
+            lockstep: true,
             max_cycles: None,
             wall_budget_ns: None,
             fault: None,

@@ -34,8 +34,8 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::replay`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
-//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::replay`] off (the per-PE stepping reference of the differential tests and `repro --no-replay`) | edge feed, orchestrator phase, then the active sweep below |
+//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
+//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the active sweep below, each PE's LOAD and COMMIT through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
 //!
 //! [`RunReport::engine`] names the engine that ran.
 //!
@@ -82,9 +82,10 @@
 //!
 //! ## Hot-path discipline
 //!
-//! [`Fabric::step`] is the simulator's cost center (it runs once per
-//! simulated cycle for every sweep cell and figure), so its steady state is
-//! allocation-free:
+//! The step loops of both engines run once per simulated cycle — lockstep
+//! for the sweep's Canon tensor cells, [`Fabric::step`] for everything
+//! else — so their steady state is allocation-free (`repro bench --check`
+//! gates the golden SpMM run on each engine):
 //!
 //! * NoC error context is carried as copyable [`ErrCtx`](crate::noc::ErrCtx)
 //!   descriptors and rendered only when a protocol error fires;
@@ -113,7 +114,7 @@
 //! underflow aborts the run as a protocol error.
 
 use crate::config::CanonConfig;
-use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Plan, Vector, LANES};
+use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
 use crate::pe::{PeArray, PeMut, PeRef};
@@ -265,14 +266,13 @@ impl InjectQueue {
         }
     }
 
-    /// Stores one issued (real, non-bubble) instruction, interning it with
-    /// its pre-computed plan. Bubbles never reach the queue — the issue
-    /// path elides them.
+    /// Stores one issued (real, non-bubble) instruction, interning it.
+    /// Bubbles never reach the queue — the issue path elides them.
     #[inline]
-    fn put(&mut self, idx: usize, instr: Instruction, plan: Plan, ring: &mut InstrRing) {
+    fn put(&mut self, idx: usize, instr: Instruction, ring: &mut InstrRing) {
         debug_assert!(!instr.is_plain_nop(), "bubbles are elided at issue");
         self.kind[idx] = Inject::Instr;
-        self.handle[idx] = ring.intern_planned(instr, plan);
+        self.handle[idx] = ring.intern(instr);
     }
 
     fn is_clear(&self) -> bool {
@@ -846,15 +846,7 @@ impl Fabric {
             self.elided_bubbles += 1;
             self.bubble_horizon = self.bubble_horizon.max(now + 3 * cols as u64);
         } else {
-            // Decode once per issue. Fast plans validate their (per-issue
-            // constant) addresses here and batch-account the whole row's
-            // executions, so the per-column LOAD/COMMIT below runs neither
-            // bounds checks nor counter updates for them.
-            let plan = Plan::classify(&instr);
-            if plan != Plan::Generic {
-                self.pes.validate_and_account(plan, cols)?;
-            }
-            self.inject_now.put(r * cols, instr, plan, &mut self.ring);
+            self.inject_now.put(r * cols, instr, &mut self.ring);
             self.active.insert(r * cols);
             if self.trace.is_some() {
                 issued_handle = Some(self.inject_now.handle[r * cols]);
@@ -956,7 +948,7 @@ impl Fabric {
                 } else {
                     None
                 };
-                let eff = self.pes.commit_into_planned(
+                let eff = self.pes.commit_into(
                     idx,
                     &self.ring,
                     &mut self.grid,
@@ -1006,9 +998,9 @@ impl Fabric {
                             // route rules once here; the eastward-forwarded
                             // copies are identical and skip the re-check.
                             self.pes
-                                .load_planned(idx, h, &self.ring, &mut self.grid, r, c, now)?;
+                                .load(idx, h, &self.ring, &mut self.grid, r, c, now)?;
                         } else {
-                            self.pes.load_planned_forwarded(
+                            self.pes.load_forwarded(
                                 idx,
                                 h,
                                 &self.ring,
@@ -1248,8 +1240,8 @@ impl Fabric {
             stats.spad_writes += pe.spad.write_count();
         }
         stats.noc_hops = self.grid.total_pushes() + self.lockstep.noc_hops(self.cfg.cols);
-        // Planned fast-path issues are batch-accounted at issue time (the
-        // per-PE counters cover only generic-path executions).
+        // Lockstep row executions are batch-accounted (the per-PE counters
+        // cover per-PE stepping).
         let batch = self.pes.batch_counters();
         stats.instrs_executed += batch.instrs;
         stats.compute_instrs += batch.compute_instrs;
@@ -1458,9 +1450,8 @@ mod tests {
 
     #[test]
     fn reset_clears_planned_accumulator_writes() {
-        // A scalar MacS into the scratchpad takes the planned path, whose
-        // write-back bounds and counts are settled at issue: the reset
-        // must still find and zero the accumulator it wrote.
+        // A MacS into the scratchpad (a fast MAC plan, stepped per PE
+        // here): the reset must find and zero the accumulator it wrote.
         let cfg = small_cfg();
         let mut f = Fabric::new(&cfg, false);
         for c in 0..3 {

@@ -197,7 +197,7 @@ impl Lockstep {
 impl Fabric {
     /// Whether this [`Fabric::run`] may take the lockstep engine: a fresh,
     /// untraced fabric (cycle 0) with the fast engine on
-    /// ([`crate::CanonConfig::replay`]), north-edge feeder streams of equal
+    /// ([`crate::CanonConfig::lockstep`]), north-edge feeder streams of equal
     /// length (or no feeder at all), and only lockstep-safe row programs
     /// ([`RowProgram::lockstep_safe`]).
     pub(super) fn lockstep_eligible(&self) -> bool {
@@ -209,7 +209,7 @@ impl Fabric {
             self.feeders_pending == 0
         };
         self.cycle == 0
-            && self.cfg.replay
+            && self.cfg.lockstep
             && self.trace.is_none()
             && feeders_ok
             && self

@@ -470,19 +470,18 @@ impl InstrHandle {
     }
 }
 
-/// The execution plan of an interned instruction, decoded **once at
-/// issue**. Every column of a row re-executes the same issue (the
-/// time-lapsed SIMD stagger), so per-issue decode work — operand-kind
-/// dispatch, route/flush classification, §3.1 validation implied by shape —
-/// is hoisted out of the per-PE LOAD/COMMIT into [`InstrRing::intern`].
+/// The column-lockstep engine's execution plan of an interned instruction,
+/// decoded once by [`InstrRing::intern`].
 ///
-/// The fast-path variants carry everything their LOAD and COMMIT need
-/// inline (local addresses, the broadcast immediate), so executing them
-/// reads one plan record and never touches the full [`Instruction`]; the
-/// paper's kernel FSMs issue them for the overwhelming majority of compute
-/// cycles (the MAC streams of SpMM, GEMM/N:M, and SDDMM). Everything else
-/// — port reads, flushes, routes, rare opcodes — takes [`Plan::Generic`],
-/// the original fully-general path.
+/// The fast-path variants carry everything a lockstep row LOAD needs
+/// inline (local addresses, the broadcast immediate), so it runs one fused
+/// loop per row without resolving operand kinds; the paper's kernel FSMs
+/// issue them for the overwhelming majority of compute cycles (the MAC
+/// streams of SpMM, GEMM/N:M, and SDDMM). Everything else — port reads,
+/// flushes, routes, rare opcodes — takes [`Plan::Generic`], the
+/// fully-general path. Per-PE stepping ignores the plan and executes every
+/// instruction through the generic path, so the differential tests compare
+/// lockstep against a reference that shares none of this decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plan {
     /// `MacS Imm, DataMem(a) → Spad(b)` with no route (SpMM's MAC).
@@ -614,25 +613,12 @@ impl InstrRing {
     /// the issue-to-retire window; checked by [`InstrRing::get`] in debug).
     #[inline]
     pub fn intern(&mut self, instr: Instruction) -> InstrHandle {
-        // Decode once per issue: every column's LOAD/COMMIT of this issue
-        // dispatches on the plan instead of re-inspecting the record.
-        let plan = Plan::classify(&instr);
-        self.intern_planned(instr, plan)
-    }
-
-    /// [`InstrRing::intern`] with a pre-computed plan (callers that already
-    /// classified the instruction, e.g. the fabric's issue path).
-    #[inline]
-    pub fn intern_planned(&mut self, instr: Instruction, plan: Plan) -> InstrHandle {
-        debug_assert_eq!(
-            plan,
-            Plan::classify(&instr),
-            "plan does not match instruction"
-        );
         let h = self.next;
         let slot = (h & self.mask) as usize;
+        // Decode once per issue: the lockstep engine's row LOAD dispatches
+        // on the plan instead of re-inspecting the record.
+        self.plans[slot] = Plan::classify(&instr);
         self.buf[slot] = instr;
-        self.plans[slot] = plan;
         #[cfg(debug_assertions)]
         {
             self.tags[slot] = h;

@@ -493,10 +493,9 @@ pub struct PeArray {
     routed: [Vec<TaggedVector>; 3],
     load_idx: usize,
     counters: Vec<PeCounters>,
-    /// Activity of issues executed through the fabric's *planned* (counts
-    /// hoisted to issue time) path — see [`PeArray::validate_and_account`].
-    /// [`crate::fabric::Fabric::report`] folds these into the totals; the
-    /// per-PE counters cover only the generic/direct paths.
+    /// Activity of column-lockstep row executions, credited `cols` at a
+    /// time. [`crate::fabric::Fabric::report`] folds these into the
+    /// totals; the per-PE counters cover per-PE stepping.
     batch_pe: PeCounters,
     batch_mem: MemCounts,
     /// Column-lockstep operand buffers (sized on first use, kept across
@@ -865,41 +864,7 @@ impl PeArray {
         c: usize,
         cycle: u64,
     ) -> Result<(), SimError> {
-        self.load_inner::<true>(idx, h, ring, grid, r, c, cycle, true)
-    }
-
-    /// [`PeArray::load`] for the fabric's issue path: fast-plan bounds and
-    /// activity counts were hoisted to issue time
-    /// ([`PeArray::validate_and_account`]), so the per-column execution
-    /// performs neither. Generic plans behave exactly like [`PeArray::load`].
-    #[inline]
-    pub fn load_planned(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_inner::<false>(idx, h, ring, grid, r, c, cycle, true)
-    }
-
-    /// [`PeArray::load_forwarded`] for the fabric's issue path — see
-    /// [`PeArray::load_planned`].
-    #[inline]
-    pub fn load_planned_forwarded(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_inner::<false>(idx, h, ring, grid, r, c, cycle, false)
+        self.load_generic(idx, h, ring, grid, r, c, cycle, true)
     }
 
     /// LOAD of a bubble (see [`Instruction::is_plain_nop`]) into PE `idx`:
@@ -931,177 +896,16 @@ impl PeArray {
         c: usize,
         cycle: u64,
     ) -> Result<(), SimError> {
-        self.load_inner::<true>(idx, h, ring, grid, r, c, cycle, false)
+        self.load_generic(idx, h, ring, grid, r, c, cycle, false)
     }
 
-    /// Counts one MAC-family instruction entering PE `idx`'s pipeline.
-    #[inline(always)]
-    fn count_mac(&mut self, idx: usize) {
-        let c = &mut self.counters[idx];
-        c.instrs += 1;
-        c.compute_instrs += 1;
-        c.mac_instrs += 1;
-    }
-
-    /// Fills PE `idx`'s LOAD slot (eager lane result included).
-    #[inline(always)]
-    fn fill_load_slot(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        result: Vector,
-        res: Addr,
-        flush: Addr,
-    ) {
-        let s = self.load_idx;
-        self.state[s][idx] = Slot::Full;
-        self.results[s][idx] = result;
-        self.handles[s][idx] = h;
-        self.res_addr[s][idx] = res;
-        self.flush_addr[s][idx] = flush;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn load_inner<const COUNTED: bool>(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        validate: bool,
-    ) -> Result<(), SimError> {
-        debug_assert!(
-            self.state[self.load_idx][idx] == Slot::Empty,
-            "LOAD slot occupied at shift time"
-        );
-        // Dispatch on the issue-time plan: the fast paths below are
-        // behaviourally identical to the generic path specialised to their
-        // shape (same operand/forwarding/count order, same error cases) and
-        // never touch the NoC, the route slot, or the full record. In the
-        // uncounted (fabric-planned) flavour, bounds and counts were hoisted
-        // to issue time, so fast-plan slab accesses index directly.
-        let fw = self.state[self.exec_idx()][idx] == Slot::Full
-            || self.state[self.commit_idx()][idx] == Slot::Full;
-        match ring.plan(h) {
-            Plan::MacSToSpad { a, b, imm } => {
-                let (mut op2, mut res_in) = if COUNTED {
-                    self.count_mac(idx);
-                    (
-                        self.dmem_read(idx, a as usize)?,
-                        self.spad_read(idx, b as usize)?,
-                    )
-                } else {
-                    (
-                        self.dmem[a as usize * self.n + idx],
-                        self.spad[b as usize * self.n + idx],
-                    )
-                };
-                if fw {
-                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Spad(b)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
-                self.fill_load_slot(idx, h, result, Addr::Spad(b), Addr::Null);
-                Ok(())
-            }
-            Plan::MacSToReg { a, r: reg, imm } => {
-                let mut op2 = if COUNTED {
-                    self.count_mac(idx);
-                    self.dmem_read(idx, a as usize)?
-                } else {
-                    self.dmem[a as usize * self.n + idx]
-                };
-                let mut res_in = self.regs[idx][reg as usize];
-                if fw {
-                    op2 = self.forwarded(idx, Addr::DataMem(a)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(Vector::splat(imm.lane0()), op2);
-                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
-                Ok(())
-            }
-            Plan::MacVToReg { a, b, r: reg } => {
-                let (mut op1, mut op2) = if COUNTED {
-                    self.count_mac(idx);
-                    (
-                        self.spad_read(idx, a as usize)?,
-                        self.dmem_read(idx, b as usize)?,
-                    )
-                } else {
-                    (
-                        self.spad[a as usize * self.n + idx],
-                        self.dmem[b as usize * self.n + idx],
-                    )
-                };
-                let mut res_in = self.regs[idx][reg as usize];
-                if fw {
-                    op1 = self.forwarded(idx, Addr::Spad(a)).unwrap_or(op1);
-                    op2 = self.forwarded(idx, Addr::DataMem(b)).unwrap_or(op2);
-                    res_in = self.forwarded(idx, Addr::Reg(reg)).unwrap_or(res_in);
-                }
-                let result = res_in.mac(op1, op2);
-                self.fill_load_slot(idx, h, result, Addr::Reg(reg), Addr::Null);
-                Ok(())
-            }
-            Plan::Generic => self.load_generic(idx, h, ring, grid, r, c, cycle, validate, fw),
-        }
-    }
-
-    /// Issue-time validation + batched accounting for a fast plan about to
-    /// execute on every column of a row (the fabric's planned issue path).
-    /// Bounds are checked once (in the generic path's operand order, so a
-    /// violation raises the identical error the column-0 LOAD would have
-    /// raised this same cycle), and the `cols` column executions' activity
-    /// is credited to the batch counters.
-    pub fn validate_and_account(&mut self, plan: Plan, cols: usize) -> Result<(), SimError> {
-        let cols = cols as u64;
-        match plan {
-            Plan::MacSToSpad { a, b, .. } => {
-                if a as usize >= self.dmem_words {
-                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
-                }
-                if b as usize >= self.spad_entries {
-                    return Err(mem_oob("spad", "read", b as usize, self.spad_entries));
-                }
-                self.batch_mem.dmem_reads += cols;
-                self.batch_mem.spad_reads += cols;
-                self.batch_mem.spad_writes += cols; // COMMIT write-back
-                self.spad_dirty = self.spad_dirty.max(b as usize + 1);
-            }
-            Plan::MacSToReg { a, .. } => {
-                if a as usize >= self.dmem_words {
-                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
-                }
-                self.batch_mem.dmem_reads += cols;
-            }
-            Plan::MacVToReg { a, b, .. } => {
-                if a as usize >= self.spad_entries {
-                    return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
-                }
-                if b as usize >= self.dmem_words {
-                    return Err(mem_oob("dmem", "read", b as usize, self.dmem_words));
-                }
-                self.batch_mem.spad_reads += cols;
-                self.batch_mem.dmem_reads += cols;
-            }
-            Plan::Generic => debug_assert!(false, "generic plans are not batch-accounted"),
-        }
-        self.batch_pe.instrs += cols;
-        self.batch_pe.compute_instrs += cols;
-        self.batch_pe.mac_instrs += cols;
-        Ok(())
-    }
-
-    /// Batched activity of planned fast-path issues (instruction counters).
+    /// Activity of lockstep row executions (instruction counters), credited
+    /// `cols` at a time; the per-PE counters cover per-PE stepping.
     pub fn batch_counters(&self) -> PeCounters {
         self.batch_pe
     }
 
-    /// Batched memory accesses of planned fast-path issues:
+    /// Memory accesses of lockstep row executions:
     /// `(dmem reads, dmem writes, spad reads, spad writes)`.
     pub fn batch_mem_counts(&self) -> (u64, u64, u64, u64) {
         (
@@ -1124,7 +928,6 @@ impl PeArray {
         c: usize,
         cycle: u64,
         validate: bool,
-        fw_possible: bool,
     ) -> Result<(), SimError> {
         let instr = ring.get(h);
         // Fast path for the canonical NOP (null operands and result, no
@@ -1154,10 +957,11 @@ impl PeArray {
         if instr.op.is_mac() {
             self.counters[idx].mac_instrs += 1;
         }
-        // `fw_possible` (hoisted by the caller): a value can only be
-        // forwarded from a `Full` EXECUTE/COMMIT slot, so when both are
-        // bubbles or empty (common in sparse bands) every operand read
-        // skips the per-address forwarding scan.
+        // A value can only be forwarded from a `Full` EXECUTE/COMMIT slot,
+        // so when both are bubbles or empty (common in sparse bands) every
+        // operand read skips the per-address forwarding scan.
+        let fw_possible = self.state[self.exec_idx()][idx] == Slot::Full
+            || self.state[self.commit_idx()][idx] == Slot::Full;
         let mut shared_pop = None;
         let op1 = self.read_operand(
             idx,
@@ -1201,6 +1005,10 @@ impl PeArray {
                 None => Self::pop_port(route.from, grid, r, c, cycle)?,
             };
         }
+        debug_assert!(
+            self.state[self.load_idx][idx] == Slot::Empty,
+            "LOAD slot occupied at shift time"
+        );
         self.state[self.load_idx][idx] = Slot::Full;
         // The EXECUTE stage's lane result is a pure function of the operand
         // values captured right here, and nothing can observe it before the
@@ -1312,39 +1120,6 @@ impl PeArray {
         cycle: u64,
         forward_into: Option<&mut InstrHandle>,
     ) -> Result<CommitEffects, SimError> {
-        self.commit_into_inner::<true>(idx, ring, grid, r, c, cycle, forward_into)
-    }
-
-    /// [`PeArray::commit_into`] for the fabric's issue path: fast-plan
-    /// write-back counts were hoisted to issue time — see
-    /// [`PeArray::load_planned`]. Generic plans are unaffected.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn commit_into_planned(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        forward_into: Option<&mut InstrHandle>,
-    ) -> Result<CommitEffects, SimError> {
-        self.commit_into_inner::<false>(idx, ring, grid, r, c, cycle, forward_into)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn commit_into_inner<const COUNTED: bool>(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        forward_into: Option<&mut InstrHandle>,
-    ) -> Result<CommitEffects, SimError> {
         let commit_idx = self.commit_idx();
         match self.state[commit_idx][idx] {
             Slot::Empty => return Ok(CommitEffects::NONE),
@@ -1365,40 +1140,6 @@ impl PeArray {
         self.state[commit_idx][idx] = Slot::Empty;
         let h = self.handles[commit_idx][idx];
         let result = self.results[commit_idx][idx];
-        // Plan fast paths: a MAC writes one accumulator and drives no link —
-        // no record resolve, no write-back dispatch, constant effects.
-        match ring.plan(h) {
-            Plan::MacSToSpad { b, .. } => {
-                if COUNTED {
-                    self.spad_write(idx, b as usize, result)?;
-                } else {
-                    // Bounds checked and write counted at issue time.
-                    self.spad[b as usize * self.n + idx] = result;
-                }
-                if let Some(slot) = forward_into {
-                    *slot = h;
-                }
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: false,
-                    drives_south: false,
-                    drives_east: false,
-                });
-            }
-            Plan::MacSToReg { r: reg, .. } | Plan::MacVToReg { r: reg, .. } => {
-                self.regs[idx][reg as usize] = result;
-                if let Some(slot) = forward_into {
-                    *slot = h;
-                }
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: false,
-                    drives_south: false,
-                    drives_east: false,
-                });
-            }
-            Plan::Generic => {}
-        }
         let instr = ring.get(h);
         // Result write-back.
         if instr.op != Opcode::Nop {
@@ -1505,8 +1246,10 @@ impl PeArray {
     // addresses) lives in the row's column-0 slot, and only the per-column
     // values (`results`, `routed`, memories, registers) are touched for
     // all `cols` PEs — contiguous slices of the address-major slabs.
-    // Activity counts are credited `cols` at a time to the batch counters,
-    // as the issue path already does for fast plans.
+    // Activity counts are credited `cols` at a time to the batch counters.
+    // Only this engine dispatches on the ring's [`Plan`]: per-PE stepping
+    // executes every instruction through the generic path, so it stays an
+    // independent reference for the differential tests.
 
     /// Where row `base`'s operand `addr` comes from. Only the EXECUTE slot
     /// can forward: the COMMIT slot was emptied before LOAD, exactly as in
@@ -1581,7 +1324,6 @@ impl PeArray {
         shared: &mut bool,
         dst: &mut [Vector],
     ) -> Result<(), SimError> {
-        let cols = dst.len() as u64;
         match addr {
             Addr::Null | Addr::Imm => {
                 if want {
@@ -1592,24 +1334,8 @@ impl PeArray {
                 }
                 return Ok(());
             }
-            Addr::Reg(i) => {
-                if i as usize >= NUM_REGS {
-                    return Err(SimError::AddressOutOfRange {
-                        context: format!("register r{i} (of {NUM_REGS})"),
-                    });
-                }
-            }
-            Addr::DataMem(a) => {
-                if a as usize >= self.dmem_words {
-                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
-                }
-                self.batch_mem.dmem_reads += cols;
-            }
-            Addr::Spad(a) => {
-                if a as usize >= self.spad_entries {
-                    return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
-                }
-                self.batch_mem.spad_reads += cols;
+            Addr::Reg(_) | Addr::DataMem(_) | Addr::Spad(_) => {
+                self.lockstep_storage_read(addr, dst.len() as u64)?;
             }
             Addr::Port(d) => {
                 lockstep_pop(links, d, row, cycle, popped)?;
@@ -1630,10 +1356,39 @@ impl PeArray {
         Ok(())
     }
 
+    /// Bounds check and read count of the storage operand `addr` (register,
+    /// dmem or spad word) for a row of `cols` PEs: column 0's scalar read
+    /// raises the same error.
+    fn lockstep_storage_read(&mut self, addr: Addr, cols: u64) -> Result<(), SimError> {
+        match addr {
+            Addr::Reg(i) => {
+                if i as usize >= NUM_REGS {
+                    return Err(SimError::AddressOutOfRange {
+                        context: format!("register r{i} (of {NUM_REGS})"),
+                    });
+                }
+            }
+            Addr::DataMem(a) => {
+                if a as usize >= self.dmem_words {
+                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
+                }
+                self.batch_mem.dmem_reads += cols;
+            }
+            Addr::Spad(a) => {
+                if a as usize >= self.spad_entries {
+                    return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
+                }
+                self.batch_mem.spad_reads += cols;
+            }
+            a => unreachable!("{a} is not a storage operand"),
+        }
+        Ok(())
+    }
+
     /// Column-lockstep LOAD (+ eager EXECUTE) of the instruction interned
     /// at `h` on all `cols` PEs of `row`: the row-granular
-    /// [`PeArray::load_planned`], with the §3.1 route check made once and
-    /// North pops taken from the row link.
+    /// [`PeArray::load`], with the §3.1 route check made once and North
+    /// pops taken from the row link.
     ///
     /// # Errors
     ///
@@ -1662,10 +1417,7 @@ impl PeArray {
             Plan::Generic => {
                 self.lockstep_load_generic(row, instr, links, cycle, &mut scratch, out)
             }
-            plan => {
-                self.lockstep_load_mac(base, plan, &mut scratch, out);
-                Ok(())
-            }
+            plan => self.lockstep_load_mac(base, plan, &mut scratch, out),
         };
         self.results[ls] = results;
         self.lockstep_scratch = scratch;
@@ -1681,20 +1433,24 @@ impl PeArray {
         Ok(())
     }
 
-    /// Lockstep LOAD of a fast MAC plan (bounds and counts were settled at
-    /// issue, [`PeArray::validate_and_account`]): one fused loop per row.
+    /// Lockstep LOAD of a fast MAC plan: the bounds checks and read counts
+    /// in the generic path's operand order (the plans' registers are in
+    /// range by construction), then one fused loop per row.
     fn lockstep_load_mac(
-        &self,
+        &mut self,
         base: usize,
         plan: Plan,
         scratch: &mut RowScratch,
         out: &mut [Vector],
-    ) {
+    ) -> Result<(), SimError> {
+        let cols = out.len() as u64;
         let RowScratch {
             op1, op2, res_in, ..
         } = scratch;
         match plan {
             Plan::MacSToSpad { a, b, imm } => {
+                self.lockstep_storage_read(Addr::DataMem(a), cols)?;
+                self.lockstep_storage_read(Addr::Spad(b), cols)?;
                 let s = Vector::splat(imm.lane0());
                 let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
                 let acc = self.lockstep_row(base, Addr::Spad(b), res_in);
@@ -1703,6 +1459,7 @@ impl PeArray {
                 }
             }
             Plan::MacSToReg { a, r, imm } => {
+                self.lockstep_storage_read(Addr::DataMem(a), cols)?;
                 let s = Vector::splat(imm.lane0());
                 let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
                 let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
@@ -1711,6 +1468,8 @@ impl PeArray {
                 }
             }
             Plan::MacVToReg { a, b, r } => {
+                self.lockstep_storage_read(Addr::Spad(a), cols)?;
+                self.lockstep_storage_read(Addr::DataMem(b), cols)?;
                 let op1 = self.lockstep_row(base, Addr::Spad(a), op1);
                 let op2 = self.lockstep_row(base, Addr::DataMem(b), op2);
                 let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
@@ -1720,6 +1479,10 @@ impl PeArray {
             }
             Plan::Generic => unreachable!("generic plans take the operand path"),
         }
+        self.batch_pe.instrs += cols;
+        self.batch_pe.compute_instrs += cols;
+        self.batch_pe.mac_instrs += cols;
+        Ok(())
     }
 
     /// Lockstep LOAD of a generic plan: the route check, the counts, the
@@ -1867,8 +1630,8 @@ impl PeArray {
     /// Column-lockstep COMMIT of the instruction in `row`'s COMMIT slot on
     /// all `cols` PEs: write-back, flush-clear, and route push, with South
     /// pushes landing in the row link below (or the south sink). The
-    /// row-granular [`PeArray::commit_into_planned`]; eastward forwarding
-    /// is implicit (every column runs the same issue).
+    /// row-granular [`PeArray::commit_into`]; eastward forwarding is
+    /// implicit (every column runs the same issue).
     ///
     /// # Errors
     ///
@@ -1888,10 +1651,7 @@ impl PeArray {
             return Ok(CommitEffects::NONE);
         }
         self.state[cs][base] = Slot::Empty;
-        let h = self.handles[cs][base];
-        // Fast plans' write-backs were bounds-checked and counted at issue.
-        let counted = ring.plan(h) == Plan::Generic;
-        let instr = ring.get(h);
+        let instr = ring.get(self.handles[cs][base]);
         let n = self.n;
         let span = base..base + cols;
         if instr.op != Opcode::Nop {
@@ -1917,24 +1677,20 @@ impl PeArray {
                 }
                 Addr::DataMem(a) => {
                     let a = a as usize;
-                    if counted {
-                        if a >= self.dmem_words {
-                            return Err(mem_oob("dmem", "write", a, self.dmem_words));
-                        }
-                        self.batch_mem.dmem_writes += cols as u64;
+                    if a >= self.dmem_words {
+                        return Err(mem_oob("dmem", "write", a, self.dmem_words));
                     }
+                    self.batch_mem.dmem_writes += cols as u64;
                     self.dmem_dirty = self.dmem_dirty.max(a + 1);
                     self.dmem[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
                 }
                 Addr::Spad(a) => {
                     let a = a as usize;
-                    if counted {
-                        if a >= self.spad_entries {
-                            return Err(mem_oob("spad", "write", a, self.spad_entries));
-                        }
-                        self.batch_mem.spad_writes += cols as u64;
+                    if a >= self.spad_entries {
+                        return Err(mem_oob("spad", "write", a, self.spad_entries));
                     }
+                    self.batch_mem.spad_writes += cols as u64;
                     self.spad_dirty = self.spad_dirty.max(a + 1);
                     self.spad[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);

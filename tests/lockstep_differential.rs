@@ -3,7 +3,7 @@
 //!
 //! Lockstep runs a fabric one column-0 cycle at a time and executes each
 //! row issue on all columns at once (see the engine table in
-//! `canon_core::fabric`). `CanonConfig::replay = false` keeps the per-PE
+//! `canon_core::fabric`). `CanonConfig::lockstep = false` keeps the per-PE
 //! stepping reference, so these properties run the same random program
 //! both ways and diff the full [`RunReport`] and both collector sequences
 //! with their exit cycles. The only legitimate differences are the
@@ -88,10 +88,10 @@ trait Case {
         fabric
     }
 
-    /// The per-PE stepping reference (`replay: false`).
+    /// The per-PE stepping reference (`lockstep: false`).
     fn reference(&self) -> Fabric {
         self.fabric(&CanonConfig {
-            replay: false,
+            lockstep: false,
             ..self.cfg()
         })
     }
@@ -432,9 +432,9 @@ type Outcome = (
 
 /// Runs `p` under `tweak` with and without the fast engines.
 fn run_both(p: &dyn Case, tweak: impl Fn(&mut CanonConfig)) -> [Outcome; 2] {
-    [true, false].map(|fast| {
+    [true, false].map(|lockstep| {
         let mut cfg = CanonConfig {
-            replay: fast,
+            lockstep,
             ..p.cfg()
         };
         tweak(&mut cfg);
@@ -455,9 +455,9 @@ fn panic_at_fires_at_the_same_cycle() {
     for (p, at) in cases {
         let full = p.reference().run().expect("drains").cycles;
         assert!(at < full, "panic cycle {at} past the end ({full})");
-        for replay in [true, false] {
+        for lockstep in [true, false] {
             let cfg = CanonConfig {
-                replay,
+                lockstep,
                 fault: Some(FaultAction::PanicAt { cycle: at }),
                 ..p.cfg()
             };
@@ -470,7 +470,7 @@ fn panic_at_fires_at_the_same_cycle() {
                 .unwrap_or_else(|| "non-string panic".into());
             assert!(
                 msg.contains("injected fault") && msg.contains(&format!("cycle {at}")),
-                "unexpected panic payload with replay={replay}: {msg}"
+                "unexpected panic payload with lockstep={lockstep}: {msg}"
             );
         }
     }
@@ -534,6 +534,36 @@ fn withheld_credits_trip_the_watchdog_at_the_same_cycle() {
     }
 }
 
+/// A MAC operand past the end of the scratchpad fails identically on both
+/// engines: lockstep bounds-checks its fast MAC plans in the row LOAD,
+/// per-PE stepping reads the operand in column 0's LOAD, and both must
+/// raise the same error at the same cycle. The SpMM rows' `MacS` accumulate
+/// into window slots up to `depth − 1` and the SDDMM rows' `MacV` read
+/// A-buffer slots up to `depth − 1`, so a scratchpad shallower than the
+/// window or the buffer cuts them short.
+#[test]
+fn out_of_range_mac_operand_fails_at_the_same_cycle() {
+    let cases: [(&dyn Case, usize, &str); 2] = [
+        (&dense(), 2, "spad read 2 of 2"),
+        (&sddmm(), 2, "spad read 2 of 2"),
+    ];
+    for (p, spad_entries, context) in cases {
+        let [(lock, lock_report, lock_south, lock_east), (reference, ref_report, ref_south, ref_east)] =
+            run_both(p, |cfg| cfg.spad_entries = spad_entries);
+        let lock = lock.expect_err("lockstep run must fail");
+        let reference = reference.expect_err("reference run must fail");
+        assert!(took_lockstep(&lock_report), "lockstep did not engage");
+        assert!(
+            matches!(&lock, SimError::AddressOutOfRange { context: c } if c == context),
+            "{lock}"
+        );
+        assert_eq!(lock.to_string(), reference.to_string());
+        assert_eq!(lock_report.cycles, ref_report.cycles);
+        assert_eq!(lock_south, ref_south);
+        assert_eq!(lock_east, ref_east);
+    }
+}
+
 /// A warm-pool fabric reused after runs on either engine — one drained, one
 /// aborted mid-flight by the cycle ceiling with links, accumulators (and,
 /// for SDDMM, feeder streams) still occupied — must audit pristine and
@@ -564,8 +594,8 @@ fn pooled_fabric_reuse_after_lockstep_matches_a_cold_run() {
         let cfg = second.cfg();
         let full = first.reference().run().expect("drains").cycles;
         let first_cfgs = [None, Some(full / 2)].map(|max_cycles| {
-            [true, false].map(|replay| CanonConfig {
-                replay,
+            [true, false].map(|lockstep| CanonConfig {
+                lockstep,
                 max_cycles,
                 ..cfg.clone()
             })
@@ -580,7 +610,7 @@ fn pooled_fabric_reuse_after_lockstep_matches_a_cold_run() {
                     assert!(matches!(run, Err(SimError::Timeout { .. })), "{run:?}");
                 } else {
                     let run = run.expect("first run drains");
-                    assert_eq!(took_lockstep(&run), first_cfg.replay);
+                    assert_eq!(took_lockstep(&run), first_cfg.lockstep);
                 }
             }
             let mut warm = pool::acquire(&cfg, second.north_feeder());
@@ -703,29 +733,29 @@ fn result_fp(result: &Dense) -> u64 {
 /// Large-tier golden: one 64×64 GEMM with a deep, large-tier K band
 /// (K = 16384, 256 dmem words per fabric row). Pins the cycle count, MAC
 /// count, and result fingerprint at the `large` geometry on the default
-/// configuration (lockstep) and on the per-PE reference (`replay: false`).
+/// configuration (lockstep) and on the per-PE reference (`lockstep: false`).
 #[test]
 fn gemm_64x64_large_tier_golden() {
     let mut rng = gen::seeded_rng(21);
     let a = Dense::random(8, 16384, &mut rng);
     let b = Dense::random(16384, 256, &mut rng);
     let input = KernelInput::Gemm { a, b };
-    for replay in [true, false] {
+    for lockstep in [true, false] {
         let cfg = CanonConfig {
-            replay,
+            lockstep,
             ..CanonConfig::default().with_geometry(64, 64)
         };
         let out = run_kernel(&cfg, &input).expect("large GEMM maps");
         // Register accumulation at row-group fold g = 16 on this shape.
         assert_eq!(
             out.report.cycles, 2367,
-            "cycle count drifted (replay={replay})"
+            "cycle count drifted (lockstep={lockstep})"
         );
         assert_eq!(out.report.stats.mac_instrs, 8_388_608);
         assert_eq!(
             result_fp(&out.result),
             0x4f3d_9722_e307_3245,
-            "result drifted (replay={replay})"
+            "result drifted (lockstep={lockstep})"
         );
     }
 }
