@@ -197,7 +197,7 @@ fn usage() -> ! {
                         --band, --arch, --seed, --fault DESC); prints one\n\
                         reply line per cell plus a summary\n\
                   ctl status|drain|shutdown   control a running daemon\n\
-                  bench [--baseline FILE] [--check] [--reps N]   (writes BENCH_sim.json)\n\
+                  bench [--check] [--baseline FILE]   (writes BENCH_sim.json)\n\
                   trace [--out FILE]   capture the golden SpMM scenario as a\n\
                         Perfetto-loadable Chrome trace (default: trace.json)\n\
                   profile   textual stall/occupancy profile of the same run\n\
@@ -236,16 +236,13 @@ fn usage() -> ! {
            --queue N    (serve) bounded queue capacity; submits beyond it\n\
                         get a busy reply with retry_after_ms (default 64)\n\
            --connections N  (submit) parallel client connections (default 4)\n\
-           --baseline FILE  (bench) previous BENCH_sim.json to embed and\n\
-                        compute speedups against\n\
-           --reps N     (bench) interleaved per-PE/default-engine pairs per\n\
-                        large-tier cell (default 3; 0 skips the large tier)\n\
-           --check      (bench) exit non-zero if either engine's steady-state\n\
-                        step loop exceeds the allocation gate (allocs/cycle)\n\
-                        or the kernels/large-tier geomeans regress >10%\n\
-                        against the baseline (--baseline FILE, else the\n\
-                        committed BENCH_sim.json); a baseline without a\n\
-                        large section skips that gate with a warning\n\
+           --check      (bench) exit 1 if either engine's steady-state step\n\
+                        loop exceeds the allocation gate (allocs/cycle), or\n\
+                        if the kernels' median-throughput geomean falls\n\
+                        below the throughput gate against the baseline\n\
+           --baseline FILE  (bench --check) the report to gate against\n\
+                        (default: BENCH_sim.json, read before it is\n\
+                        overwritten); it must name every measured kernel\n\
          exit codes: 0 ok; 1 fatal error; 2 usage; 3 sweep/submit completed\n\
                      with quarantined cell failures; 130 interrupted (SIGINT\n\
                      drain); 143 serve drained by SIGTERM"
@@ -320,6 +317,15 @@ fn parse_geometries(raw: &str) -> Vec<(usize, usize)> {
             }
         })
         .collect()
+}
+
+/// Removes a boolean `flag` from `args`, returning whether it was there.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let pos = args.iter().position(|a| a == flag);
+    if let Some(pos) = pos {
+        args.remove(pos);
+    }
+    pos.is_some()
 }
 
 fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -493,12 +499,7 @@ fn main() {
         }
         (None, None) => Scale::Full,
     };
-    let progress = if let Some(pos) = args.iter().position(|a| a == "--progress") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
+    let progress = take_switch(&mut args, "--progress");
     let jobs = match take_value_flag(&mut args, "--jobs") {
         Some(v) => match v.parse() {
             Ok(n) if n > 0 => n,
@@ -523,28 +524,9 @@ fn main() {
         },
         |raw| parse_geometries(&raw),
     );
-    let large_reps = match take_value_flag(&mut args, "--reps") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--reps needs a non-negative integer, got {v}");
-                usage();
-            }
-        },
-        None => 3,
-    };
-    let resume = if let Some(pos) = args.iter().position(|a| a == "--resume") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
-    let lockstep = if let Some(pos) = args.iter().position(|a| a == "--per-pe") {
-        args.remove(pos);
-        false
-    } else {
-        true
-    };
+    let resume = take_switch(&mut args, "--resume");
+    let lockstep = !take_switch(&mut args, "--per-pe");
+    let check = take_switch(&mut args, "--check");
     let fault_plan = take_value_flag(&mut args, "--faults")
         .map_or_else(FaultPlan::new, |raw| parse_faults(&raw));
     let parse_u64_flag = |args: &mut Vec<String>, flag: &str| -> Option<u64> {
@@ -581,39 +563,41 @@ fn main() {
         eprintln!("note: --faults injects a timeout without --cell-timeout-ms; defaulting to 100");
         cell_wall_budget = Some(Duration::from_millis(100));
     }
+    // Every flag is consumed above and every target checked below before
+    // anything runs: a stray flag or an unknown target must not exit 2
+    // only after an earlier target already wrote its output.
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown flag: {flag}");
+        usage();
+    }
     if args.is_empty() {
         usage();
     }
-    // `bench` measures simulator throughput and writes the JSON baseline.
+    // `bench` measures simulator throughput and writes the JSON report.
     if args[0] == "bench" {
-        let check = if let Some(pos) = args.iter().position(|a| a == "--check") {
-            args.remove(pos);
-            true
-        } else {
-            false
-        };
         if args.len() != 1 {
             usage();
         }
-        // Read the baseline up front: a bad path must fail before the
-        // multi-minute measurement suite, not after.
-        let baseline = baseline_flag.map(|p| {
+        let path = out_flag.unwrap_or_else(|| "BENCH_sim.json".into());
+        // Read the gate's baseline up front: a bad path fails before the
+        // measurement, and the default baseline is read before the report
+        // overwrites it.
+        let baseline = check.then(|| {
+            let p = baseline_flag.unwrap_or_else(|| "BENCH_sim.json".into());
             std::fs::read_to_string(&p).unwrap_or_else(|e| {
                 eprintln!("cannot read baseline {p}: {e}");
                 std::process::exit(1);
             })
         });
         COUNTING.store(true, Ordering::Relaxed);
-        let report = bench::run_bench(scale, jobs, Some(alloc_snapshot), large_reps);
+        let report = bench::run_bench(scale, Some(alloc_snapshot));
         print!("{}", bench::render_text(&report));
-        let json = bench::render_json(&report, baseline.as_deref());
-        let path = out_flag.unwrap_or_else(|| "BENCH_sim.json".into());
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
+        std::fs::write(&path, bench::render_json(&report)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
         println!("bench report written to {path}");
-        if check {
+        if let Some(baseline) = baseline {
             match bench::check_alloc_gate(&report) {
                 Ok(()) => println!(
                     "allocation gate passed on both engines (<= {} allocs/cycle)",
@@ -624,42 +608,14 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            // Throughput gate: compare against --baseline FILE, or the
-            // committed BENCH_sim.json when none was given.
-            let gate_baseline = match &baseline {
-                Some(b) => Some(b.clone()),
-                None => std::fs::read_to_string("BENCH_sim.json").ok(),
-            };
-            match gate_baseline {
-                Some(b) => {
-                    match bench::check_throughput_gate(&report, &b) {
-                        Ok(()) => println!(
-                            "throughput gate passed (kernels geomean >= {}x of baseline)",
-                            bench::MIN_KERNELS_GEOMEAN
-                        ),
-                        Err(msg) => {
-                            eprintln!("throughput gate FAILED: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                    match bench::check_large_gate(&report, &b) {
-                        Ok(Some(g)) => println!(
-                            "large-tier gate passed (geomean {g:.3}x >= {}x of baseline)",
-                            bench::MIN_KERNELS_GEOMEAN
-                        ),
-                        Ok(None) => eprintln!(
-                            "large-tier gate skipped: tier absent from this run or the baseline"
-                        ),
-                        Err(msg) => {
-                            eprintln!("large-tier gate FAILED: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                None => {
-                    eprintln!(
-                        "throughput gate skipped: no --baseline and no committed BENCH_sim.json"
-                    );
+            match bench::check_throughput_gate(&report, &baseline) {
+                Ok(g) => println!(
+                    "throughput gate passed (kernels geomean {g:.3}x >= {}x of baseline)",
+                    bench::MIN_KERNELS_GEOMEAN
+                ),
+                Err(msg) => {
+                    eprintln!("throughput gate FAILED: {msg}");
+                    std::process::exit(1);
                 }
             }
         }
@@ -875,25 +831,30 @@ fn main() {
             _ => usage(),
         }
     }
-    let targets: Vec<String> = if args.iter().any(|a| a == "all") {
-        [
-            "sweep",
-            "table1",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12+13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "ablation-async",
-            "ablation-buffer-sizing",
-            "ablation-lut",
-        ]
+    const ALL: [&str; 13] = [
+        "sweep",
+        "table1",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12+13",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "ablation-async",
+        "ablation-buffer-sizing",
+        "ablation-lut",
+    ];
+    if let Some(other) = args
         .iter()
-        .map(|s| s.to_string())
-        .collect()
+        .find(|t| !(ALL.contains(&t.as_str()) || matches!(t.as_str(), "all" | "fig12" | "fig13")))
+    {
+        eprintln!("unknown target: {other}");
+        usage();
+    }
+    let targets: Vec<String> = if args.iter().any(|a| a == "all") {
+        ALL.iter().map(|s| s.to_string()).collect()
     } else {
         args
     };
@@ -932,10 +893,7 @@ fn main() {
             "ablation-async" => ablations::ablation_async(scale),
             "ablation-buffer-sizing" => ablations::ablation_buffer_sizing(scale),
             "ablation-lut" => ablations::ablation_lut(scale),
-            other => {
-                eprintln!("unknown target: {other}");
-                usage();
-            }
+            other => unreachable!("target {other} was validated above"),
         };
         println!("{text}");
         if exit_code == 130 {

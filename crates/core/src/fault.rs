@@ -188,7 +188,7 @@ mod tests {
         use crate::{CanonConfig, SimError};
         use canon_sparse::{gen, Dense};
 
-        fn run_with(cfg: &CanonConfig) -> Result<crate::kernels::spmm::SpmmOutput, SimError> {
+        fn run_with(cfg: &CanonConfig) -> Result<crate::kernels::KernelOutput, SimError> {
             let mut rng = gen::seeded_rng(7);
             let a = gen::random_sparse(16, 16, 0.5, &mut rng);
             let b = Dense::random(16, 16, &mut rng);

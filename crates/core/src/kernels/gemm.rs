@@ -42,7 +42,8 @@
 
 use crate::config::CanonConfig;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector};
-use crate::kernels::spmm::{run_spmm, state, SpmmMapping, SpmmOutput};
+use crate::kernels::spmm::{run_spmm, state, SpmmMapping};
+use crate::kernels::KernelOutput;
 use crate::orchestrator::{msg_id, MetaToken, OrchAction, OrchIo, OrchMessage, OrchProgram};
 use crate::stats::StallCause;
 use crate::SimError;
@@ -53,17 +54,13 @@ use canon_sparse::{CsrMatrix, Dense};
 /// window).
 #[derive(Debug)]
 pub struct RegAccFsm {
-    m_total: u32,
     done: bool,
 }
 
 impl RegAccFsm {
     /// Creates the FSM for `m_total` output rows.
     pub fn new(m_total: usize) -> RegAccFsm {
-        RegAccFsm {
-            m_total: m_total as u32,
-            done: m_total == 0,
-        }
+        RegAccFsm { done: m_total == 0 }
     }
 
     #[inline]
@@ -120,7 +117,6 @@ impl RegAccFsm {
 impl OrchProgram for RegAccFsm {
     #[inline]
     fn step(&mut self, io: &OrchIo) -> OrchAction {
-        let _ = self.m_total;
         // Bypass handling stays live after the local stream finished (the
         // DONE state keeps reacting to upstream psums).
         if let Some(msg) = io.msg {
@@ -221,7 +217,7 @@ pub fn dense_as_full_csr(a: &Dense) -> CsrMatrix {
 /// # Errors
 ///
 /// Same mapping constraints as [`run_spmm`].
-pub fn run_gemm(cfg: &CanonConfig, a: &Dense, b: &Dense) -> Result<SpmmOutput, SimError> {
+pub fn run_gemm(cfg: &CanonConfig, a: &Dense, b: &Dense) -> Result<KernelOutput, SimError> {
     let full = dense_as_full_csr(a);
     run_spmm(
         cfg,

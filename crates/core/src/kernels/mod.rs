@@ -122,7 +122,7 @@ pub enum KernelInput {
 
 /// The uniform result of [`run_kernel`]: the computed output plus the cycle
 /// report, regardless of which kernel family ran.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelOutput {
     /// The computed dense result (masked positions zero for SDDMM).
     pub result: Dense,
@@ -141,46 +141,17 @@ pub fn run_kernel(cfg: &CanonConfig, input: &KernelInput) -> Result<KernelOutput
     cfg.validate()
         .map_err(|reason| SimError::Mapping { reason })?;
     match input {
-        KernelInput::Gemm { a, b } => {
-            let out = gemm::run_gemm(cfg, a, b)?;
-            Ok(KernelOutput {
-                result: out.result,
-                report: out.report,
-            })
-        }
-        KernelInput::Spmm { a, b, mapping } => {
-            let out = spmm::run_spmm(cfg, mapping, a, b)?;
-            Ok(KernelOutput {
-                result: out.result,
-                report: out.report,
-            })
-        }
-        KernelInput::SpmmNm { a, b, n_of, m_of } => {
-            let out = nm::run_spmm_nm(cfg, a, b, *n_of, *m_of)?;
-            Ok(KernelOutput {
-                result: out.result,
-                report: out.report,
-            })
-        }
+        KernelInput::Gemm { a, b } => gemm::run_gemm(cfg, a, b),
+        KernelInput::Spmm { a, b, mapping } => spmm::run_spmm(cfg, mapping, a, b),
+        KernelInput::SpmmNm { a, b, n_of, m_of } => nm::run_spmm_nm(cfg, a, b, *n_of, *m_of),
         KernelInput::Sddmm {
             mask,
             q,
             kv,
             mapping,
-        } => {
-            let out = sddmm::run_sddmm(cfg, mapping, mask, q, kv)?;
-            Ok(KernelOutput {
-                result: out.result,
-                report: out.report,
-            })
-        }
+        } => sddmm::run_sddmm(cfg, mapping, mask, q, kv),
         KernelInput::Window { wa, seed } => {
-            let out =
-                window::run_window_attention(cfg, &sddmm::SddmmMapping::default(), wa, *seed)?;
-            Ok(KernelOutput {
-                result: out.result,
-                report: out.report,
-            })
+            window::run_window_attention(cfg, &sddmm::SddmmMapping::default(), wa, *seed)
         }
     }
 }

@@ -14,7 +14,8 @@
 //! fewer slots for the psum relays to ride on).
 
 use crate::config::CanonConfig;
-use crate::kernels::spmm::{run_spmm, SpmmMapping, SpmmOutput};
+use crate::kernels::spmm::{run_spmm, SpmmMapping};
+use crate::kernels::KernelOutput;
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense};
 
@@ -63,7 +64,7 @@ pub fn run_spmm_nm(
     b: &Dense,
     n: usize,
     m_group: usize,
-) -> Result<SpmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     check_nm_structure(a, n, m_group)?;
     run_spmm(
         cfg,

@@ -28,9 +28,10 @@
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
+use crate::kernels::KernelOutput;
 use crate::noc::TaggedVector;
 use crate::orchestrator::{MetaToken, OrchAction, OrchIo, OrchProgram};
-use crate::stats::{RunReport, StallCause};
+use crate::stats::StallCause;
 use crate::SimError;
 use canon_sparse::{Dense, Mask};
 
@@ -268,15 +269,6 @@ impl OrchProgram for SddmmFsm {
     }
 }
 
-/// Output of an SDDMM run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SddmmOutput {
-    /// The computed `M×N` result (unmasked positions are zero).
-    pub result: Dense,
-    /// Cycle counts and activity counters.
-    pub report: RunReport,
-}
-
 /// Places the stationary `B` tiles: PE `(y, x)` receives, at word `h·W + w`,
 /// `B[n][(w·X + x)·V .. +V]` for the key `n` row `y` owns at local index `h`
 /// (`yH + h` for [`ColPartition::Block`], `hY + y` for
@@ -321,7 +313,7 @@ pub fn run_sddmm(
     mask: &Mask,
     a: &Dense,
     b: &Dense,
-) -> Result<SddmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     run_sddmm_traced(cfg, mapping, mask, a, b, None)
 }
 
@@ -339,7 +331,7 @@ pub fn run_sddmm_traced(
     a: &Dense,
     b: &Dense,
     trace: Option<Box<dyn crate::trace::TraceSink>>,
-) -> Result<SddmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     let m = a.rows();
     let k = a.cols();
     let n = b.rows();
@@ -474,7 +466,7 @@ pub fn run_sddmm_traced(
         // Final V-to-scalar reduction at the edge mover.
         result[(mm, nn)] += e.value.reduce_sum();
     }
-    Ok(SddmmOutput { result, report })
+    Ok(KernelOutput { result, report })
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
+use crate::kernels::KernelOutput;
 use crate::orchestrator::{msg_id, MetaToken, OrchAction, OrchIo, OrchMessage, OrchProgram};
 use crate::stats::{RunReport, StallCause};
 use crate::SimError;
@@ -298,15 +299,6 @@ impl SpmmFsm {
     }
 }
 
-/// Output of an SpMM run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpmmOutput {
-    /// The computed `M×N` result.
-    pub result: Dense,
-    /// Cycle counts and activity counters, summed over column tiles.
-    pub report: RunReport,
-}
-
 /// Builds the per-row meta streams for a sparse operand under the row-group
 /// fold of height `group` (see the [`gemm`](super::gemm) module docs).
 ///
@@ -408,7 +400,7 @@ pub fn run_spmm(
     mapping: &SpmmMapping,
     a: &CsrMatrix,
     b: &Dense,
-) -> Result<SpmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     let group = if mapping.use_scratchpad {
         cfg.rows
     } else {
@@ -432,7 +424,7 @@ pub fn run_spmm_folded(
     a: &CsrMatrix,
     b: &Dense,
     group: usize,
-) -> Result<SpmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     if a.cols() != b.rows() {
         return Err(SimError::Mapping {
             reason: format!(
@@ -536,7 +528,7 @@ pub fn run_spmm_folded(
         wall_ns: 0,
         engine: Default::default(),
     });
-    Ok(SpmmOutput { result, report })
+    Ok(KernelOutput { result, report })
 }
 
 #[cfg(test)]

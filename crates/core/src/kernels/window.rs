@@ -13,7 +13,8 @@
 //! simulators can be charged the same work the paper charges them.
 
 use crate::config::CanonConfig;
-use crate::kernels::sddmm::{run_sddmm, SddmmMapping, SddmmOutput};
+use crate::kernels::sddmm::{run_sddmm, SddmmMapping};
+use crate::kernels::KernelOutput;
 use crate::SimError;
 use canon_sparse::{gen, Dense};
 
@@ -66,7 +67,7 @@ pub fn run_window_attention(
     mapping: &SddmmMapping,
     wa: &WindowAttention,
     seed: u64,
-) -> Result<SddmmOutput, SimError> {
+) -> Result<KernelOutput, SimError> {
     let mut rng = gen::seeded_rng(seed);
     let q = Dense::random(wa.seq, wa.head_dim, &mut rng);
     let k = Dense::random(wa.seq, wa.head_dim, &mut rng);
