@@ -665,12 +665,24 @@ mod tests {
     #[test]
     fn json_roundtrips_through_the_line_extractors() {
         let json = render_json(&tiny_report());
-        // Large-geometry entries are keyed `name@RxC`, so they never
-        // collide with the default-fabric kernel of the same name.
         assert_eq!(
             extract_number(&json, "GEMM", "cycles_per_sec"),
             Some(2_000_000.0)
         );
+        assert_eq!(extract_number(&json, "GEMM", "sim_cycles"), Some(1000.0));
+        assert_eq!(extract_number(&json, "GEMM", "max_cps"), Some(2_200_000.0));
+        assert!(json.contains("\"steady_state\": {\"name\":\"spmm-fabric\""));
+        assert!(json.contains("\"allocs_per_cycle\":0.0732"));
+        assert!(json.contains("\"steady_state_per_pe\": {\"name\":\"spmm-fabric-per-pe\""));
+        assert!(json.contains("\"allocs_per_cycle\":0.0976"));
+        assert!(json.ends_with("}\n}\n"), "{json}");
+    }
+
+    #[test]
+    fn large_section_roundtrips_and_reports_batch_ab() {
+        let json = render_json(&tiny_report());
+        // Large-geometry entries are keyed `name@RxC`, so they never
+        // collide with the default-fabric kernel of the same name.
         assert_eq!(
             extract_number(&json, "GEMM@64x64", "cycles_per_sec"),
             Some(30_000.0)
@@ -679,14 +691,17 @@ mod tests {
             extract_number(&json, "GEMM@64x64", "min_cps"),
             Some(27_000.0)
         );
-        assert!(json.contains("\"steady_state\": {\"name\":\"spmm-fabric\""));
-        assert!(json.contains("\"allocs_per_cycle\":0.0732"));
+        assert_eq!(
+            extract_number(&json, "GEMM", "cycles_per_sec"),
+            Some(2_000_000.0),
+            "default-fabric kernel extraction unaffected by the large entry"
+        );
+        // The batched (column lockstep) share of the steady-state loop is
+        // reported in both the JSON and the text report.
         assert!(json.contains("\"lockstep_share\":0.2500"), "{json}");
-        assert!(json.contains("\"steady_state_per_pe\": {\"name\":\"spmm-fabric-per-pe\""));
-        assert!(json.contains("\"allocs_per_cycle\":0.0976"));
-        assert!(json.ends_with("}\n}\n"), "{json}");
         let text = render_text(&tiny_report());
         assert!(text.contains("column lockstep 1025 of 4100"), "{text}");
+        assert!(text.contains("(25.0%)"), "{text}");
     }
 
     #[test]
