@@ -432,9 +432,9 @@ fn golden_spmm_on(cfg: &CanonConfig, depth: usize) -> Fabric {
     let mut rng = gen::seeded_rng(7);
     let a = gen::skewed_sparse(24, 32, 0.55, 1.5, &mut rng);
     let b = Dense::random(32, 32, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("stream split");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows);
     let mut fabric = Fabric::new(cfg, false);
-    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, 32 / cfg.rows, cfg.rows, 0);
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         fabric.set_program(r, SpmmFsm::new(depth, 24));

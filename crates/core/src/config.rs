@@ -30,9 +30,6 @@ pub struct CanonConfig {
     /// Scratchpad entries per PE (one vector each). §6.5 evaluates depths
     /// 1–64 and uses 16 by default.
     pub spad_entries: usize,
-    /// PE pipeline depth; also the per-hop latency of the staggered
-    /// instruction network ("a fixed pipeline latency of 3 cycles", §2.1).
-    pub pipe_depth: usize,
     /// Capacity, in entries, of each inter-PE NoC FIFO (credit window of the
     /// dynamically-managed circuit switching). The default is sized so the
     /// credit round-trip (2-cycle message latency each way) sustains one
@@ -89,7 +86,6 @@ impl Default for CanonConfig {
             cols: 8,
             dmem_words: 1024,
             spad_entries: 16,
-            pipe_depth: 3,
             link_fifo_depth: 8,
             orch_msg_latency: 2,
             orch_msg_capacity: 4,
@@ -162,9 +158,6 @@ impl CanonConfig {
         }
         if self.spad_entries == 0 {
             return Err("scratchpad must have at least one entry".into());
-        }
-        if self.pipe_depth == 0 {
-            return Err("pipeline depth must be at least 1".into());
         }
         if self.link_fifo_depth < 2 {
             return Err("link FIFOs need capacity >= 2 for staggered transfers".into());

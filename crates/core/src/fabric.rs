@@ -351,14 +351,9 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `pipe_depth != 3` (the
-    /// paper's fixed PE pipeline latency; see §2.1).
+    /// Panics if the configuration is invalid.
     pub fn new(cfg: &CanonConfig, north_edge_feeder: bool) -> Fabric {
         cfg.validate().expect("invalid CanonConfig");
-        assert_eq!(
-            cfg.pipe_depth, 3,
-            "the PE pipeline is 3 stages (LOAD/EXECUTE/COMMIT)"
-        );
         let n = cfg.pe_count();
         // Injected deadlock (`FaultAction::WithholdCredits`): starve every
         // non-bottom row of south-link credits so its first flush stalls on
@@ -428,7 +423,6 @@ impl Fabric {
             && self.cfg.dmem_words == cfg.dmem_words
             && self.cfg.spad_entries == cfg.spad_entries
             && self.cfg.link_fifo_depth == cfg.link_fifo_depth
-            && self.cfg.pipe_depth == cfg.pipe_depth
     }
 
     /// Resets the fabric in place to the state `Fabric::new(cfg,

@@ -28,6 +28,11 @@ use canon_sparse::Value;
 /// Number of lanes in the PE vector unit (Table 1: 4-SIMD).
 pub const LANES: usize = 4;
 
+/// PE pipeline depth (LOAD/EXECUTE/COMMIT); also the per-hop latency of the
+/// staggered instruction network ("a fixed pipeline latency of 3 cycles",
+/// §2.1).
+pub const PIPE_DEPTH: usize = 3;
+
 /// A 4-wide SIMD value: the unit of every datapath transfer in the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Vector(pub [Value; LANES]);

@@ -32,20 +32,20 @@
 //! ```
 //!
 //! [`pick_fold`] minimises this over the legal heights [`fold_candidates`]
-//! (powers of two dividing `rows`, plus `rows`, with `K % g == 0`,
-//! `K/g ≤ dmem_words` and `G ≤ m`), taking the larger `g` on a tie because
-//! it replicates `B` less. `g = rows` is the unfolded layout the scratchpad
+//! (powers of two dividing `rows`, plus `rows`, that [`segment_words`]
+//! accepts, with `G ≤ m`), taking the larger `g` on a tie because it
+//! replicates `B` less. `g = rows` is the unfolded layout the scratchpad
 //! SpMM mapping uses; it stays one candidate, not a second code path.
 //!
 //! [`build_row_streams`]: crate::kernels::spmm::build_row_streams
 //! [`preload_b_tile`]: crate::kernels::spmm::preload_b_tile
+//! [`segment_words`]: crate::kernels::spmm::segment_words
 
 use crate::config::CanonConfig;
-use crate::isa::{Addr, Direction, Instruction, Opcode, Vector};
-use crate::kernels::spmm::{run_spmm, state, SpmmMapping};
-use crate::kernels::KernelOutput;
-use crate::orchestrator::{msg_id, MetaToken, OrchAction, OrchIo, OrchMessage, OrchProgram};
-use crate::stats::StallCause;
+use crate::isa::{Addr, Instruction, Opcode, Vector};
+use crate::kernels::spmm::{self, bypass, flush_south, segment_words, state, SpmmMapping};
+use crate::kernels::{KernelOutput, Mapping, Operands};
+use crate::orchestrator::{MetaToken, OrchAction, OrchIo, OrchProgram};
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense};
 
@@ -79,27 +79,11 @@ impl RegAccFsm {
             )
             .take_input(),
             Some(MetaToken::RowEnd { row }) => {
-                if io.south_credits == 0 {
-                    return OrchAction::stall(state::FLUSH, StallCause::Credit);
+                let action = flush_south(io, Addr::Reg(0), row, state::FLUSH);
+                match action.stalled() {
+                    true => action,
+                    false => action.take_input(),
                 }
-                if !io.msg_slot_free {
-                    return OrchAction::stall(state::FLUSH, StallCause::MsgSlot);
-                }
-                OrchAction::issue(
-                    Instruction::new(
-                        Opcode::MovFlush,
-                        Addr::Reg(0),
-                        Addr::Null,
-                        Addr::Port(Direction::South),
-                    )
-                    .with_tag(row),
-                    state::FLUSH,
-                )
-                .take_input()
-                .send(OrchMessage {
-                    id: msg_id::PSUM,
-                    rid: row,
-                })
             }
             Some(MetaToken::End) => {
                 self.done = true;
@@ -120,36 +104,8 @@ impl OrchProgram for RegAccFsm {
         // Bypass handling stays live after the local stream finished (the
         // DONE state keeps reacting to upstream psums).
         if let Some(msg) = io.msg {
-            // No managed window: every upstream psum bypasses south. A
-            // blocked bypass labels the stall with the state of the action it
-            // would have carried (the ride-along MAC for an nnz token, a
-            // plain relay otherwise), matching the assembled LUT's
-            // `state_out` labeling so the trace streams stay identical.
-            let blocked = match io.input {
-                Some(MetaToken::Nnz { .. }) if !self.done => state::MAC,
-                _ => state::NOP,
-            };
-            if io.south_credits == 0 {
-                return OrchAction::stall(blocked, StallCause::Credit);
-            }
-            if !io.msg_slot_free {
-                return OrchAction::stall(blocked, StallCause::MsgSlot);
-            }
-            let sub_io = OrchIo {
-                south_credits: io.south_credits - 1,
-                msg_slot_free: false,
-                ..*io
-            };
-            // Only a MAC can host the pass-through (a flush uses the south
-            // port itself).
-            let mut action = match sub_io.input {
-                Some(MetaToken::Nnz { .. }) if !self.done => self.input_decision(&sub_io),
-                _ => OrchAction::nop(state::NOP),
-            };
-            action.instr = action.instr.with_route(Direction::North, Direction::South);
-            action = action.take_msg().send(msg);
-            action.clear_stall();
-            return action;
+            // No managed window: every upstream psum bypasses south.
+            return bypass(io, msg, !self.done, |sub_io| self.input_decision(sub_io));
         }
         if self.done {
             return OrchAction::nop(state::DONE);
@@ -164,9 +120,10 @@ impl OrchProgram for RegAccFsm {
 
 /// The row-group heights the register-accumulation mapping may fold an
 /// `m × k` operand into on `cfg` (ascending): powers of two dividing
-/// `cfg.rows`, plus `cfg.rows` itself, such that `k` splits evenly, each
-/// K-segment fits in data memory, and every group owns at least one output
-/// row. Empty when no height is legal.
+/// `cfg.rows`, plus `cfg.rows` itself, whose layout is legal (`k` splits
+/// evenly and each K-segment fits in data memory, see [`segment_words`])
+/// and whose every group owns at least one output row. Empty when no height
+/// is legal.
 pub fn fold_candidates(cfg: &CanonConfig, m: usize, k: usize) -> Vec<usize> {
     let rows = cfg.rows;
     let mut heights: Vec<usize> = std::iter::successors(Some(1usize), |g| Some(g * 2))
@@ -174,28 +131,24 @@ pub fn fold_candidates(cfg: &CanonConfig, m: usize, k: usize) -> Vec<usize> {
         .filter(|&g| rows.is_multiple_of(g))
         .collect();
     heights.push(rows);
-    heights.retain(|&g| g > 0 && k.is_multiple_of(g) && k / g <= cfg.dmem_words && rows / g <= m);
+    heights.retain(|&g| segment_words(cfg, k, g).is_ok() && rows / g <= m);
     heights
-}
-
-/// The fold cost model's predicted bottom-row cycles at height `g` (see the
-/// module docs): `max(nnz/rows, m·g − ⌈m/G⌉) + ⌈m/G⌉` with `G = rows/g`.
-fn fold_cost(rows: usize, m: usize, nnz: usize, g: usize) -> usize {
-    let owned = m.div_ceil(rows / g);
-    nnz.div_ceil(rows).max(m * g - owned) + owned
 }
 
 /// The row-group height the register-accumulation mapping runs an `m × k`
 /// operand with `nnz` streamed elements at: the [`fold_candidates`] entry of
-/// least predicted cycles (see the module docs), the larger height on a
-/// tie. Falls back to `cfg.rows` (the unfolded layout, whose mapping errors
-/// then describe the violated constraint) when no height is legal.
+/// least predicted cycles `max(nnz/rows, m·g − ⌈m/G⌉) + ⌈m/G⌉` (see the
+/// module docs), the larger height on a tie. Falls back to `cfg.rows` (the
+/// unfolded layout, whose mapping errors then describe the violated
+/// constraint) when no height is legal.
 pub fn pick_fold(cfg: &CanonConfig, m: usize, k: usize, nnz: usize) -> usize {
-    fold_candidates(cfg, m, k)
-        .into_iter()
-        .rev()
-        .min_by_key(|&g| fold_cost(cfg.rows, m, nnz, g))
-        .unwrap_or(cfg.rows)
+    let rows = cfg.rows;
+    let cost = |g: usize| {
+        let owned = m.div_ceil(rows / g);
+        nnz.div_ceil(rows).max(m * g - owned) + owned
+    };
+    let candidates = fold_candidates(cfg, m, k).into_iter().rev();
+    candidates.min_by_key(|&g| cost(g)).unwrap_or(rows)
 }
 
 /// Converts a dense matrix into a "dense CSR" that keeps explicit zeros, so
@@ -210,30 +163,33 @@ pub fn dense_as_full_csr(a: &Dense) -> CsrMatrix {
     CsrMatrix::new(m, k, row_ptr, col_idx, values).expect("dense CSR structure is valid")
 }
 
-/// Runs dense GEMM (`C = A × B`) on the Canon fabric: the full stream under
-/// the register-accumulation mapping at the row-group fold [`pick_fold`]
-/// chooses.
+/// Compiles dense GEMM (`C = A × B`): the full `m·k` stream under register
+/// accumulation at [`pick_fold`]'s height.
 ///
 /// # Errors
 ///
-/// Same mapping constraints as [`run_spmm`].
+/// As [`spmm::compile`].
+pub fn compile(cfg: &CanonConfig, a: &Dense, b: &Dense) -> Result<Mapping, SimError> {
+    let (m, k) = (a.rows(), a.cols());
+    spmm::compile(cfg, &SpmmMapping::REGISTER, (m, k, m * k), b)
+}
+
+/// Runs dense GEMM on the Canon fabric: [`compile`], then
+/// [`execute`](super::execute)'s executor over [`dense_as_full_csr`].
+///
+/// # Errors
+///
+/// As [`compile`]; propagates simulation errors.
 pub fn run_gemm(cfg: &CanonConfig, a: &Dense, b: &Dense) -> Result<KernelOutput, SimError> {
-    let full = dense_as_full_csr(a);
-    run_spmm(
-        cfg,
-        &SpmmMapping {
-            spad_depth: 1,
-            use_scratchpad: false,
-            ..SpmmMapping::default()
-        },
-        &full,
-        b,
-    )
+    let map = compile(cfg, a, b)?;
+    let a = &dense_as_full_csr(a);
+    super::run_tiles(cfg, &map, Operands::Stream { a, b }, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::{msg_id, OrchMessage};
     use canon_sparse::{gen, reference};
 
     #[test]

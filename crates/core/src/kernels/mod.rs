@@ -1,24 +1,30 @@
 //! Kernel mappings (§4, Appendices A–D).
 //!
-//! Each submodule maps one kernel family onto the Canon fabric: it lays out
-//! the stationary operand across PE data memories, builds the per-row
-//! meta-data streams the compiler would generate, installs the orchestrator
-//! FSM ("microcode"), runs the fabric, and reassembles the output from the
-//! edge collectors.
+//! Canon's compiler fixes each kernel's data layout and orchestrator
+//! program before the run (§4, App A–C). [`compile`] makes every mapping
+//! decision and check (through each family's `compile`) and returns a plain
+//! [`Mapping`]. [`execute`] builds and runs the fabric tiles it describes:
+//! pool acquire, stationary preload, meta streams and programs, feeders,
+//! off-chip bytes, an optional trace sink, the run, collector reassembly
+//! and the report merge. [`run_kernel`] and every per-kernel `run_*` entry
+//! point are compile, then execute.
 //!
-//! | Kernel | Paper section | Module |
-//! |---|---|---|
-//! | SpMM (unstructured, Gustavson dataflow, Listing 1 FSM) | §4.1.1, App A/C | [`spmm`] |
-//! | Dense GEMM (systolic-style emulation, register accumulation) | §6.2 | [`gemm`] |
-//! | N:M structured SpMM (2:4, 2:8, any N:M) | §4.1.3 | [`nm`] |
-//! | SDDMM (unstructured mask) | §4.1.2, App B | [`sddmm`] |
-//! | Sliding-window SDDMM (Longformer/Mistral attention) | §4.1.3 | [`window`] |
-//! | Static spatial (place-and-route) execution | App D | [`spatial`] |
+//! | Kernel | Paper section | Module | Dataflow |
+//! |---|---|---|---|
+//! | SpMM (unstructured, Gustavson dataflow, Listing 1 FSM) | §4.1.1, App A/C | [`spmm`] | [`Dataflow::Scratchpad`] |
+//! | Dense GEMM (systolic-style emulation, register accumulation) | §6.2 | [`gemm`] | [`Dataflow::RegAcc`] |
+//! | N:M structured SpMM (2:4, 2:8, any N:M) | §4.1.3 | [`nm`] | [`Dataflow::RegAcc`] |
+//! | SDDMM (unstructured mask) | §4.1.2, App B | [`sddmm`] | [`Dataflow::Sddmm`] |
+//! | Sliding-window SDDMM (Longformer/Mistral attention) | §4.1.3 | [`window`] | [`Dataflow::Sddmm`] |
+//! | Static spatial (place-and-route) execution | App D | [`spatial`] | — |
 //!
-//! [`run_kernel`] is the uniform entry point over all of the above: callers
-//! that dispatch workloads generically (the `canon-sweep` backends, the
-//! harness figures) build a [`KernelInput`] and get a [`KernelOutput`] back,
-//! without naming the per-kernel `run_*` functions.
+//! A mapping is a value tests may edit between the steps:
+//! [`Mapping::with_fold`] moves register accumulation to any legal fold
+//! height, and the [`OrchKind`] inside a dataflow picks the native FSM or
+//! the LUT microcode. The open mapper items are edits to the compile steps
+//! that the executor then follows: the column trim sets [`Mapping::cols`]
+//! below the fabric's width (leaving the other columns idle), and the
+//! scratchpad fold gives [`Dataflow::Scratchpad`] a fold below `rows`.
 
 pub mod gemm;
 pub mod nm;
@@ -30,9 +36,13 @@ pub mod window;
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Vector, LANES};
+use crate::orchestrator::{assembler, RowProgram};
 use crate::stats::RunReport;
+use crate::trace::TraceSink;
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense, Mask, Value};
+use sddmm::ColPartition;
+use spmm::OrchKind;
 
 /// Places a stationary operand in data-memory words `0..words` of every PE,
 /// filling the address-major slab in its own order: for each word `a` and
@@ -43,8 +53,8 @@ use canon_sparse::{CsrMatrix, Dense, Mask, Value};
 ///
 /// # Panics
 ///
-/// Panics when `words` exceeds the data-memory capacity; mappers report
-/// that as [`SimError::Mapping`] before calling.
+/// Panics when `words` exceeds the data-memory capacity; [`compile`]
+/// reports that as [`SimError::Mapping`] first.
 pub(crate) fn preload_stationary<'b>(
     fabric: &mut Fabric,
     words: usize,
@@ -130,30 +140,261 @@ pub struct KernelOutput {
     pub report: RunReport,
 }
 
-/// Runs any Canon kernel through one entry point.
+/// How the rows compute: the orchestrator program and operand roles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dataflow {
+    /// Streamed `A`, stationary `B`, psums in a scratchpad window.
+    Scratchpad(OrchKind),
+    /// Streamed `A`, stationary `B`, psums in a register flushed per row end.
+    RegAcc(OrchKind),
+    /// Stationary keys, queries fed from the north edge, dot products
+    /// chained east.
+    Sddmm(ColPartition),
+}
+
+/// Every mapping decision of one kernel run (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mapping {
+    /// PE rows used.
+    pub rows: usize,
+    /// PE columns used; a tile or an `A` token is `cols · LANES` wide.
+    pub cols: usize,
+    /// Row-group fold height (see the [`gemm`] docs); `rows` is unfolded.
+    pub fold: usize,
+    /// Stationary words per PE: `K/fold` rows of `B`, or SDDMM's `H·W`.
+    pub words: usize,
+    /// Output-column tiles, one fabric run each (1 for SDDMM).
+    pub tiles: usize,
+    /// `K`, zero-padded to a multiple of `cols · LANES` for SDDMM.
+    pub k: usize,
+    /// Scratchpad entries used, clamped; 0 under register accumulation.
+    pub spad_depth: usize,
+    /// The orchestrator program and operand roles.
+    pub dataflow: Dataflow,
+}
+
+impl Mapping {
+    /// This mapping at fold height `g`.
+    ///
+    /// # Errors
+    ///
+    /// Only register accumulation folds, at a height
+    /// [`spmm::segment_words`] accepts.
+    pub fn with_fold(self, cfg: &CanonConfig, g: usize) -> Result<Mapping, SimError> {
+        match self.dataflow {
+            Dataflow::RegAcc(_) => Ok(Mapping {
+                fold: g,
+                words: spmm::segment_words(cfg, self.k, g)?,
+                ..self
+            }),
+            _ if g == self.fold => Ok(self),
+            other => Err(SimError::Mapping {
+                reason: format!(
+                    "{other:?} maps unfolded (row group {g} != rows = {})",
+                    self.rows
+                ),
+            }),
+        }
+    }
+
+    /// PE row `r`'s orchestrator program for an `m × n` output.
+    fn program(&self, r: usize, m: usize, n: usize) -> Result<RowProgram, SimError> {
+        let depth = self.spad_depth;
+        Ok(match self.dataflow {
+            Dataflow::Scratchpad(OrchKind::Native) => spmm::SpmmFsm::new(depth, m).into(),
+            Dataflow::Scratchpad(OrchKind::Lut) => {
+                assembler::spmm_fsm_spec(depth, m).into_program()?.into()
+            }
+            Dataflow::RegAcc(OrchKind::Native) => gemm::RegAccFsm::new(m).into(),
+            Dataflow::RegAcc(OrchKind::Lut) => assembler::regacc_fsm_spec(m).into_program()?.into(),
+            Dataflow::Sddmm(partition) => {
+                let (h, w) = (n / self.rows, self.k / (self.cols * LANES));
+                let (base, stride) = partition.keys(r, h, self.rows);
+                let south = r + 1 < self.rows;
+                sddmm::SddmmFsm::new(w, m, n, base, stride, depth, south).into()
+            }
+        })
+    }
+}
+
+/// Makes every mapping decision and check for `input` on `cfg`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Mapping`] when `cfg` fails
-/// [`CanonConfig::validate`], and propagates the underlying kernel's
-/// mapping and simulation errors.
-pub fn run_kernel(cfg: &CanonConfig, input: &KernelInput) -> Result<KernelOutput, SimError> {
+/// Returns [`SimError::Mapping`] when `cfg` fails [`CanonConfig::validate`]
+/// or the operands violate the kernel's mapping constraints.
+pub fn compile(cfg: &CanonConfig, input: &KernelInput) -> Result<Mapping, SimError> {
     cfg.validate()
         .map_err(|reason| SimError::Mapping { reason })?;
     match input {
-        KernelInput::Gemm { a, b } => gemm::run_gemm(cfg, a, b),
-        KernelInput::Spmm { a, b, mapping } => spmm::run_spmm(cfg, mapping, a, b),
-        KernelInput::SpmmNm { a, b, n_of, m_of } => nm::run_spmm_nm(cfg, a, b, *n_of, *m_of),
+        KernelInput::Gemm { a, b } => gemm::compile(cfg, a, b),
+        KernelInput::Spmm { a, b, mapping } => {
+            spmm::compile(cfg, mapping, (a.rows(), a.cols(), a.nnz()), b)
+        }
+        KernelInput::SpmmNm { a, b, n_of, m_of } => nm::compile(cfg, a, b, *n_of, *m_of),
         KernelInput::Sddmm {
             mask,
             q,
             kv,
             mapping,
-        } => sddmm::run_sddmm(cfg, mapping, mask, q, kv),
+        } => {
+            let shapes = ((q.rows(), q.cols()), (kv.rows(), kv.cols()));
+            sddmm::compile(cfg, mapping, shapes.0, shapes.1, (mask.rows(), mask.cols()))
+        }
+        KernelInput::Window { wa, .. } => wa.compile(cfg),
+    }
+}
+
+/// Runs `input` on the fabric tiles `map` describes, attaching `trace` to
+/// each tile's run in turn.
+///
+/// # Errors
+///
+/// Propagates LUT assembly and simulation errors.
+pub fn execute(
+    cfg: &CanonConfig,
+    map: &Mapping,
+    input: &KernelInput,
+    trace: Option<Box<dyn TraceSink>>,
+) -> Result<KernelOutput, SimError> {
+    match input {
+        KernelInput::Gemm { a, b } => {
+            let a = &gemm::dense_as_full_csr(a);
+            run_tiles(cfg, map, Operands::Stream { a, b }, trace)
+        }
+        KernelInput::Spmm { a, b, .. } | KernelInput::SpmmNm { a, b, .. } => {
+            run_tiles(cfg, map, Operands::Stream { a, b }, trace)
+        }
+        KernelInput::Sddmm { mask, q, kv, .. } => {
+            run_tiles(cfg, map, Operands::Sddmm { mask, q, kv }, trace)
+        }
         KernelInput::Window { wa, seed } => {
-            window::run_window_attention(cfg, &sddmm::SddmmMapping::default(), wa, *seed)
+            let (q, kv, mask) = &wa.operands(*seed);
+            run_tiles(cfg, map, Operands::Sddmm { mask, q, kv }, trace)
         }
     }
+}
+
+/// Runs any Canon kernel: [`compile`], then [`execute`] untraced.
+///
+/// # Errors
+///
+/// As [`compile`] and [`execute`].
+pub fn run_kernel(cfg: &CanonConfig, input: &KernelInput) -> Result<KernelOutput, SimError> {
+    execute(cfg, &compile(cfg, input)?, input, None)
+}
+
+/// Borrowed operands: `A` streamed against a stationary `B` (GEMM as its
+/// full stream), or SDDMM's mask, queries and keys.
+#[derive(Clone, Copy)]
+pub(crate) enum Operands<'a> {
+    Stream {
+        a: &'a CsrMatrix,
+        b: &'a Dense,
+    },
+    Sddmm {
+        mask: &'a Mask,
+        q: &'a Dense,
+        kv: &'a Dense,
+    },
+}
+
+/// The executor behind [`execute`] and the per-kernel entry points. Panics
+/// when `map`'s dataflow does not fit the operands.
+pub(crate) fn run_tiles(
+    cfg: &CanonConfig,
+    map: &Mapping,
+    ops: Operands<'_>,
+    mut trace: Option<Box<dyn TraceSink>>,
+) -> Result<KernelOutput, SimError> {
+    let (m, n, mut streams) = match (ops, map.dataflow) {
+        (Operands::Sddmm { mask, q, kv }, Dataflow::Sddmm(partition)) => {
+            let streams = sddmm::build_mask_streams(mask, map.rows, partition);
+            (q.rows(), kv.rows(), streams)
+        }
+        (Operands::Stream { a, b }, Dataflow::Scratchpad(_) | Dataflow::RegAcc(_)) => {
+            let streams = spmm::build_row_streams(a, map.rows, map.fold);
+            (a.rows(), b.cols(), streams)
+        }
+        (_, dataflow) => panic!("{dataflow:?} mapping run on the other family's operands"),
+    };
+    let tile_n = map.cols * LANES;
+    let mut result = Dense::zeros(m, n);
+    let mut total: Option<RunReport> = None;
+    for t in 0..map.tiles {
+        let tile_base = t * tile_n;
+        let mut fabric = crate::pool::acquire(cfg, matches!(ops, Operands::Sddmm { .. }));
+        // Off-chip bytes: each B tile once (a fold's copies are one
+        // broadcast read); the streamed A once, replayed across tiles from
+        // the edge buffers (1 B per value, per coordinate when sparse, per
+        // row end); C once. SDDMM reads its keys at the padded K (the
+        // fabric counts the query feed) and the mask coordinates.
+        match (ops, map.dataflow) {
+            (Operands::Stream { a, b }, _) => {
+                spmm::preload_b_tile(&mut fabric, b, map.words, map.fold, tile_base);
+                let tile_cols = tile_n.min(n - tile_base);
+                fabric.add_offchip_read_bytes((map.k * tile_cols) as u64);
+                if t == 0 {
+                    let coord_bytes = if a.nnz() < m * map.k { a.nnz() } else { 0 };
+                    fabric.add_offchip_read_bytes((a.nnz() + coord_bytes + m) as u64);
+                }
+                fabric.add_offchip_write_bytes((m * tile_cols) as u64);
+            }
+            (Operands::Sddmm { mask, q, kv }, Dataflow::Sddmm(partition)) => {
+                let (h, w) = (n / map.rows, map.k / tile_n);
+                sddmm::preload_key_tiles(&mut fabric, kv, h, w, partition);
+                sddmm::feed_queries(&mut fabric, q, w);
+                fabric.add_offchip_read_bytes((n * map.k + 2 * mask.nnz() + m) as u64);
+                fabric.add_offchip_write_bytes(mask.nnz() as u64);
+            }
+            _ => unreachable!("operands checked above"),
+        }
+        let last = t + 1 == map.tiles;
+        for (r, stream) in streams.iter_mut().enumerate() {
+            let stream = if last {
+                std::mem::take(stream)
+            } else {
+                stream.clone()
+            };
+            fabric.set_meta_stream(r, stream);
+            fabric.set_program(r, map.program(r, m, n)?);
+        }
+        if let Some(sink) = trace.take() {
+            fabric.set_trace_sink(sink);
+        }
+        let report = fabric.run()?;
+        trace = fabric.take_trace_sink();
+        for e in fabric.south_collected() {
+            for l in 0..LANES {
+                let col = tile_base + e.lane * LANES + l;
+                if col < n {
+                    result[(e.tag as usize, col)] += e.value.0[l];
+                }
+            }
+        }
+        // SDDMM's final V-to-scalar reduction happens at the edge mover.
+        for e in fabric.east_collected() {
+            result[(e.tag as usize / n, e.tag as usize % n)] += e.value.reduce_sum();
+        }
+        total = Some(match total {
+            None => report,
+            Some(mut acc) => {
+                acc.cycles += report.cycles;
+                acc.wall_ns += report.wall_ns;
+                acc.engine = acc.engine.combine(report.engine);
+                acc.stats.merge(&report.stats);
+                acc
+            }
+        });
+    }
+    let report = total.unwrap_or(RunReport {
+        cycles: 0,
+        pes: cfg.pe_count(),
+        stats: Default::default(),
+        wall_ns: 0,
+        engine: Default::default(),
+    });
+    Ok(KernelOutput { result, report })
 }
 
 #[cfg(test)]
@@ -282,14 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn run_kernel_rejects_zero_pipe_depth() {
-        assert_rejected(CanonConfig {
-            pipe_depth: 0,
-            ..CanonConfig::default()
-        });
-    }
-
-    #[test]
     fn run_kernel_rejects_shallow_link_fifos() {
         assert_rejected(CanonConfig {
             link_fifo_depth: 1,
@@ -408,7 +641,7 @@ mod tests {
                     for tile_base in (0..n).step_by(tile_n) {
                         let mut bulk = dirty_fabric(&cfg, false);
                         let mut per_pe = dirty_fabric(&cfg, false);
-                        spmm::preload_b_tile(&mut bulk, &b, h, group, tile_base).unwrap();
+                        spmm::preload_b_tile(&mut bulk, &b, h, group, tile_base);
                         per_pe_b_tile(&mut per_pe, &b, h, group, tile_base);
                         assert_same_dmem(&bulk, &per_pe);
                     }
@@ -436,11 +669,46 @@ mod tests {
     #[test]
     fn b_tile_deeper_than_dmem_is_a_mapping_error() {
         let cfg = CanonConfig::default();
-        let mut fabric = Fabric::new(&cfg, false);
-        let b = Dense::zeros(cfg.rows * (cfg.dmem_words + 1), 8);
-        assert!(matches!(
-            spmm::preload_b_tile(&mut fabric, &b, cfg.dmem_words + 1, cfg.rows, 0),
-            Err(SimError::Mapping { .. })
-        ));
+        let k = cfg.rows * (cfg.dmem_words + 1);
+        let input = KernelInput::Spmm {
+            a: CsrMatrix::from_dense(&Dense::zeros(4, k)),
+            b: Dense::zeros(k, 8),
+            mapping: spmm::SpmmMapping::default(),
+        };
+        match compile(&cfg, &input) {
+            Err(SimError::Mapping { reason }) => assert_eq!(
+                reason,
+                "K-segment of 1025 rows exceeds data memory (1024 words)"
+            ),
+            other => panic!("expected a mapping error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn with_fold_rederives_words_and_refuses_unfoldable_dataflows() {
+        let cfg = CanonConfig::default();
+        let mut rng = gen::seeded_rng(82);
+        let (a, b) = (
+            Dense::random(16, 64, &mut rng),
+            Dense::random(64, 8, &mut rng),
+        );
+        let gemm = compile(&cfg, &KernelInput::Gemm { a, b }).unwrap();
+        let unfolded = gemm.with_fold(&cfg, cfg.rows).unwrap();
+        assert_eq!((unfolded.fold, unfolded.words), (8, 8));
+        assert_eq!(gemm.with_fold(&cfg, 2).unwrap().words, 32);
+        assert!(gemm.with_fold(&cfg, 3).is_err());
+
+        let spmm = Mapping {
+            dataflow: Dataflow::Scratchpad(OrchKind::Native),
+            ..unfolded
+        };
+        assert_eq!(spmm.with_fold(&cfg, cfg.rows).unwrap(), spmm);
+        assert!(spmm.with_fold(&cfg, 4).is_err());
+        let wa = window::WindowAttention {
+            seq: 32,
+            window: 8,
+            head_dim: 32,
+        };
+        assert!(wa.compile(&cfg).unwrap().with_fold(&cfg, 4).is_err());
     }
 }

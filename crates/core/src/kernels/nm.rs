@@ -14,8 +14,8 @@
 //! fewer slots for the psum relays to ride on).
 
 use crate::config::CanonConfig;
-use crate::kernels::spmm::{run_spmm, SpmmMapping};
-use crate::kernels::KernelOutput;
+use crate::kernels::spmm::{self, SpmmMapping};
+use crate::kernels::{KernelOutput, Mapping, Operands};
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense};
 
@@ -50,14 +50,36 @@ pub fn check_nm_structure(a: &CsrMatrix, n: usize, m_group: usize) -> Result<(),
     Ok(())
 }
 
-/// Runs N:M structured SpMM on Canon. The mapping is SpMM's register
-/// accumulation (no scratchpad window) under the cost model's row-group
-/// fold, exploiting the compile-time-known balance.
+/// Compiles N:M structured SpMM: SpMM's register accumulation (no
+/// scratchpad window) under the cost model's row-group fold, exploiting the
+/// compile-time-known balance.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Mapping`] if `a` violates the claimed structure or the
 /// SpMM shape constraints fail.
+pub fn compile(
+    cfg: &CanonConfig,
+    a: &CsrMatrix,
+    b: &Dense,
+    n: usize,
+    m_group: usize,
+) -> Result<Mapping, SimError> {
+    check_nm_structure(a, n, m_group)?;
+    spmm::compile(
+        cfg,
+        &SpmmMapping::REGISTER,
+        (a.rows(), a.cols(), a.nnz()),
+        b,
+    )
+}
+
+/// Runs N:M structured SpMM on Canon: [`compile`], then
+/// [`execute`](super::execute)'s executor.
+///
+/// # Errors
+///
+/// As [`compile`]; propagates simulation errors.
 pub fn run_spmm_nm(
     cfg: &CanonConfig,
     a: &CsrMatrix,
@@ -65,17 +87,8 @@ pub fn run_spmm_nm(
     n: usize,
     m_group: usize,
 ) -> Result<KernelOutput, SimError> {
-    check_nm_structure(a, n, m_group)?;
-    run_spmm(
-        cfg,
-        &SpmmMapping {
-            spad_depth: 1,
-            use_scratchpad: false,
-            ..SpmmMapping::default()
-        },
-        a,
-        b,
-    )
+    let map = compile(cfg, a, b, n, m_group)?;
+    super::run_tiles(cfg, &map, Operands::Stream { a, b }, None)
 }
 
 #[cfg(test)]

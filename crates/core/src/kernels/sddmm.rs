@@ -9,7 +9,8 @@
 //! With an `Y×X` array and `V`-wide lanes, `K = W·X·V` and `N = Y·H`:
 //!
 //! * PE `(y, x)` stores, at data-memory word `h·W + w`, the vector
-//!   `B[y·H + h][(w·X + x)·V .. +V]` — its `V`-slice of key `n = yH + h` for
+//!   `B[n][(w·X + x)·V .. +V]` — its `V`-slice of the key `n` it owns at
+//!   local index `h` (`n = yH + h` under the block [`ColPartition`]), for
 //!   chunk `w`;
 //! * the north-edge mover streams, into column `x`, the token sequence
 //!   `t = m·W + w ↦ A[m][(w·X + x)·V .. +V]`;
@@ -24,11 +25,15 @@
 //!   this tiny reduction in the last PE column, "just before the result is
 //!   forwarded to the memory controllers" — doing it in the mover is
 //!   behaviourally identical and noted in DESIGN.md).
+//!
+//! [`compile`] zero-pads `K` up to a multiple of `X·V`: the feeders and the
+//! key preload read the lanes past the operands' `K` as zero (no operand is
+//! copied), and the token count and preload bytes price the padded width.
 
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
-use crate::kernels::KernelOutput;
+use crate::kernels::{Dataflow, KernelOutput, Mapping, Operands};
 use crate::noc::TaggedVector;
 use crate::orchestrator::{MetaToken, OrchAction, OrchIo, OrchProgram};
 use crate::stats::StallCause;
@@ -60,6 +65,18 @@ pub enum ColPartition {
     /// compiler selects for diagonal-window masks (§4.1.3), which would
     /// otherwise concentrate each output row's whole band on one PE row.
     Cyclic,
+}
+
+impl ColPartition {
+    /// The keys PE row `y` of `rows` owns when each owns `h`, as
+    /// `(base, stride)`: local index `i` holds key `base + i·stride`. The
+    /// key preload, the mask streams and the FSM's tags all derive from it.
+    pub fn keys(self, y: usize, h: usize, rows: usize) -> (usize, usize) {
+        match self {
+            ColPartition::Block => (y * h, 1),
+            ColPartition::Cyclic => (y, rows),
+        }
+    }
 }
 
 /// Mapping parameters for SDDMM.
@@ -106,7 +123,7 @@ impl SddmmFsm {
     /// * `m_total` — number of streamed `A` rows.
     /// * `n_total` — global output width `N` (for collector tags).
     /// * `n_base` / `n_stride` — this row's global column for local index `h`
-    ///   is `n_base + h·n_stride` (block: `(yH, 1)`; cyclic: `(y, rows)`).
+    ///   is `n_base + h·n_stride` (the row's [`ColPartition::keys`]).
     /// * `depth` — scratchpad buffer entries (≥ `w`).
     /// * `forward_south` — false for the bottom row (its forwards would fall
     ///   into the edge sink; the compiler omits the pass-through there).
@@ -271,16 +288,15 @@ impl OrchProgram for SddmmFsm {
 
 /// Places the stationary `B` tiles: PE `(y, x)` receives, at word `h·W + w`,
 /// `B[n][(w·X + x)·V .. +V]` for the key `n` row `y` owns at local index `h`
-/// (`yH + h` for [`ColPartition::Block`], `hY + y` for
-/// [`ColPartition::Cyclic`]). Word `h·W + w` of PE row `y` is one contiguous
-/// run of key row `n`, so the tiles are copied in slab order (see
-/// [`super::preload_stationary`]).
+/// (see [`ColPartition::keys`]); lanes past `B`'s width read as zero. Word
+/// `h·W + w` of PE row `y` is one contiguous run of key row `n`, so the
+/// tiles are copied in slab order (see [`super::preload_stationary`]).
 ///
 /// # Panics
 ///
-/// Panics when `b` has fewer than `h · rows` rows or fewer than
-/// `w · cols · LANES` columns, or when `h · w` exceeds the data memory.
-pub(crate) fn preload_key_tiles(
+/// Panics when `b` has fewer than `h · rows` rows or when `h · w` exceeds
+/// the data memory.
+pub fn preload_key_tiles(
     fabric: &mut Fabric,
     b: &Dense,
     h: usize,
@@ -289,89 +305,107 @@ pub(crate) fn preload_key_tiles(
 ) {
     let (rows, tile) = (fabric.config().rows, fabric.config().cols * LANES);
     super::preload_stationary(fabric, h * w, |a, yy| {
-        let (hh, ww) = (a / w, a % w);
-        let n = match partition {
-            ColPartition::Block => yy * h + hh,
-            ColPartition::Cyclic => hh * rows + yy,
-        };
-        &b.row(n)[ww * tile..][..tile]
+        let (base, stride) = partition.keys(yy, h, rows);
+        let row = b.row(base + (a / w) * stride);
+        row.get((a % w) * tile..).unwrap_or(&[])
     });
 }
 
-/// Runs SDDMM (`C = mask · (A × Bᵀ)`) on the Canon fabric.
-///
-/// `a` is `M×K` (query rows), `b` is `N×K` (key rows), `mask` is `M×N`.
+/// Streams `A` from the north edge: column `x` receives the tokens
+/// `t = m·W + w ↦ A[m][(w·X + x)·V .. +V]`, lanes past `A`'s width reading
+/// as zero.
+pub fn feed_queries(fabric: &mut Fabric, a: &Dense, w: usize) {
+    let x = fabric.config().cols;
+    for xx in 0..x {
+        let tokens = (0..a.rows() * w)
+            .map(|t| {
+                let (row, ww) = (a.row(t / w), t % w);
+                let lanes = std::array::from_fn(|v| {
+                    row.get((ww * x + xx) * LANES + v).copied().unwrap_or(0)
+                });
+                TaggedVector {
+                    value: Vector(lanes),
+                    tag: t as u32,
+                }
+            })
+            .collect();
+        fabric.set_feeder(xx, tokens);
+    }
+}
+
+/// The meta streams of `mask` over `rows` PE rows: row `y` receives, per
+/// output row, a `MaskPos` with the local index of each masked key it owns
+/// under `partition`, then an `MRowEnd`; a final `End` closes each stream.
+pub fn build_mask_streams(
+    mask: &Mask,
+    rows: usize,
+    partition: ColPartition,
+) -> Vec<Vec<MetaToken>> {
+    let h = mask.cols() / rows;
+    let mut owner = vec![(0, 0); mask.cols()];
+    for y in 0..rows {
+        let (base, stride) = partition.keys(y, h, rows);
+        for local in 0..h {
+            owner[base + local * stride] = (y, local as u32);
+        }
+    }
+    let mut streams = vec![Vec::new(); rows];
+    for row in 0..mask.rows() {
+        for col in mask.row_iter(row) {
+            let (y, local) = owner[col];
+            streams[y].push(MetaToken::MaskPos {
+                row: row as u32,
+                col: local,
+            });
+        }
+        for s in streams.iter_mut() {
+            s.push(MetaToken::MRowEnd { row: row as u32 });
+        }
+    }
+    for s in streams.iter_mut() {
+        s.push(MetaToken::End);
+    }
+    streams
+}
+
+/// Compiles SDDMM `C = mask · (A × Bᵀ)` from the shapes of `A` (`m×k` query
+/// rows), `B` (`n×k_b` key rows) and the mask (`M×N`), zero-padding `K` to
+/// a multiple of `cols·LANES`.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Mapping`] when shapes violate the constraints
-/// (`K % (cols·LANES) == 0`, `N % rows == 0`, tile fits in data memory,
-/// buffer ≥ `W`), and propagates simulation protocol errors.
-pub fn run_sddmm(
+/// (`K > 0`, `N % rows == 0`, tile fits in data memory, buffer ≥ `W`).
+pub fn compile(
     cfg: &CanonConfig,
     mapping: &SddmmMapping,
-    mask: &Mask,
-    a: &Dense,
-    b: &Dense,
-) -> Result<KernelOutput, SimError> {
-    run_sddmm_traced(cfg, mapping, mask, a, b, None)
-}
-
-/// [`run_sddmm`] with an optional trace sink attached to the mapped fabric
-/// for the duration of the run (the mapper owns its fabric, so the sink
-/// must be threaded through; see [`crate::trace`]).
-///
-/// # Errors
-///
-/// Same as [`run_sddmm`].
-pub fn run_sddmm_traced(
-    cfg: &CanonConfig,
-    mapping: &SddmmMapping,
-    mask: &Mask,
-    a: &Dense,
-    b: &Dense,
-    trace: Option<Box<dyn crate::trace::TraceSink>>,
-) -> Result<KernelOutput, SimError> {
-    let m = a.rows();
-    let k = a.cols();
-    let n = b.rows();
-    if b.cols() != k {
+    (m, k): (usize, usize),
+    (n, k_b): (usize, usize),
+    mask: (usize, usize),
+) -> Result<Mapping, SimError> {
+    if k_b != k {
         return Err(SimError::Mapping {
-            reason: format!("A is {m}x{k} but B is {n}x{}", b.cols()),
+            reason: format!("A is {m}x{k} but B is {n}x{k_b}"),
         });
     }
-    if mask.rows() != m || mask.cols() != n {
+    if mask != (m, n) {
         return Err(SimError::Mapping {
-            reason: format!("mask is {}x{}, expected {m}x{n}", mask.rows(), mask.cols()),
+            reason: format!("mask is {}x{}, expected {m}x{n}", mask.0, mask.1),
         });
     }
-    let x = cfg.cols;
-    let y = cfg.rows;
-    // Auto-pad the contraction dimension: when K is not a multiple of
-    // cols·lanes (e.g. head_dim = 32 on a 16×16 grid, where cols·lanes =
-    // 64), zero-pad both operands up to the next multiple. The padded
-    // columns contribute exactly zero to every Q·Kᵀ dot product, so results
-    // are bit-identical to the unpadded computation; only the streamed
-    // token count (and hence cycles/traffic) reflects the padded width.
+    if k == 0 {
+        return Err(SimError::Mapping {
+            reason: "K = 0 leaves no A token to stream".into(),
+        });
+    }
+    let (x, y) = (cfg.cols, cfg.rows);
     let k_padded = k.div_ceil(x * LANES) * (x * LANES);
-    if k_padded != k {
-        let pad = |m: &Dense| {
-            let mut out = Dense::zeros(m.rows(), k_padded);
-            for rr in 0..m.rows() {
-                for cc in 0..k {
-                    out[(rr, cc)] = m[(rr, cc)];
-                }
-            }
-            out
-        };
-        return run_sddmm_traced(cfg, mapping, mask, &pad(a), &pad(b), trace);
-    }
     if !n.is_multiple_of(y) {
         return Err(SimError::Mapping {
             reason: format!("N = {n} must be a multiple of rows = {y}"),
         });
     }
-    let w = k / (x * LANES);
+    let w = k_padded / (x * LANES);
     let h = n / y;
     if h * w > cfg.dmem_words {
         return Err(SimError::Mapping {
@@ -387,86 +421,34 @@ pub fn run_sddmm_traced(
             reason: format!("A buffer depth {depth} must be >= W = {w}"),
         });
     }
+    Ok(Mapping {
+        rows: y,
+        cols: x,
+        fold: y,
+        words: h * w,
+        tiles: 1,
+        k: k_padded,
+        spad_depth: depth,
+        dataflow: Dataflow::Sddmm(mapping.partition),
+    })
+}
 
-    let mut fabric = crate::pool::acquire(cfg, true);
-    preload_key_tiles(&mut fabric, b, h, w, mapping.partition);
-    // A stream from the top edge.
-    for xx in 0..x {
-        let mut tokens = Vec::with_capacity(m * w);
-        for mm in 0..m {
-            for ww in 0..w {
-                let mut lanes = [0; LANES];
-                for (v, lane) in lanes.iter_mut().enumerate() {
-                    *lane = a[(mm, (ww * x + xx) * LANES + v)];
-                }
-                tokens.push(TaggedVector {
-                    value: Vector(lanes),
-                    tag: (mm * w + ww) as u32,
-                });
-            }
-        }
-        fabric.set_feeder(xx, tokens);
-    }
-    // Meta streams and FSMs. The FSM tags collector outputs with
-    // `m·N + n_base + h·n_stride`, so the two partitionings share one FSM.
-    for yy in 0..y {
-        let mut stream = Vec::new();
-        for mm in 0..m {
-            for col in mask.row_iter(mm) {
-                let local = match mapping.partition {
-                    ColPartition::Block => {
-                        if col >= yy * h && col < (yy + 1) * h {
-                            Some(col - yy * h)
-                        } else {
-                            None
-                        }
-                    }
-                    ColPartition::Cyclic => {
-                        if col % y == yy {
-                            Some(col / y)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(local) = local {
-                    stream.push(MetaToken::MaskPos {
-                        row: mm as u32,
-                        col: local as u32,
-                    });
-                }
-            }
-            stream.push(MetaToken::MRowEnd { row: mm as u32 });
-        }
-        stream.push(MetaToken::End);
-        fabric.set_meta_stream(yy, stream);
-        let (n_base, n_stride) = match mapping.partition {
-            ColPartition::Block => (yy * h, 1),
-            ColPartition::Cyclic => (yy, y),
-        };
-        fabric.set_program(
-            yy,
-            SddmmFsm::new(w, m, n, n_base, n_stride, depth, yy + 1 < y),
-        );
-    }
-    // Off-chip traffic: B preload (A feed is counted by the fabric), the mask
-    // coordinates, and the sparse output.
-    fabric.add_offchip_read_bytes((n * k) as u64 + (2 * mask.nnz() + m) as u64);
-    fabric.add_offchip_write_bytes(mask.nnz() as u64);
-
-    if let Some(sink) = trace {
-        fabric.set_trace_sink(sink);
-    }
-    let report = fabric.run()?;
-    fabric.take_trace_sink();
-    let mut result = Dense::zeros(m, n);
-    for e in fabric.east_collected() {
-        let mm = e.tag as usize / n;
-        let nn = e.tag as usize % n;
-        // Final V-to-scalar reduction at the edge mover.
-        result[(mm, nn)] += e.value.reduce_sum();
-    }
-    Ok(KernelOutput { result, report })
+/// Runs SDDMM (`C = mask · (A × Bᵀ)`) on the Canon fabric: [`compile`],
+/// then [`execute`](super::execute)'s executor.
+///
+/// # Errors
+///
+/// As [`compile`]; propagates simulation errors.
+pub fn run_sddmm(
+    cfg: &CanonConfig,
+    mapping: &SddmmMapping,
+    mask: &Mask,
+    a: &Dense,
+    b: &Dense,
+) -> Result<KernelOutput, SimError> {
+    let shapes = ((a.rows(), a.cols()), (b.rows(), b.cols()));
+    let map = compile(cfg, mapping, shapes.0, shapes.1, (mask.rows(), mask.cols()))?;
+    super::run_tiles(cfg, &map, Operands::Sddmm { mask, q: a, kv: b }, None)
 }
 
 #[cfg(test)]
@@ -575,6 +557,12 @@ mod tests {
         let mask = Mask::full(4, 9);
         assert!(matches!(
             run_sddmm(&cfg(), &SddmmMapping::default(), &mask, &a, &b),
+            Err(SimError::Mapping { .. })
+        ));
+        // K = 0 would leave the FSM no A token per output (W = 0).
+        let (a, b) = (Dense::zeros(4, 0), Dense::zeros(8, 0));
+        assert!(matches!(
+            run_sddmm(&cfg(), &SddmmMapping::default(), &Mask::full(4, 8), &a, &b),
             Err(SimError::Mapping { .. })
         ));
     }

@@ -15,7 +15,7 @@
 //! cost is added to the reported cycle count.
 
 use crate::config::CanonConfig;
-use crate::isa::{InstrHandle, InstrRing, Instruction, Vector, LANES};
+use crate::isa::{InstrHandle, InstrRing, Instruction, Vector, LANES, PIPE_DEPTH};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::pe::PeArray;
 use crate::stats::{RunReport, Stats};
@@ -140,7 +140,7 @@ pub fn run_spatial(
         }
     }
 
-    let config_cycles = (cfg.cols * cfg.pipe_depth) as u64;
+    let config_cycles = (cfg.cols * PIPE_DEPTH) as u64;
     let mut stats = Stats::new();
     for idx in 0..pes.len() {
         let c = pes.counters(idx);

@@ -25,9 +25,9 @@
 use crate::config::CanonConfig;
 use crate::fabric::Fabric;
 use crate::isa::{Addr, Direction, Instruction, Opcode, Vector, LANES};
-use crate::kernels::KernelOutput;
+use crate::kernels::{Dataflow, KernelOutput, Mapping, Operands};
 use crate::orchestrator::{msg_id, MetaToken, OrchAction, OrchIo, OrchMessage, OrchProgram};
-use crate::stats::{RunReport, StallCause};
+use crate::stats::StallCause;
 use crate::SimError;
 use canon_sparse::{CsrMatrix, Dense};
 
@@ -64,8 +64,8 @@ pub enum OrchKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmmMapping {
     /// Scratchpad psum-window depth in entries (§6.5 evaluates 1–64; the
-    /// paper's default, used for all §6.2 results, is 16). Clamped to the
-    /// configured scratchpad size at run time.
+    /// paper's default, used for all §6.2 results, is 16). [`compile`]
+    /// clamps it to the configured scratchpad size.
     pub spad_depth: usize,
     /// When false, partial sums accumulate in a SIMD register and are flushed
     /// on every row end without a managed window (the structured-sparsity /
@@ -74,6 +74,16 @@ pub struct SpmmMapping {
     pub use_scratchpad: bool,
     /// Orchestrator implementation (native FSM or LUT bitstream).
     pub orchestrator: OrchKind,
+}
+
+impl SpmmMapping {
+    /// Register accumulation without a scratchpad window: the GEMM and N:M
+    /// mapping.
+    pub const REGISTER: SpmmMapping = SpmmMapping {
+        spad_depth: 1,
+        use_scratchpad: false,
+        orchestrator: OrchKind::Native,
+    };
 }
 
 impl Default for SpmmMapping {
@@ -98,7 +108,6 @@ pub struct SpmmFsm {
     rid_start: u32,
     occ: u32,
     done: bool,
-    ended: bool,
 }
 
 impl SpmmFsm {
@@ -116,7 +125,6 @@ impl SpmmFsm {
             rid_start: 0,
             occ: if m_total == 0 { 0 } else { 1 },
             done: m_total == 0,
-            ended: false,
         }
     }
 
@@ -126,6 +134,14 @@ impl SpmmFsm {
 
     fn managed(&self, rid: u32) -> bool {
         rid >= self.rid_start && rid < self.rid_start + self.occ
+    }
+
+    /// Flushes the oldest window entry south (see [`flush_south`]).
+    fn flush_oldest(&mut self, io: &OrchIo, state_id: u8) -> OrchAction {
+        let oldest = self.rid_start;
+        let action = flush_south(io, Addr::Spad(self.slot(oldest)), oldest, state_id);
+        self.rid_start += u32::from(!action.stalled());
+        action
     }
 
     /// The decision driven purely by the input stream (no message present).
@@ -146,67 +162,29 @@ impl SpmmFsm {
             }
             Some(MetaToken::RowEnd { row }) => {
                 let allocate_next = row + 1 < self.m_total;
-                if self.occ == self.depth {
-                    // Window full: flush the oldest psum to make room
-                    // (App C case 2).
-                    if io.south_credits == 0 {
-                        return OrchAction::stall(state::FLUSH, StallCause::Credit);
-                    }
-                    if !io.msg_slot_free {
-                        return OrchAction::stall(state::FLUSH, StallCause::MsgSlot);
-                    }
-                    let oldest = self.rid_start;
-                    let instr = Instruction::new(
-                        Opcode::MovFlush,
-                        Addr::Spad(self.slot(oldest)),
-                        Addr::Null,
-                        Addr::Port(Direction::South),
-                    )
-                    .with_tag(oldest);
-                    self.rid_start += 1;
-                    if !allocate_next {
-                        self.occ -= 1;
-                    }
-                    OrchAction::issue(instr, state::FLUSH)
-                        .take_input()
-                        .send(OrchMessage {
-                            id: msg_id::PSUM,
-                            rid: oldest,
-                        })
-                } else {
-                    if allocate_next {
-                        self.occ += 1;
-                    }
-                    OrchAction::nop(state::NOP).take_input()
+                if self.occ < self.depth {
+                    self.occ += u32::from(allocate_next);
+                    return OrchAction::nop(state::NOP).take_input();
                 }
+                // Window full: flush the oldest psum to make room (App C
+                // case 2).
+                let action = self.flush_oldest(io, state::FLUSH);
+                if action.stalled() {
+                    return action;
+                }
+                self.occ -= u32::from(!allocate_next);
+                action.take_input()
             }
             Some(MetaToken::End) => {
-                self.ended = true;
-                if self.occ > 0 {
-                    if io.south_credits == 0 {
-                        return OrchAction::stall(state::DRAIN, StallCause::Credit);
-                    }
-                    if !io.msg_slot_free {
-                        return OrchAction::stall(state::DRAIN, StallCause::MsgSlot);
-                    }
-                    let oldest = self.rid_start;
-                    let instr = Instruction::new(
-                        Opcode::MovFlush,
-                        Addr::Spad(self.slot(oldest)),
-                        Addr::Null,
-                        Addr::Port(Direction::South),
-                    )
-                    .with_tag(oldest);
-                    self.rid_start += 1;
-                    self.occ -= 1;
-                    OrchAction::issue(instr, state::DRAIN).send(OrchMessage {
-                        id: msg_id::PSUM,
-                        rid: oldest,
-                    })
-                } else {
+                if self.occ == 0 {
                     self.done = true;
-                    OrchAction::nop(state::DONE).take_input()
+                    return OrchAction::nop(state::DONE).take_input();
                 }
+                let action = self.flush_oldest(io, state::DRAIN);
+                if !action.stalled() {
+                    self.occ -= 1;
+                }
+                action
             }
             Some(other) => {
                 debug_assert!(false, "unexpected token {other:?} in SpMM stream");
@@ -237,40 +215,8 @@ impl OrchProgram for SpmmFsm {
                 .with_tag(msg.rid);
                 return OrchAction::issue(instr, state::ACC).take_msg();
             }
-            // Fig 8 path 1.2: bypass — forward data north→south and relay
-            // the message, riding along the input-driven instruction when
-            // that instruction does not itself use the south port.
-            // A blocked bypass labels the stall with the state the action
-            // would have carried (the ride-along MAC for an nnz token, a
-            // plain relay otherwise) — the same labeling the assembled LUT
-            // derives from the blocked micro-op's `state_out`, so native and
-            // LUT trace streams stay byte-identical under back-pressure.
-            let blocked = match io.input {
-                Some(MetaToken::Nnz { .. }) => state::MAC,
-                _ => state::NOP,
-            };
-            if io.south_credits == 0 {
-                return OrchAction::stall(blocked, StallCause::Credit);
-            }
-            if !io.msg_slot_free {
-                return OrchAction::stall(blocked, StallCause::MsgSlot);
-            }
-            // Reserve one credit and the message slot for the bypass itself;
-            // the base action may not take them too.
-            let sub_io = OrchIo {
-                south_credits: io.south_credits - 1,
-                msg_slot_free: false,
-                ..*io
-            };
-            let base = self.input_decision_peek(&sub_io);
-            let mut action = match base {
-                Some(b) => b,
-                None => OrchAction::nop(state::NOP),
-            };
-            action.instr = action.instr.with_route(Direction::North, Direction::South);
-            action = action.take_msg().send(msg);
-            action.clear_stall();
-            return action;
+            // Fig 8 path 1.2: the psum is out of the window.
+            return bypass(io, msg, !self.done, |sub_io| self.input_decision(sub_io));
         }
         if self.done {
             return OrchAction::nop(state::DONE);
@@ -283,20 +229,140 @@ impl OrchProgram for SpmmFsm {
     }
 }
 
-impl SpmmFsm {
-    /// Computes the input-driven action for a bypass cycle, but only if it
-    /// does not conflict with the bypass's south push / message. Returns
-    /// `None` (pure-bypass NOP) otherwise, leaving input state untouched.
-    fn input_decision_peek(&mut self, io: &OrchIo) -> Option<OrchAction> {
-        if self.done {
-            return None;
-        }
-        match io.input {
-            Some(MetaToken::Nnz { .. }) => Some(self.input_decision(io)),
-            // Row ends may flush (south push + message) — do not combine.
-            _ => None,
-        }
+/// Flushes `src` south as output row `rid`'s psum (labelled `state_id`), or
+/// stalls on the south credit or message slot the flush needs. Shared with
+/// the register FSM.
+pub(crate) fn flush_south(io: &OrchIo, src: Addr, rid: u32, state_id: u8) -> OrchAction {
+    if io.south_credits == 0 {
+        return OrchAction::stall(state_id, StallCause::Credit);
     }
+    if !io.msg_slot_free {
+        return OrchAction::stall(state_id, StallCause::MsgSlot);
+    }
+    let instr = Instruction::new(
+        Opcode::MovFlush,
+        src,
+        Addr::Null,
+        Addr::Port(Direction::South),
+    );
+    let psum = OrchMessage {
+        id: msg_id::PSUM,
+        rid,
+    };
+    OrchAction::issue(instr.with_tag(rid), state_id).send(psum)
+}
+
+/// Fig 8 path 1.2, shared with the register FSM: relays the upstream psum
+/// `msg` north→south, riding along the MAC that `mac` issues for a streamed
+/// non-zero while the row's stream is `live`. Only a MAC can host the
+/// pass-through; a row end may flush, which needs the south port and the
+/// message slot itself. A blocked bypass labels its stall with the state
+/// the action would have carried (the ride-along MAC, or a plain relay), as
+/// the assembled LUT labels it from the blocked micro-op's `state_out`, so
+/// native and LUT trace streams stay identical under back-pressure.
+pub(crate) fn bypass(
+    io: &OrchIo,
+    msg: OrchMessage,
+    live: bool,
+    mac: impl FnOnce(&OrchIo) -> OrchAction,
+) -> OrchAction {
+    let rides = live && matches!(io.input, Some(MetaToken::Nnz { .. }));
+    let carried = if rides { state::MAC } else { state::NOP };
+    if io.south_credits == 0 {
+        return OrchAction::stall(carried, StallCause::Credit);
+    }
+    if !io.msg_slot_free {
+        return OrchAction::stall(carried, StallCause::MsgSlot);
+    }
+    // Reserve one credit and the message slot for the bypass itself.
+    let sub_io = OrchIo {
+        south_credits: io.south_credits - 1,
+        msg_slot_free: false,
+        ..*io
+    };
+    let mut action = if rides {
+        mac(&sub_io)
+    } else {
+        OrchAction::nop(state::NOP)
+    };
+    action.instr = action.instr.with_route(Direction::North, Direction::South);
+    action = action.take_msg().send(msg);
+    action.clear_stall();
+    action
+}
+
+/// The stationary words per PE (the `K/g` segment of `B`) of the row-group
+/// fold of height `g`: the one legality check of a streamed layout.
+///
+/// # Errors
+///
+/// Returns [`SimError::Mapping`] unless `g` divides both `rows` and `K` and
+/// the segment fits in data memory.
+pub fn segment_words(cfg: &CanonConfig, k: usize, g: usize) -> Result<usize, SimError> {
+    let rows = cfg.rows;
+    if g == 0 || !rows.is_multiple_of(g) {
+        return Err(SimError::Mapping {
+            reason: format!("row group {g} must divide the row count {rows}"),
+        });
+    }
+    if !k.is_multiple_of(g) {
+        return Err(SimError::Mapping {
+            reason: format!("K = {k} must be a multiple of the row group {g} (of {rows} rows)"),
+        });
+    }
+    let (words, dmem_words) = (k / g, cfg.dmem_words);
+    if words > dmem_words {
+        return Err(SimError::Mapping {
+            reason: format!("K-segment of {words} rows exceeds data memory ({dmem_words} words)"),
+        });
+    }
+    Ok(words)
+}
+
+/// Compiles SpMM (`C = A × B`, `A` is `m×k` streaming `nnz` elements): the
+/// scratchpad window on the unfolded layout, or register accumulation at
+/// [`pick_fold`](super::gemm::pick_fold)'s height when
+/// `mapping.use_scratchpad` is off. GEMM and N:M compile through here with
+/// [`SpmmMapping::REGISTER`].
+///
+/// # Errors
+///
+/// Returns [`SimError::Mapping`] when `B` has other than `k` rows or
+/// [`segment_words`] rejects the layout.
+pub fn compile(
+    cfg: &CanonConfig,
+    mapping: &SpmmMapping,
+    (m, k, nnz): (usize, usize, usize),
+    b: &Dense,
+) -> Result<Mapping, SimError> {
+    if k != b.rows() {
+        return Err(SimError::Mapping {
+            reason: format!("A is {m}x{k} but B is {}x{}", b.rows(), b.cols()),
+        });
+    }
+    let orch = mapping.orchestrator;
+    let (dataflow, fold, spad_depth) = match mapping.use_scratchpad {
+        true => (
+            Dataflow::Scratchpad(orch),
+            cfg.rows,
+            mapping.spad_depth.min(cfg.spad_entries).max(1),
+        ),
+        false => (
+            Dataflow::RegAcc(orch),
+            super::gemm::pick_fold(cfg, m, k, nnz),
+            0,
+        ),
+    };
+    Ok(Mapping {
+        rows: cfg.rows,
+        cols: cfg.cols,
+        fold,
+        words: segment_words(cfg, k, fold)?,
+        tiles: b.cols().div_ceil(cfg.cols * LANES),
+        k,
+        spad_depth,
+        dataflow,
+    })
 }
 
 /// Builds the per-row meta streams for a sparse operand under the row-group
@@ -311,26 +377,9 @@ impl SpmmFsm {
 /// unfolded layout — every row owns every output row and holds one `K/rows`
 /// segment — which the scratchpad SpMM mapping always uses.
 ///
-/// # Errors
-///
-/// Returns [`SimError::Mapping`] unless `group` divides both `rows` and `K`.
-pub fn build_row_streams(
-    a: &CsrMatrix,
-    rows: usize,
-    group: usize,
-) -> Result<Vec<Vec<MetaToken>>, SimError> {
-    let k = a.cols();
-    if group == 0 || !rows.is_multiple_of(group) {
-        return Err(SimError::Mapping {
-            reason: format!("row group {group} must divide the row count {rows}"),
-        });
-    }
-    if !k.is_multiple_of(group) {
-        return Err(SimError::Mapping {
-            reason: format!("K = {k} must be a multiple of the row group {group} (of {rows} rows)"),
-        });
-    }
-    let h = k / group;
+/// `group` must be a height [`segment_words`] accepts.
+pub fn build_row_streams(a: &CsrMatrix, rows: usize, group: usize) -> Vec<Vec<MetaToken>> {
+    let h = a.cols() / group;
     let groups = rows / group;
     let mut streams: Vec<Vec<MetaToken>> = vec![Vec::new(); rows];
     for m in 0..a.rows() {
@@ -350,185 +399,40 @@ pub fn build_row_streams(
     for s in streams.iter_mut() {
         s.push(MetaToken::End);
     }
-    Ok(streams)
+    streams
 }
 
-/// Preloads the `B` tile for column tile `tile` into every PE's data memory
-/// under the row-group fold of height `group` (see [`build_row_streams`]).
-/// PE `(r, c)` receives `B[(r mod group)·h + i][base + cL .. base + (c+1)L]`
-/// at word `i` (lanes past `N`, and rows past `K`, read as zero), so each
-/// row group holds its own copy of the tile. Word `i` of PE row `r` is one
-/// contiguous run of one `B` row, so the tile is copied in slab order, one
-/// `n`-wide data-memory row per word.
+/// Preloads the `B` tile starting at output column `tile_base` into every
+/// PE's data memory under the row-group fold of height `group` (see
+/// [`build_row_streams`]). PE `(r, c)` receives
+/// `B[(r mod group)·h + i][base + cL .. base + (c+1)L]` at word `i` (lanes
+/// past `N`, and rows past `K`, read as zero), so each row group holds its
+/// own copy of the tile. Word `i` of PE row `r` is one contiguous run of one
+/// `B` row, so the tile is copied in slab order, one `n`-wide data-memory
+/// row per word.
 ///
-/// # Errors
-///
-/// Returns [`SimError::Mapping`] when `h` exceeds the data memory.
-pub fn preload_b_tile(
-    fabric: &mut Fabric,
-    b: &Dense,
-    h: usize,
-    group: usize,
-    tile_base: usize,
-) -> Result<(), SimError> {
-    let dmem_words = fabric.config().dmem_words;
-    if h > dmem_words {
-        return Err(SimError::Mapping {
-            reason: format!("K-segment of {h} rows exceeds data memory ({dmem_words} words)"),
-        });
-    }
+/// `h` must fit in data memory (see [`segment_words`]).
+pub fn preload_b_tile(fabric: &mut Fabric, b: &Dense, h: usize, group: usize, tile_base: usize) {
     super::preload_stationary(fabric, h, |i, r| match (r % group) * h + i {
         brow if brow < b.rows() => b.row(brow).get(tile_base..).unwrap_or(&[]),
         _ => &[],
     });
-    Ok(())
 }
 
-/// Runs SpMM (`C = A × B`) on the Canon fabric, tiling over output columns.
-///
-/// The scratchpad mapping uses the unfolded layout (row group = `cfg.rows`);
-/// the register-accumulation mapping folds output rows across row groups
-/// whose height [`pick_fold`](super::gemm::pick_fold) chooses per shape.
+/// Runs SpMM (`C = A × B`) on the Canon fabric: [`compile`], then
+/// [`execute`](super::execute)'s executor, one run per output tile.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Mapping`] when shapes violate the mapping constraints
-/// (`K` must be a multiple of the row-group height, and the K-segment must
-/// fit in data memory), and propagates simulation protocol errors.
+/// As [`compile`]; propagates simulation protocol errors.
 pub fn run_spmm(
     cfg: &CanonConfig,
     mapping: &SpmmMapping,
     a: &CsrMatrix,
     b: &Dense,
 ) -> Result<KernelOutput, SimError> {
-    let group = if mapping.use_scratchpad {
-        cfg.rows
-    } else {
-        super::gemm::pick_fold(cfg, a.rows(), a.cols(), a.nnz())
-    };
-    run_spmm_folded(cfg, mapping, a, b, group)
-}
-
-/// [`run_spmm`] at an explicit row-group height `group` (see
-/// [`build_row_streams`]) instead of the cost model's pick — the hook the
-/// mapping-invariant tests use to brute-force every legal fold.
-///
-/// # Errors
-///
-/// As [`run_spmm`]; additionally rejects a folded layout
-/// (`group != cfg.rows`) under the scratchpad window, whose FSM tracks
-/// consecutive output-row ids.
-pub fn run_spmm_folded(
-    cfg: &CanonConfig,
-    mapping: &SpmmMapping,
-    a: &CsrMatrix,
-    b: &Dense,
-    group: usize,
-) -> Result<KernelOutput, SimError> {
-    if a.cols() != b.rows() {
-        return Err(SimError::Mapping {
-            reason: format!(
-                "A is {}x{} but B is {}x{}",
-                a.rows(),
-                a.cols(),
-                b.rows(),
-                b.cols()
-            ),
-        });
-    }
-    if mapping.use_scratchpad && group != cfg.rows {
-        return Err(SimError::Mapping {
-            reason: format!(
-                "the scratchpad window needs the unfolded layout (row group {group} != rows = {})",
-                cfg.rows
-            ),
-        });
-    }
-    let m = a.rows();
-    let n = b.cols();
-    let k = a.cols();
-    let streams = build_row_streams(a, cfg.rows, group)?;
-    let h = k / group;
-    let tile_n = cfg.cols * LANES;
-    let tiles = n.div_ceil(tile_n);
-    let depth = mapping.spad_depth.min(cfg.spad_entries).max(1);
-
-    let mut result = Dense::zeros(m, n);
-    let mut total: Option<RunReport> = None;
-    for t in 0..tiles {
-        let tile_base = t * tile_n;
-        let mut fabric = crate::pool::acquire(cfg, false);
-        preload_b_tile(&mut fabric, b, h, group, tile_base)?;
-        for r in 0..cfg.rows {
-            fabric.set_meta_stream(r, streams[r].clone());
-            if mapping.use_scratchpad {
-                match mapping.orchestrator {
-                    OrchKind::Native => {
-                        fabric.set_program(r, SpmmFsm::new(depth, m));
-                    }
-                    OrchKind::Lut => {
-                        let program = crate::orchestrator::assembler::spmm_fsm_spec(depth, m)
-                            .into_program()?;
-                        fabric.set_program(r, program);
-                    }
-                }
-            } else {
-                match mapping.orchestrator {
-                    OrchKind::Native => {
-                        fabric.set_program(r, super::gemm::RegAccFsm::new(m));
-                    }
-                    OrchKind::Lut => {
-                        let program =
-                            crate::orchestrator::assembler::regacc_fsm_spec(m).into_program()?;
-                        fabric.set_program(r, program);
-                    }
-                }
-            }
-        }
-        // Off-chip traffic: each B tile is loaded once (k·tile_cols bytes,
-        // totalling k·n across tiles) — a folded layout's per-group copies
-        // are one broadcast read, and preload writes stay uncounted; the
-        // streamed A is fetched from DRAM once and replayed across column
-        // tiles from the edge stream buffers (Table 1's 288 KB includes
-        // them), costing 1 B per value, 1 B per coordinate when the stream
-        // is sparse, and 1 B per row-end token; C is written out once.
-        let tile_cols = tile_n.min(n - tile_base);
-        fabric.add_offchip_read_bytes((k * tile_cols) as u64);
-        if t == 0 {
-            let coord_bytes = if a.nnz() < m * k { a.nnz() } else { 0 };
-            fabric.add_offchip_read_bytes((a.nnz() + coord_bytes + m) as u64);
-        }
-        fabric.add_offchip_write_bytes((m * tile_cols) as u64);
-
-        let report = fabric.run()?;
-        for e in fabric.south_collected() {
-            let row = e.tag as usize;
-            for l in 0..LANES {
-                let col = tile_base + e.lane * LANES + l;
-                if col < n {
-                    result[(row, col)] += e.value.0[l];
-                }
-            }
-        }
-        total = Some(match total {
-            None => report,
-            Some(mut acc) => {
-                acc.cycles += report.cycles;
-                acc.wall_ns += report.wall_ns;
-                acc.engine = acc.engine.combine(report.engine);
-                acc.stats.merge(&report.stats);
-                acc
-            }
-        });
-    }
-    let report = total.unwrap_or(RunReport {
-        cycles: 0,
-        pes: cfg.pe_count(),
-        stats: Default::default(),
-        wall_ns: 0,
-        engine: Default::default(),
-    });
-    Ok(KernelOutput { result, report })
+    let map = compile(cfg, mapping, (a.rows(), a.cols(), a.nnz()), b)?;
+    super::run_tiles(cfg, &map, Operands::Stream { a, b }, None)
 }
 
 #[cfg(test)]

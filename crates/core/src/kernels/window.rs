@@ -13,10 +13,10 @@
 //! simulators can be charged the same work the paper charges them.
 
 use crate::config::CanonConfig;
-use crate::kernels::sddmm::{run_sddmm, SddmmMapping};
-use crate::kernels::KernelOutput;
+use crate::kernels::sddmm::{compile, ColPartition, SddmmMapping};
+use crate::kernels::{run_kernel, KernelInput, KernelOutput, Mapping};
 use crate::SimError;
-use canon_sparse::{gen, Dense};
+use canon_sparse::{gen, Dense, Mask};
 
 /// A window-attention workload: the QKᵀ score computation of one head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,31 +54,47 @@ impl WindowAttention {
     pub fn mask_sparsity(&self) -> f64 {
         gen::window_mask(self.seq, self.window).sparsity()
     }
+
+    /// Compiles the window SDDMM from its shape alone. The compiler knows
+    /// the mask is a diagonal band and selects the interleaved column
+    /// partitioning ([`ColPartition::Cyclic`]), spreading each band across
+    /// all rows; the `A` buffer keeps the default depth.
+    ///
+    /// # Errors
+    ///
+    /// Returns the SDDMM mapping errors of this shape.
+    pub fn compile(&self, cfg: &CanonConfig) -> Result<Mapping, SimError> {
+        let mapping = SddmmMapping {
+            partition: ColPartition::Cyclic,
+            ..SddmmMapping::default()
+        };
+        let (seq, dim) = (self.seq, self.head_dim);
+        compile(cfg, &mapping, (seq, dim), (seq, dim), (seq, seq))
+    }
+
+    /// The operands generated from `seed`: random `Q` and `K`
+    /// (`seq × head_dim`, in that order) and the banded mask.
+    pub fn operands(&self, seed: u64) -> (Dense, Dense, Mask) {
+        let mut rng = gen::seeded_rng(seed);
+        let q = Dense::random(self.seq, self.head_dim, &mut rng);
+        let k = Dense::random(self.seq, self.head_dim, &mut rng);
+        (q, k, gen::window_mask(self.seq, self.window))
+    }
 }
 
 /// Runs window SDDMM on Canon for the given attention shape, generating
-/// random Q/K operands from `seed`.
+/// random Q/K operands from `seed`: [`run_kernel`] on
+/// [`KernelInput::Window`].
 ///
 /// # Errors
 ///
 /// Propagates SDDMM mapping and simulation errors.
 pub fn run_window_attention(
     cfg: &CanonConfig,
-    mapping: &SddmmMapping,
     wa: &WindowAttention,
     seed: u64,
 ) -> Result<KernelOutput, SimError> {
-    let mut rng = gen::seeded_rng(seed);
-    let q = Dense::random(wa.seq, wa.head_dim, &mut rng);
-    let k = Dense::random(wa.seq, wa.head_dim, &mut rng);
-    let mask = gen::window_mask(wa.seq, wa.window);
-    // The compiler knows the mask is a diagonal band and selects the
-    // interleaved column partitioning, spreading each band across all rows.
-    let mapping = SddmmMapping {
-        partition: crate::kernels::sddmm::ColPartition::Cyclic,
-        ..mapping.clone()
-    };
-    run_sddmm(cfg, &mapping, &mask, &q, &k)
+    run_kernel(cfg, &KernelInput::Window { wa: *wa, seed })
 }
 
 /// Dense GEMM shapes `(m, n, k)` of the sliding-chunk decomposition used by
@@ -105,15 +121,6 @@ pub fn sliding_chunk_shapes(
     shapes
 }
 
-/// Total scalar MACs of the sliding-chunk decomposition (what the baselines
-/// execute for window attention).
-pub fn sliding_chunk_macs(seq: usize, window: usize, head_dim: usize) -> u64 {
-    sliding_chunk_shapes(seq, window, head_dim)
-        .iter()
-        .map(|&(m, n, k)| (m * n * k) as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +134,7 @@ mod tests {
             window: 4,
             head_dim: 32,
         };
-        let out = run_window_attention(&cfg, &SddmmMapping::default(), &wa, 7).unwrap();
+        let out = run_window_attention(&cfg, &wa, 7).unwrap();
         // Recompute the reference with the same seed.
         let mut rng = gen::seeded_rng(7);
         let q = Dense::random(16, 32, &mut rng);
@@ -152,7 +159,10 @@ mod tests {
         let window = 16;
         let k = 32;
         let band_macs = gen::window_mask(seq, window).nnz() as u64 * k as u64;
-        let chunk = sliding_chunk_macs(seq, window, k);
+        let chunk: u64 = sliding_chunk_shapes(seq, window, k)
+            .iter()
+            .map(|&(m, n, k)| (m * n * k) as u64)
+            .sum();
         assert!(
             chunk > band_macs,
             "chunked {chunk} should exceed banded {band_macs}"

@@ -39,6 +39,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
+use std::os::raw::{c_int, c_short};
+use std::os::unix::io::AsRawFd as _;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
@@ -535,6 +537,44 @@ fn bind_socket(path: &PathBuf) -> io::Result<UnixListener> {
     }
 }
 
+// Raw POSIX `poll(2)` binding: the workspace carries no libc crate (no
+// registry access). Same pattern as the store lock's `flock(2)` binding.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
+
+const POLLIN: c_short = 1;
+
+/// How long the accept loop waits for a connection before it re-checks the
+/// signal slot and the drain flag.
+const ACCEPT_TICK_MS: c_int = 10;
+
+/// Blocks until `listener` has a connection to accept, or for at most
+/// `timeout_ms`. Errors (`EINTR` included) return early; the caller's next
+/// `accept` sorts them out.
+fn wait_acceptable(listener: &UnixListener, timeout_ms: c_int) {
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `fd` is one valid `pollfd` for the duration of the call, and
+    // its descriptor is owned by `listener`, which outlives it.
+    unsafe { poll(&mut fd, 1, timeout_ms) };
+}
+
 /// Runs the daemon to completion. Blocks until drained (by protocol
 /// command or signal) and returns the exit code the process should
 /// terminate with ([`EXIT_DRAINED`] / [`EXIT_SIGINT`] / [`EXIT_SIGTERM`]).
@@ -592,8 +632,9 @@ pub fn run_daemon(opts: &ServeOptions) -> io::Result<i32> {
             let cache = &cache;
             scope.spawn(move || worker(shared, index, cache));
         }
-        // Accept loop: polls the listener and the signal slot until a
-        // drain begins, then falls through to let the scope join workers.
+        // Accept loop: waits on the listener (waking as soon as a client
+        // connects) and checks the signal slot every tick until a drain
+        // begins, then falls through to let the scope join workers.
         loop {
             if let Some(slot) = &opts.signal {
                 let sig = slot.load(Ordering::Relaxed);
@@ -611,9 +652,9 @@ pub fn run_daemon(opts: &ServeOptions) -> io::Result<i32> {
                     scope.spawn(move || serve_connection(shared, stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                    wait_acceptable(&listener, ACCEPT_TICK_MS);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => std::thread::sleep(Duration::from_millis(ACCEPT_TICK_MS as u64)),
             }
         }
         // Drain is underway: make sure workers see `stop` even if the

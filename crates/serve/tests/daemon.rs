@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use canon_core::FaultAction;
 use canon_serve::daemon::{run_daemon, ServeOptions, EXIT_DRAINED, MAX_LINE_BYTES};
@@ -121,6 +121,27 @@ fn serves_simulates_once_and_caches() {
 
     shutdown_and_join(&socket, handle);
     assert!(!socket.exists(), "socket file must be unlinked on exit");
+}
+
+#[test]
+fn fresh_connections_are_accepted_as_they_arrive() {
+    // A connection must not wait out an accept-loop sleep: 20 sequential
+    // fresh connections with one `status` round trip each take a few
+    // milliseconds in all. A loop that sleeps 10 ms after every empty
+    // accept makes each one wait most of a tick, about 200 ms in all.
+    let dir = scratch("accept");
+    let (handle, socket) = start_daemon(opts_for(&dir));
+    let start = Instant::now();
+    for _ in 0..20 {
+        let mut c = Client::connect(&socket).unwrap();
+        assert!(matches!(c.request(&Request::Status), Ok(Reply::Status(_))));
+    }
+    let elapsed = start.elapsed();
+    shutdown_and_join(&socket, handle);
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 fresh status round trips took {elapsed:?}"
+    );
 }
 
 #[test]

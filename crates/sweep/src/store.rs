@@ -83,7 +83,7 @@ pub fn cfg_fingerprint(cfg: &CanonConfig) -> String {
         "dmem={};spad={};pipe={};fifo={};msg={}x{};bw={};wd={}+{}",
         cfg.dmem_words,
         cfg.spad_entries,
-        cfg.pipe_depth,
+        canon_core::isa::PIPE_DEPTH,
         cfg.link_fifo_depth,
         cfg.orch_msg_latency,
         cfg.orch_msg_capacity,

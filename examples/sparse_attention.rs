@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         window: 16,
         head_dim: 64,
     };
-    let win = run_window_attention(&cfg, &SddmmMapping::default(), &wa, 11)?;
+    let win = run_window_attention(&cfg, &wa, 11)?;
     println!(
         "\nSDDMM-Win (seq={}, window={}, {:.0}% sparse band)",
         wa.seq,

@@ -8,7 +8,7 @@
 //! cargo run --release --example spatial_dataflow
 //! ```
 
-use canon::arch::isa::{Addr, Direction, Instruction, Opcode, Vector};
+use canon::arch::isa::{Addr, Direction, Instruction, Opcode, Vector, PIPE_DEPTH};
 use canon::arch::kernels::spatial::{run_spatial, SpatialProgram};
 use canon::arch::noc::TaggedVector;
 use canon::arch::CanonConfig;
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("spatial pipeline y = ((x*3)+5)*2-1 over {inputs} inputs");
     println!(
         "  cycles (incl. {}-cycle configuration phase): {}",
-        cfg.cols * cfg.pipe_depth,
+        cfg.cols * PIPE_DEPTH,
         out.report.cycles
     );
     println!("  outputs: {got:?}");

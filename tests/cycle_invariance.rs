@@ -11,6 +11,12 @@
 //! this suite. A deliberate model change re-pins the constants it moves
 //! (the GEMM golden's cycles and traffic moved with the row-group fold of
 //! the register-accumulation mapping; its result fingerprint did not).
+//!
+//! The N:M, zero-padded SDDMM and window goldens were captured at commit
+//! `c0dfa9a`, before the mappers became one compile step and one executor.
+//! The SDDMM and window ones run on 16×16, where `cols·LANES = 64` exceeds
+//! `head_dim = 32`, so `K` is zero-padded; the off-chip byte counts pin
+//! that the padded `K` is priced (`N·K_padded` preload bytes).
 
 use canon::arch::kernels::{run_kernel, KernelOutput};
 use canon::arch::CanonConfig;
@@ -32,17 +38,23 @@ fn result_fp(result: &Dense) -> u64 {
 struct Golden {
     op: TensorOp,
     seed: u64,
+    /// Fabric `(rows, cols)`.
+    geometry: (usize, usize),
     cycles: u64,
     instrs: u64,
     macs: u64,
     noc_hops: u64,
     stalls: u64,
     result_fp: u64,
+    /// Off-chip `(read, write)` bytes.
+    offchip: (u64, u64),
 }
 
 fn run(golden: &Golden) -> KernelOutput {
     let input = kernel_input(&golden.op, golden.seed);
-    run_kernel(&CanonConfig::default(), &input).expect("golden shape maps")
+    let (rows, cols) = golden.geometry;
+    let cfg = CanonConfig::default().with_geometry(rows, cols);
+    run_kernel(&cfg, &input).expect("golden shape maps")
 }
 
 /// A 16×8 multi-row staggered-issue run, pinning the batched row-issue path
@@ -81,6 +93,7 @@ fn gemm_golden_cycles_and_result() {
             n: 32,
         },
         seed: 11,
+        geometry: (8, 8),
         // Register accumulation at row-group fold g = 1 on this shape.
         cycles: 169,
         instrs: 8736,
@@ -88,6 +101,7 @@ fn gemm_golden_cycles_and_result() {
         noc_hops: 1152,
         stalls: 0,
         result_fp: 0x17ce2c8a6b0d0c57,
+        offchip: (2080, 1024),
     });
 }
 
@@ -101,12 +115,14 @@ fn spmm_golden_cycles_and_result() {
             sparsity: 0.6,
         },
         seed: 12,
+        geometry: (8, 8),
         cycles: 282,
         instrs: 13424,
         macs: 7624,
         noc_hops: 4112,
         stalls: 0,
         result_fp: 0x6ee5d7aed34af86a,
+        offchip: (3986, 1024),
     });
 }
 
@@ -119,12 +135,77 @@ fn sddmm_golden_cycles_and_result() {
             sparsity: 0.5,
         },
         seed: 13,
+        geometry: (8, 8),
         cycles: 242,
         instrs: 12592,
         macs: 4296,
         noc_hops: 6344,
         stalls: 176,
         result_fp: 0x6e76c7959a3fef83,
+        offchip: (3154, 537),
+    });
+}
+
+#[test]
+fn nm_golden_cycles_and_result() {
+    // Two column tiles (N = 40 on a 32-wide tile) under the row-group fold.
+    check(&Golden {
+        op: TensorOp::SpmmNm {
+            m: 48,
+            k: 64,
+            n: 40,
+            n_of: 2,
+            m_of: 8,
+        },
+        seed: 14,
+        geometry: (8, 8),
+        cycles: 278,
+        instrs: 13632,
+        macs: 12288,
+        noc_hops: 3456,
+        stalls: 0,
+        result_fp: 0xd7e9ebdd857cca69,
+        offchip: (4144, 1920),
+    });
+}
+
+#[test]
+fn padded_sddmm_golden_cycles_and_result() {
+    check(&Golden {
+        op: TensorOp::SddmmUnstructured {
+            seq: 32,
+            head_dim: 32,
+            sparsity: 0.5,
+        },
+        seed: 15,
+        geometry: (16, 16),
+        cycles: 232,
+        instrs: 38224,
+        macs: 8432,
+        noc_hops: 16624,
+        stalls: 625,
+        result_fp: 0x0591b72d9474e3d4,
+        offchip: (5182, 527),
+    });
+}
+
+#[test]
+fn padded_window_golden_cycles_and_result() {
+    check(&Golden {
+        op: TensorOp::SddmmWindow {
+            seq: 64,
+            window: 8,
+            head_dim: 32,
+        },
+        seed: 16,
+        geometry: (16, 16),
+        cycles: 247,
+        instrs: 43328,
+        macs: 8896,
+        noc_hops: 25280,
+        stalls: 426,
+        result_fp: 0x091ac82b0dc9fa4e,
+        offchip: (9368, 556),
     });
 }
 
@@ -136,6 +217,12 @@ fn check(golden: &Golden) {
     assert_eq!(out.report.stats.noc_hops, golden.noc_hops);
     assert_eq!(out.report.stats.stall_cycles, golden.stalls);
     assert_eq!(result_fp(&out.result), golden.result_fp, "result drifted");
+    let stats = &out.report.stats;
+    assert_eq!(
+        (stats.offchip_read_bytes, stats.offchip_write_bytes),
+        golden.offchip,
+        "off-chip traffic drifted"
+    );
 }
 
 /// Fabric-level run pinning the *full collected-entry sequence*: every

@@ -24,17 +24,17 @@
 use canon::arch::fabric::CollectedEntry;
 use canon::arch::fault::FaultAction;
 use canon::arch::kernels::gemm::RegAccFsm;
-use canon::arch::kernels::sddmm::SddmmFsm;
+use canon::arch::kernels::sddmm::{
+    build_mask_streams, feed_queries, preload_key_tiles, ColPartition, SddmmFsm,
+};
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
 use canon::arch::kernels::{run_kernel, KernelInput};
-use canon::arch::noc::TaggedVector;
 use canon::arch::orchestrator::assembler::{regacc_fsm_spec, spmm_fsm_spec};
-use canon::arch::orchestrator::MetaToken;
 use canon::arch::orchestrator::RowProgram;
 use canon::arch::pool;
 use canon::arch::stats::{Engine, RunReport};
 use canon::arch::trace::VecSink;
-use canon::arch::{CanonConfig, Fabric, SimError, Vector, LANES};
+use canon::arch::{CanonConfig, Fabric, SimError, LANES};
 use canon::sparse::gen::{self, SparsityBand};
 use canon::sparse::{Dense, Mask};
 use canon::sweep::backend::kernel_input;
@@ -139,8 +139,8 @@ impl Problem {
         let mut rng = gen::seeded_rng(self.seed);
         let a = gen::skewed_sparse(self.m, k, self.sparsity, 2.0, &mut rng);
         let b = Dense::random(k, self.cols * 4, &mut rng);
-        let streams = build_row_streams(&a, self.rows, self.rows).expect("K is a multiple of rows");
-        preload_b_tile(fabric, &b, k / self.rows, self.rows, 0).expect("tile fits");
+        let streams = build_row_streams(&a, self.rows, self.rows);
+        preload_b_tile(fabric, &b, k / self.rows, self.rows, 0);
         for (r, stream) in streams.into_iter().enumerate() {
             fabric.set_meta_stream(r, stream);
             let regacc = r < self.regacc_rows;
@@ -163,7 +163,7 @@ impl Problem {
     }
 }
 
-/// An SDDMM problem mapped as `run_sddmm` maps it (§4.1.2), with the knobs
+/// An SDDMM problem laid out by `run_sddmm`'s helpers (§4.1.2), with the knobs
 /// the kernel fixes opened up: the A-buffer depth, the link FIFO depth
 /// (shallow ones force credit stalls), and whether the bottom row forwards
 /// `A` into the south edge sink.
@@ -201,8 +201,8 @@ impl Case for Sddmm {
     }
 
     fn load(&self, fabric: &mut Fabric) {
-        let (rows, cols, m, w, h) = (self.rows, self.cols, self.m, self.w, self.h);
-        let (n, k) = (h * rows, w * cols * LANES);
+        let (rows, m, w, h) = (self.rows, self.m, self.w, self.h);
+        let (n, k) = (h * rows, w * self.cols * LANES);
         let mut rng = gen::seeded_rng(self.seed);
         let a = Dense::random(m, k, &mut rng);
         let b = Dense::random(n, k, &mut rng);
@@ -210,56 +210,17 @@ impl Case for Sddmm {
             Some(s) => gen::random_mask(m, n, s, &mut rng),
             None => Mask::window(m, n, 1 + self.seed as usize % 4),
         };
-        let slice = |row: &[i32], ww: usize, x: usize| {
-            let mut lanes = [0; LANES];
-            lanes.copy_from_slice(&row[(ww * cols + x) * LANES..][..LANES]);
-            Vector(lanes)
+        let partition = if self.cyclic {
+            ColPartition::Cyclic
+        } else {
+            ColPartition::Block
         };
-        for y in 0..rows {
-            for x in 0..cols {
-                for hh in 0..h {
-                    let key = if self.cyclic {
-                        hh * rows + y
-                    } else {
-                        y * h + hh
-                    };
-                    for ww in 0..w {
-                        let v = slice(b.row(key), ww, x);
-                        fabric.pe_mut(y, x).dmem.preload(hh * w + ww, &[v]);
-                    }
-                }
-            }
-        }
-        for x in 0..cols {
-            let tokens = (0..m * w)
-                .map(|t| TaggedVector {
-                    value: slice(a.row(t / w), t % w, x),
-                    tag: t as u32,
-                })
-                .collect();
-            fabric.set_feeder(x, tokens);
-        }
-        for y in 0..rows {
-            let mut stream = Vec::new();
-            for mm in 0..m {
-                for col in mask.row_iter(mm) {
-                    let local = if self.cyclic {
-                        (col % rows == y).then_some(col / rows)
-                    } else {
-                        (col / h == y).then_some(col % h)
-                    };
-                    if let Some(local) = local {
-                        stream.push(MetaToken::MaskPos {
-                            row: mm as u32,
-                            col: local as u32,
-                        });
-                    }
-                }
-                stream.push(MetaToken::MRowEnd { row: mm as u32 });
-            }
-            stream.push(MetaToken::End);
+        preload_key_tiles(fabric, &b, h, w, partition);
+        feed_queries(fabric, &a, w);
+        let streams = build_mask_streams(&mask, rows, partition);
+        for (y, stream) in streams.into_iter().enumerate() {
             fabric.set_meta_stream(y, stream);
-            let (n_base, n_stride) = if self.cyclic { (y, rows) } else { (y * h, 1) };
+            let (n_base, n_stride) = partition.keys(y, h, rows);
             let forward_south = y + 1 < rows || self.bottom_forwards;
             fabric.set_program(
                 y,

@@ -2,7 +2,8 @@
 //! assembled from the symbolic SpMM microcode) must be cycle-identical to
 //! the native Rust FSM on the full fabric.
 
-use canon::arch::kernels::spmm::{run_spmm, run_spmm_folded, OrchKind, SpmmMapping};
+use canon::arch::kernels::spmm::{run_spmm, OrchKind, SpmmMapping};
+use canon::arch::kernels::{compile, execute, KernelInput};
 use canon::arch::CanonConfig;
 use canon::sparse::{gen, reference, Dense};
 
@@ -87,17 +88,20 @@ fn compare_regacc(
     let mut rng = gen::seeded_rng(seed);
     let a = gen::random_sparse(m, k, sparsity, &mut rng);
     let b = Dense::random(k, n, &mut rng);
-    let run = |kind| {
-        let mapping = SpmmMapping {
-            spad_depth: 1,
-            use_scratchpad: false,
-            orchestrator: kind,
+    let run = |orchestrator| {
+        let input = KernelInput::Spmm {
+            a: a.clone(),
+            b: b.clone(),
+            mapping: SpmmMapping {
+                orchestrator,
+                ..SpmmMapping::REGISTER
+            },
         };
-        match group {
-            Some(g) => run_spmm_folded(cfg, &mapping, &a, &b, g),
-            None => run_spmm(cfg, &mapping, &a, &b),
-        }
-        .unwrap()
+        let compiled = compile(cfg, &input).unwrap();
+        let map = compiled
+            .with_fold(cfg, group.unwrap_or(compiled.fold))
+            .unwrap();
+        execute(cfg, &map, &input, None).unwrap()
     };
     let native = run(OrchKind::Native);
     let lut = run(OrchKind::Lut);

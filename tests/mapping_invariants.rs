@@ -1,5 +1,6 @@
 //! Mapping invariants of the register-accumulation (GEMM / N:M) mapping and
-//! its row-group fold (see `canon_core::kernels::gemm`).
+//! its row-group fold (see `canon_core::kernels::gemm`), and the compiled
+//! mappings of the sweep grid.
 //!
 //! * Scaling: a fixed GEMM / N:M op never takes more cycles on a larger
 //!   square fabric (8×8 → 16×16 → 32×32 → 64×64). The unfolded mapping
@@ -11,7 +12,10 @@
 //! * Cost model: `pick_fold`'s height simulates within 2% of the best legal
 //!   height, found by brute force, on the sweep grid's and the large tier's
 //!   GEMM / N:M shapes; and every legal height computes exactly
-//!   `canon_sparse::reference`, on random shapes and geometries.
+//!   `canon_sparse::reference`, on random shapes and geometries, reached by
+//!   moving the compiled `Mapping` with `with_fold`.
+//! * Compile table: `kernels::compile`'s columns, fold, words, tiles and
+//!   padded `K` for every Canon tensor cell of the standard grid.
 //!
 //! Every simulated output here is checked against the reference. The two
 //! brute-force tests simulate every legal height of full-size shapes up to
@@ -19,44 +23,46 @@
 //! CI's release + debug-assertions job passes `--include-ignored`).
 
 use canon::arch::kernels::gemm::{dense_as_full_csr, fold_candidates, pick_fold, run_gemm};
-use canon::arch::kernels::spmm::{run_spmm, run_spmm_folded, OrchKind, SpmmMapping};
-use canon::arch::kernels::KernelInput;
+use canon::arch::kernels::spmm::{run_spmm, SpmmMapping};
+use canon::arch::kernels::{compile, execute, KernelInput};
 use canon::arch::CanonConfig;
-use canon::sparse::{gen, reference, CsrMatrix, Dense};
+use canon::energy::Arch;
+use canon::sparse::{gen, reference, Dense};
 use canon::sweep::backend::kernel_input;
-use canon::sweep::scenario::standard_workloads;
+use canon::sweep::scenario::{standard_workloads, ScenarioGrid};
 use canon::workloads::{TensorOp, Workload};
 use proptest::prelude::*;
 
 /// The square geometries of the scaling ladder.
 const LADDER: [(usize, usize); 4] = [(8, 8), (16, 16), (32, 32), (64, 64)];
 
-/// The register-accumulation mapping (what GEMM and N:M run).
-const REGACC: SpmmMapping = SpmmMapping {
-    spad_depth: 1,
-    use_scratchpad: false,
-    orchestrator: OrchKind::Native,
-};
-
-/// A sweep-grid tensor workload at full scale, as `(A, B)`.
-fn grid_operands(name: &str, seed: u64) -> (CsrMatrix, Dense) {
+/// A sweep-grid tensor workload at full scale.
+fn grid_input(name: &str, seed: u64) -> KernelInput {
     let spec = standard_workloads()
         .into_iter()
         .find(|w| w.name == name)
         .unwrap_or_else(|| panic!("no standard workload {name}"));
     match spec.template.instantiate(None, 1) {
-        Workload::Tensor(op) => operands(&op, seed),
+        Workload::Tensor(op) => kernel_input(&op, seed),
         other => panic!("{name} is not a tensor workload: {other:?}"),
     }
 }
 
-/// Materializes a GEMM / N:M op's operands the way the sweep does, with the
-/// dense `A` as its full stream.
-fn operands(op: &TensorOp, seed: u64) -> (CsrMatrix, Dense) {
-    match kernel_input(op, seed) {
-        KernelInput::Gemm { a, b } => (dense_as_full_csr(&a), b),
-        KernelInput::SpmmNm { a, b, .. } => (a, b),
-        other => panic!("not a register-accumulation op: {other:?}"),
+/// The reference product of a GEMM / N:M input.
+fn reference_of(input: &KernelInput) -> Dense {
+    match input {
+        KernelInput::Gemm { a, b } => reference::gemm(a, b),
+        KernelInput::SpmmNm { a, b, .. } => reference::spmm(a, b),
+        other => panic!("not a register-accumulation input: {other:?}"),
+    }
+}
+
+/// `A`'s shape `(m, k)` of a GEMM / N:M input.
+fn a_shape(input: &KernelInput) -> (usize, usize) {
+    match input {
+        KernelInput::Gemm { a, .. } => (a.rows(), a.cols()),
+        KernelInput::SpmmNm { a, .. } => (a.rows(), a.cols()),
+        other => panic!("not a register-accumulation input: {other:?}"),
     }
 }
 
@@ -64,31 +70,105 @@ fn geometry(rows: usize, cols: usize) -> CanonConfig {
     CanonConfig::default().with_geometry(rows, cols)
 }
 
-/// Cycles of the register-accumulation mapping at height `group` (the cost
+/// Cycles of the compiled mapping moved to height `group` (the cost
 /// model's pick when `None`), after checking the output.
-fn regacc_cycles(cfg: &CanonConfig, a: &CsrMatrix, b: &Dense, group: Option<usize>) -> u64 {
-    let out = match group {
-        Some(g) => run_spmm_folded(cfg, &REGACC, a, b, g),
-        None => run_spmm(cfg, &REGACC, a, b),
-    }
-    .unwrap_or_else(|e| panic!("{}x{} group {group:?}: {e}", cfg.rows, cfg.cols));
+fn regacc_cycles(cfg: &CanonConfig, input: &KernelInput, group: Option<usize>) -> u64 {
+    let geom = (cfg.rows, cfg.cols);
+    let compiled = compile(cfg, input).expect("compiles");
+    let map = compiled
+        .with_fold(cfg, group.unwrap_or(compiled.fold))
+        .unwrap_or_else(|e| panic!("{geom:?} group {group:?}: {e}"));
+    let out =
+        execute(cfg, &map, input, None).unwrap_or_else(|e| panic!("{geom:?} group {group:?}: {e}"));
     assert_eq!(
         out.result,
-        reference::spmm(a, b),
-        "{}x{} group {group:?}: output differs from the reference",
-        cfg.rows,
-        cfg.cols
+        reference_of(input),
+        "{geom:?} group {group:?}: output differs from the reference"
     );
     out.report.cycles
+}
+
+/// The compiled mapping of every Canon tensor cell of the full-scale
+/// standard grid along the square ladder: columns used, fold height,
+/// stationary words per PE, output tiles and padded `K`. A mapper change
+/// shows up as a diff to this table.
+const MAPPING_TABLE: &str = "
+GEMM@8x8          cols=8  fold=1  words=256 tiles=4 k=256
+GEMM@16x16        cols=16 fold=1  words=256 tiles=2 k=256
+GEMM@32x32        cols=32 fold=1  words=256 tiles=1 k=256
+GEMM@64x64        cols=64 fold=1  words=256 tiles=1 k=256
+SpMM-S1@8x8       cols=8  fold=8  words=32  tiles=4 k=256
+SpMM-S1@16x16     cols=16 fold=16 words=16  tiles=2 k=256
+SpMM-S1@32x32     cols=32 fold=32 words=8   tiles=1 k=256
+SpMM-S1@64x64     cols=64 fold=64 words=4   tiles=1 k=256
+SpMM-S2@8x8       cols=8  fold=8  words=32  tiles=4 k=256
+SpMM-S2@16x16     cols=16 fold=16 words=16  tiles=2 k=256
+SpMM-S2@32x32     cols=32 fold=32 words=8   tiles=1 k=256
+SpMM-S2@64x64     cols=64 fold=64 words=4   tiles=1 k=256
+SpMM-S3@8x8       cols=8  fold=8  words=32  tiles=4 k=256
+SpMM-S3@16x16     cols=16 fold=16 words=16  tiles=2 k=256
+SpMM-S3@32x32     cols=32 fold=32 words=8   tiles=1 k=256
+SpMM-S3@64x64     cols=64 fold=64 words=4   tiles=1 k=256
+SpMM-2:4@8x8      cols=8  fold=1  words=256 tiles=4 k=256
+SpMM-2:4@16x16    cols=16 fold=1  words=256 tiles=2 k=256
+SpMM-2:4@32x32    cols=32 fold=1  words=256 tiles=1 k=256
+SpMM-2:4@64x64    cols=64 fold=1  words=256 tiles=1 k=256
+SpMM-2:8@8x8      cols=8  fold=1  words=256 tiles=4 k=256
+SpMM-2:8@16x16    cols=16 fold=1  words=256 tiles=2 k=256
+SpMM-2:8@32x32    cols=32 fold=1  words=256 tiles=1 k=256
+SpMM-2:8@64x64    cols=64 fold=1  words=256 tiles=1 k=256
+SDDMM-S1@8x8      cols=8  fold=8  words=32  tiles=1 k=64
+SDDMM-S1@16x16    cols=16 fold=16 words=8   tiles=1 k=64
+SDDMM-S1@32x32    cols=32 fold=32 words=4   tiles=1 k=128
+SDDMM-S1@64x64    cols=64 fold=64 words=2   tiles=1 k=256
+SDDMM-S2@8x8      cols=8  fold=8  words=32  tiles=1 k=64
+SDDMM-S2@16x16    cols=16 fold=16 words=8   tiles=1 k=64
+SDDMM-S2@32x32    cols=32 fold=32 words=4   tiles=1 k=128
+SDDMM-S2@64x64    cols=64 fold=64 words=2   tiles=1 k=256
+SDDMM-S3@8x8      cols=8  fold=8  words=32  tiles=1 k=64
+SDDMM-S3@16x16    cols=16 fold=16 words=8   tiles=1 k=64
+SDDMM-S3@32x32    cols=32 fold=32 words=4   tiles=1 k=128
+SDDMM-S3@64x64    cols=64 fold=64 words=2   tiles=1 k=256
+SDDMM-Win1@8x8    cols=8  fold=8  words=64  tiles=1 k=64
+SDDMM-Win1@16x16  cols=16 fold=16 words=16  tiles=1 k=64
+SDDMM-Win1@32x32  cols=32 fold=32 words=8   tiles=1 k=128
+SDDMM-Win1@64x64  cols=64 fold=64 words=4   tiles=1 k=256
+SDDMM-Win2@8x8    cols=8  fold=8  words=256 tiles=1 k=128
+SDDMM-Win2@16x16  cols=16 fold=16 words=64  tiles=1 k=128
+SDDMM-Win2@32x32  cols=32 fold=32 words=16  tiles=1 k=128
+SDDMM-Win2@64x64  cols=64 fold=64 words=8   tiles=1 k=256
+";
+
+#[test]
+fn compile_table_of_the_standard_grid_along_the_ladder() {
+    let mut table = String::from("\n");
+    for cell in ScenarioGrid::standard(1).scenarios {
+        let Workload::Tensor(op) = cell.op else {
+            continue;
+        };
+        if cell.arch != Arch::Canon {
+            continue;
+        }
+        let input = kernel_input(&op, cell.seed);
+        for (r, c) in LADDER {
+            let map = compile(&geometry(r, c), &input).expect("grid cell compiles");
+            let label = format!("{}@{r}x{c}", cell.cell_label().split('@').next().unwrap());
+            table.push_str(&format!(
+                "{label:<17} cols={:<2} fold={:<2} words={:<3} tiles={} k={}\n",
+                map.cols, map.fold, map.words, map.tiles, map.k
+            ));
+        }
+    }
+    assert_eq!(table, MAPPING_TABLE, "compiled mappings drifted");
 }
 
 #[test]
 fn regacc_cycles_do_not_rise_along_the_square_ladder() {
     for (name, seed) in [("GEMM", 101), ("SpMM-2:4", 102), ("SpMM-2:8", 103)] {
-        let (a, b) = grid_operands(name, seed);
+        let input = grid_input(name, seed);
         let cycles: Vec<u64> = LADDER
             .iter()
-            .map(|&(r, c)| regacc_cycles(&geometry(r, c), &a, &b, None))
+            .map(|&(r, c)| regacc_cycles(&geometry(r, c), &input, None))
             .collect();
         assert!(
             cycles.windows(2).all(|w| w[1] <= w[0]),
@@ -99,8 +179,10 @@ fn regacc_cycles_do_not_rise_along_the_square_ladder() {
 
 #[test]
 fn dense_gemm_is_no_slower_than_the_scratchpad_mapping() {
-    let (a, b) = grid_operands("GEMM", 104);
-    let dense = a.to_dense();
+    let KernelInput::Gemm { a: dense, b } = grid_input("GEMM", 104) else {
+        unreachable!("GEMM is dense")
+    };
+    let a = dense_as_full_csr(&dense);
     for (r, c) in LADDER.into_iter().chain([(16, 8), (64, 32)]) {
         let cfg = geometry(r, c);
         let gemm = run_gemm(&cfg, &dense, &b).expect("GEMM maps");
@@ -117,18 +199,19 @@ fn dense_gemm_is_no_slower_than_the_scratchpad_mapping() {
     }
 }
 
-/// Asserts the cost model's pick simulates within 2% of the best legal
-/// height on `cfg`, brute-forcing every legal height.
-fn assert_pick_near_best(label: &str, cfg: &CanonConfig, a: &CsrMatrix, b: &Dense) {
-    let candidates = fold_candidates(cfg, a.rows(), a.cols());
-    let pick = pick_fold(cfg, a.rows(), a.cols(), a.nnz());
+/// Asserts the compiled fold (the cost model's pick) simulates within 2% of
+/// the best legal height on `cfg`, brute-forcing every legal height.
+fn assert_pick_near_best(label: &str, cfg: &CanonConfig, input: &KernelInput) {
+    let (m, k) = a_shape(input);
+    let candidates = fold_candidates(cfg, m, k);
+    let pick = compile(cfg, input).expect("compiles").fold;
     assert!(
         candidates.contains(&pick),
         "{label}: pick {pick} not in {candidates:?}"
     );
     let per_height: Vec<(usize, u64)> = candidates
         .iter()
-        .map(|&g| (g, regacc_cycles(cfg, a, b, Some(g))))
+        .map(|&g| (g, regacc_cycles(cfg, input, Some(g))))
         .collect();
     let best = per_height
         .iter()
@@ -149,9 +232,9 @@ fn assert_pick_near_best(label: &str, cfg: &CanonConfig, a: &CsrMatrix, b: &Dens
 )]
 fn cost_model_pick_is_near_the_best_fold_on_the_sweep_grid() {
     for (name, seed) in [("GEMM", 105), ("SpMM-2:4", 106), ("SpMM-2:8", 107)] {
-        let (a, b) = grid_operands(name, seed);
+        let input = grid_input(name, seed);
         for (r, c) in LADDER.into_iter().chain([(16, 8)]) {
-            assert_pick_near_best(&format!("{name}@{r}x{c}"), &geometry(r, c), &a, &b);
+            assert_pick_near_best(&format!("{name}@{r}x{c}"), &geometry(r, c), &input);
         }
     }
 }
@@ -200,8 +283,8 @@ fn cost_model_pick_is_near_the_best_fold_on_the_large_tier() {
                 assert_eq!(pick_fold(&cfg, m, k, m * k), rows);
                 continue;
             }
-            let (a, b) = operands(op, 201 + i as u64);
-            assert_pick_near_best(&format!("{op:?}@{rows}x{cols}"), &cfg, &a, &b);
+            let input = kernel_input(op, 201 + i as u64);
+            assert_pick_near_best(&format!("{op:?}@{rows}x{cols}"), &cfg, &input);
         }
     }
 }
@@ -226,17 +309,20 @@ proptest! {
         // K a multiple of 8 (the N:M group) and of rows.
         let k = 8 * rows * k_mult;
         let mut rng = gen::seeded_rng(seed);
-        let a = if dense == 1 {
-            dense_as_full_csr(&Dense::random(m, k, &mut rng))
+        let input = if dense == 1 {
+            let a = Dense::random(m, k, &mut rng);
+            KernelInput::Gemm { a, b: Dense::random(k, n, &mut rng) }
         } else {
-            gen::nm_sparse(m, k, 2, 8, &mut rng)
+            let a = gen::nm_sparse(m, k, 2, 8, &mut rng);
+            KernelInput::SpmmNm { a, b: Dense::random(k, n, &mut rng), n_of: 2, m_of: 8 }
         };
-        let b = Dense::random(k, n, &mut rng);
-        let want = reference::spmm(&a, &b);
+        let want = reference_of(&input);
+        let compiled = compile(&cfg, &input).expect("compiles");
         let candidates = fold_candidates(&cfg, m, k);
         prop_assert!(!candidates.is_empty());
         for g in candidates {
-            let out = run_spmm_folded(&cfg, &REGACC, &a, &b, g).expect("legal height maps");
+            let map = compiled.with_fold(&cfg, g).expect("legal height maps");
+            let out = execute(&cfg, &map, &input, None).expect("legal height runs");
             prop_assert_eq!(&out.result, &want, "group {}", g);
         }
     }

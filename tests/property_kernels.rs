@@ -51,8 +51,7 @@ proptest! {
         let mut rng = gen::seeded_rng(seed);
         let a = gen::random_sparse(m, k, sparsity, &mut rng);
         let b = Dense::random(k, n, &mut rng);
-        let mapping = SpmmMapping { spad_depth: 1, use_scratchpad: false, ..SpmmMapping::default() };
-        let out = run_spmm(&CanonConfig::default(), &mapping, &a, &b).unwrap();
+        let out = run_spmm(&CanonConfig::default(), &SpmmMapping::REGISTER, &a, &b).unwrap();
         prop_assert_eq!(out.result, reference::spmm(&a, &b));
         prop_assert_eq!(out.report.stats.spad_reads, 0);
     }

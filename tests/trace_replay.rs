@@ -10,8 +10,8 @@
 //! directions — a missing event under-counts the replay, a spurious one
 //! over-counts it.
 
-use canon::arch::kernels::gemm::RegAccFsm;
-use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
+use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm, SpmmMapping};
+use canon::arch::kernels::{compile, execute, KernelInput};
 use canon::arch::orchestrator::assembler;
 use canon::arch::stats::{RunReport, StallCause};
 use canon::arch::trace::{render_profile, replay_stats, write_chrome_trace, TraceEvent, VecSink};
@@ -61,9 +61,9 @@ fn spmm_fabric(depth: usize, seed: u64, lut: bool) -> Fabric {
     let mut rng = gen::seeded_rng(seed);
     let a = gen::skewed_sparse(m, k, 0.75, 2.0, &mut rng);
     let b = Dense::random(k, 16, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("K divisible by rows");
+    let streams = build_row_streams(&a, cfg.rows, cfg.rows);
     let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, k / cfg.rows, cfg.rows, 0).expect("tile fits");
+    preload_b_tile(&mut fabric, &b, k / cfg.rows, cfg.rows, 0);
     for (r, stream) in streams.into_iter().enumerate() {
         fabric.set_meta_stream(r, stream);
         if lut {
@@ -113,6 +113,7 @@ fn lut_program_trace_replays_stats_exactly() {
 
 #[test]
 fn gemm_trace_replays_stats_exactly() {
+    // Through the real register-accumulation mapper at its compiled fold.
     let cfg = CanonConfig {
         rows: 4,
         cols: 4,
@@ -120,33 +121,35 @@ fn gemm_trace_replays_stats_exactly() {
         spad_entries: 16,
         ..CanonConfig::default()
     };
-    let (m, k) = (10, 16);
     let mut rng = gen::seeded_rng(23);
-    let a = gen::random_sparse(m, k, 0.8, &mut rng);
-    let b = Dense::random(k, 16, &mut rng);
-    let streams = build_row_streams(&a, cfg.rows, cfg.rows).expect("K divisible by rows");
-    let mut fabric = Fabric::new(&cfg, false);
-    preload_b_tile(&mut fabric, &b, k / cfg.rows, cfg.rows, 0).expect("tile fits");
-    for (r, stream) in streams.into_iter().enumerate() {
-        fabric.set_meta_stream(r, stream);
-        fabric.set_program(r, RegAccFsm::new(m));
-    }
-    let (report, events) = traced_run(fabric);
-    assert_replay_exact(&report, &events);
+    let a = gen::random_sparse(10, 16, 0.8, &mut rng);
+    let b = Dense::random(16, 16, &mut rng);
+    let mapping = SpmmMapping::REGISTER;
+    let input = KernelInput::Spmm { a, b, mapping };
+    let map = compile(&cfg, &input).expect("GEMM-shaped input maps");
+    let sink = VecSink::default();
+    let out = execute(&cfg, &map, &input, Some(Box::new(sink.clone()))).expect("runs");
+    assert_replay_exact(&out.report, &sink.take_events());
 }
 
 #[test]
 fn sddmm_kernel_trace_replays_stats_exactly() {
     // Through the real SDDMM mapper: north-edge feeders, OperandWait
     // stalls on A-token availability, and east-edge collection.
-    use canon::arch::kernels::sddmm::{run_sddmm_traced, ColPartition, SddmmMapping};
+    use canon::arch::kernels::sddmm::{ColPartition, SddmmMapping};
     let mut rng = gen::seeded_rng(7);
     let a = Dense::random(12, 32, &mut rng);
     let b = Dense::random(8, 32, &mut rng);
     let mask = gen::random_mask(12, 8, 0.5, &mut rng);
-    let mapping = SddmmMapping {
-        spad_depth: 8,
-        partition: ColPartition::Block,
+    let want = canon::sparse::reference::sddmm(&mask, &a, &b);
+    let input = KernelInput::Sddmm {
+        mask,
+        q: a,
+        kv: b,
+        mapping: SddmmMapping {
+            spad_depth: 8,
+            partition: ColPartition::Block,
+        },
     };
     let sink = VecSink::default();
     let cfg = CanonConfig {
@@ -156,9 +159,9 @@ fn sddmm_kernel_trace_replays_stats_exactly() {
         spad_entries: 16,
         ..CanonConfig::default()
     };
-    let out = run_sddmm_traced(&cfg, &mapping, &mask, &a, &b, Some(Box::new(sink.clone())))
-        .expect("sddmm maps");
-    assert_eq!(out.result, canon::sparse::reference::sddmm(&mask, &a, &b));
+    let map = compile(&cfg, &input).expect("sddmm maps");
+    let out = execute(&cfg, &map, &input, Some(Box::new(sink.clone()))).expect("sddmm runs");
+    assert_eq!(out.result, want);
     let events = sink.take_events();
     assert_replay_exact(&out.report, &events);
     assert!(
