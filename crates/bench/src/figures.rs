@@ -47,7 +47,8 @@ pub fn table1() -> String {
     let _ = writeln!(
         out,
         "Main memory    : {:.0} GB/s LPDDR5X ({} B/cycle at 1 GHz)",
-        cfg.offchip_bytes_per_cycle, cfg.offchip_bytes_per_cycle
+        offchip::LPDDR5X_X16_GBPS,
+        offchip::LPDDR5X_X16_GBPS
     );
     out
 }

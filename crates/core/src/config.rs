@@ -7,8 +7,10 @@ use crate::isa::LANES;
 ///
 /// The default reproduces Table 1 of the paper: an 8×8 array of 4-SIMD INT8
 /// PEs, 4 KB data memory per PE (288 KB overall including edge buffers), a
-/// dual-port scratchpad, one orchestrator per PE row, and LPDDR5X-class
-/// off-chip bandwidth.
+/// dual-port scratchpad, and one orchestrator per PE row. Parameters no run
+/// varies are constants: [`crate::isa::PIPE_DEPTH`], the orchestrator
+/// channel's [`crate::orchestrator::MSG_LATENCY`] and `MSG_CAPACITY`, and
+/// the off-chip [`crate::offchip::LPDDR5X_X16_GBPS`].
 ///
 /// # Examples
 ///
@@ -32,16 +34,10 @@ pub struct CanonConfig {
     pub spad_entries: usize,
     /// Capacity, in entries, of each inter-PE NoC FIFO (credit window of the
     /// dynamically-managed circuit switching). The default is sized so the
-    /// credit round-trip (2-cycle message latency each way) sustains one
-    /// transfer per cycle per link, the circuit-switched NoC's line rate.
+    /// credit round-trip ([`crate::orchestrator::MSG_LATENCY`] cycles each
+    /// way) sustains one transfer per cycle per link, the circuit-switched
+    /// NoC's line rate.
     pub link_fifo_depth: usize,
-    /// Orchestrator-to-orchestrator message latency in cycles.
-    pub orch_msg_latency: u64,
-    /// Capacity of each orchestrator-to-orchestrator message channel.
-    pub orch_msg_capacity: usize,
-    /// Off-chip bandwidth in bytes per cycle (17 GB/s at 1 GHz = 17 B/cycle
-    /// for the single-die LPDDR5X ×16 configuration).
-    pub offchip_bytes_per_cycle: f64,
     /// Watchdog: the simulation aborts with a deadlock error after
     /// `watchdog_factor × (expected work) + watchdog_slack` cycles.
     pub watchdog_factor: u64,
@@ -87,9 +83,6 @@ impl Default for CanonConfig {
             dmem_words: 1024,
             spad_entries: 16,
             link_fifo_depth: 8,
-            orch_msg_latency: 2,
-            orch_msg_capacity: 4,
-            offchip_bytes_per_cycle: 17.0,
             watchdog_factor: 64,
             watchdog_slack: 10_000,
             lockstep: true,

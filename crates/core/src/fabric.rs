@@ -9,9 +9,9 @@
 //!    column into the north edge FIFOs (SDDMM's `A` stream);
 //! 2. **orchestrator phase** — every live row, in ascending order,
 //!    delivers its due south-channel credits (visible after
-//!    [`CanonConfig::orch_msg_latency`] cycles), then its FSM observes its
-//!    meta stream head, delivered message, credits, and north-FIFO
-//!    occupancy, and issues one instruction into column 0 (possibly NOP);
+//!    [`MSG_LATENCY`] cycles), then its FSM observes its meta stream head,
+//!    delivered message, credits, and north-FIFO occupancy, and issues one
+//!    instruction into column 0 (possibly NOP);
 //!    drained rows return at once (see *Orchestrator scheduling* below);
 //! 3. **active sweep** — COMMIT (NoC pushes happen this phase, retiring
 //!    instructions are forwarded eastward as 4-byte [`InstrHandle`]s into
@@ -34,7 +34,7 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep ([`lockstep`]) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
+//! | column lockstep (the `lockstep` submodule) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
 //! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the active sweep below, each PE's LOAD and COMMIT through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
 //!
 //! [`RunReport::engine`] names the engine that ran.
@@ -70,8 +70,10 @@
 //! window, with generation tags checked under `debug_assertions`). The
 //! injection queue, the pipeline-stage slots, and eastward COMMIT
 //! forwarding all move 4-byte [`InstrHandle`]s; the ~44-byte record is
-//! written once per issue and resolved in place at LOAD/COMMIT. The
-//! one-byte bubble path is unchanged — bubbles are never interned.
+//! written once per issue and resolved in place at LOAD/COMMIT. Bubbles
+//! are never interned: the issue path elides them, so no PE pipeline ever
+//! holds one (the fabric credits their instruction latches at report time
+//! and holds the run open until they would have drained).
 //!
 //! The fused per-PE ordering (COMMIT then LOAD of one PE before the next
 //! PE) is cycle-identical to the former phase-barrier sweeps because only
@@ -116,10 +118,12 @@
 use crate::config::CanonConfig;
 use crate::isa::{Direction, InstrHandle, InstrRing, Instruction, Vector, LANES};
 use crate::noc::{LinkGrid, TaggedVector};
-use crate::orchestrator::{MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram};
+use crate::orchestrator::{
+    MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram, MSG_CAPACITY, MSG_LATENCY,
+};
 use crate::pe::{PeArray, PeMut, PeRef};
 use crate::sched::ActiveSet;
-use crate::stats::{Engine, RunReport, StallBreakdown, Stats};
+use crate::stats::{Engine, RunReport, StallBreakdown};
 use crate::trace::{TraceRecorder, TraceSink};
 use crate::SimError;
 use std::collections::VecDeque;
@@ -167,7 +171,8 @@ struct RowTable {
     transitions: Vec<u64>,
     messages_sent: Vec<u64>,
     /// Per-cause stall attribution; its [`StallBreakdown::total`] is the
-    /// row's contribution to [`Stats::stall_cycles`].
+    /// row's contribution to
+    /// [`Stats::stall_cycles`](crate::Stats::stall_cycles).
     stall_causes: Vec<StallBreakdown>,
     meta_consumed: Vec<u64>,
 }
@@ -250,8 +255,8 @@ enum Inject {
 /// one-byte kind tags are scanned/updated on every hop, the 4-byte
 /// [`InstrHandle`] is touched only for real instructions (the record itself
 /// lives in the fabric's [`InstrRing`]). Bubbles — the majority of the
-/// traffic in sparse bands (row ends, stalls) — march east one tag byte per
-/// hop.
+/// traffic in sparse bands (row ends, stalls) — never reach the queue (see
+/// [`Inject`]).
 #[derive(Debug)]
 struct InjectQueue {
     kind: Vec<Inject>,
@@ -307,7 +312,8 @@ pub struct Fabric {
     /// on this horizon.
     bubble_horizon: u64,
     /// Bubbles elided at issue; each one is `cols` instruction latches
-    /// credited to [`Stats::instrs_executed`] at report time.
+    /// credited to [`Stats::instrs_executed`](crate::Stats::instrs_executed)
+    /// at report time.
     elided_bubbles: u64,
     /// PEs with possible work this cycle (see [`ActiveSet`]).
     active: ActiveSet,
@@ -327,7 +333,8 @@ pub struct Fabric {
     /// Sum over cycles of the active-set size (scheduler diagnostic).
     active_pe_cycles: u64,
     /// PE-cycles the lockstep engine executed column-vectorized (scheduler
-    /// diagnostic, reported as [`Stats::batched_pe_cycles`]).
+    /// diagnostic, reported as
+    /// [`Stats::batched_pe_cycles`](crate::Stats::batched_pe_cycles)).
     batched_pe_cycles: u64,
     /// Column-lockstep engine state (see [`lockstep`]).
     lockstep: lockstep::Lockstep,
@@ -766,8 +773,7 @@ impl Fabric {
                 .filter(|&&(deliver, _)| deliver <= now)
                 .map(|&(_, m)| m),
             south_credits: self.rows.south_credits[r],
-            msg_slot_free: r + 1 >= nrows
-                || self.rows.inbox[r + 1].len() < self.cfg.orch_msg_capacity,
+            msg_slot_free: r + 1 >= nrows || self.rows.inbox[r + 1].len() < MSG_CAPACITY,
             north_tokens: if self.lockstep.engaged {
                 self.lockstep.links.len(r)
             } else {
@@ -810,19 +816,19 @@ impl Fabric {
             self.rows.south_credits[r] -= 1;
         }
         if instr.pops_from(Direction::North) && r > 0 {
-            let deliver = now + self.cfg.orch_msg_latency;
+            let deliver = now + MSG_LATENCY;
             self.rows.credit_returns[r - 1].push_back(deliver);
         }
         if let Some(m) = action.msg_out() {
             self.rows.messages_sent[r] += 1;
             if r + 1 < nrows {
-                if self.rows.inbox[r + 1].len() >= self.cfg.orch_msg_capacity {
+                if self.rows.inbox[r + 1].len() >= MSG_CAPACITY {
                     return Err(SimError::Deadlock {
                         cycle: now,
                         waiting_on: format!("row {r} overflowed the message channel"),
                     });
                 }
-                let deliver = now + self.cfg.orch_msg_latency;
+                let deliver = now + MSG_LATENCY;
                 self.rows.inbox[r + 1].push_back((deliver, m));
             }
         }
@@ -932,8 +938,7 @@ impl Fabric {
                 let c = idx - row_base;
                 // COMMIT writes a retiring instruction's 4-byte handle
                 // straight into the eastern neighbour's injection slot and
-                // reports its link drives as flags; bubbles forward as a
-                // tag only.
+                // reports its link drives as flags.
                 let has_east = c + 1 < cols;
                 // Peek the retiring handle before COMMIT consumes the slot
                 // (trace-only; the branch is the hook's entire cost).
@@ -956,10 +961,6 @@ impl Fabric {
                     },
                 )?;
                 if eff.retired {
-                    debug_assert!(
-                        !eff.bubble,
-                        "bubbles are elided at issue and never enter fabric pipelines"
-                    );
                     if let Some(h) = traced_commit {
                         let op = self.ring.get(h).op;
                         if let Some(tr) = self.trace.as_deref_mut() {
@@ -1221,30 +1222,8 @@ impl Fabric {
 
     /// Builds the report for the cycles simulated so far.
     pub fn report(&self) -> RunReport {
-        let mut stats = Stats::new();
-        for i in 0..self.pes.len() {
-            let c = self.pes.counters(i);
-            stats.instrs_executed += c.instrs;
-            stats.compute_instrs += c.compute_instrs;
-            stats.mac_instrs += c.mac_instrs;
-            let pe = self.pes.pe(i);
-            stats.dmem_reads += pe.dmem.read_count();
-            stats.dmem_writes += pe.dmem.write_count();
-            stats.spad_reads += pe.spad.read_count();
-            stats.spad_writes += pe.spad.write_count();
-        }
+        let mut stats = self.pes.activity().to_stats();
         stats.noc_hops = self.grid.total_pushes() + self.lockstep.noc_hops(self.cfg.cols);
-        // Lockstep row executions are batch-accounted (the per-PE counters
-        // cover per-PE stepping).
-        let batch = self.pes.batch_counters();
-        stats.instrs_executed += batch.instrs;
-        stats.compute_instrs += batch.compute_instrs;
-        stats.mac_instrs += batch.mac_instrs;
-        let (bdr, bdw, bsr, bsw) = self.pes.batch_mem_counts();
-        stats.dmem_reads += bdr;
-        stats.dmem_writes += bdw;
-        stats.spad_reads += bsr;
-        stats.spad_writes += bsw;
         for r in 0..self.rows.len() {
             stats.orch_steps += self.rows.orch_steps[r];
             stats.orch_transitions += self.rows.transitions[r];

@@ -290,7 +290,7 @@ impl OrchProgram for SddmmFsm {
 /// `B[n][(w·X + x)·V .. +V]` for the key `n` row `y` owns at local index `h`
 /// (see [`ColPartition::keys`]); lanes past `B`'s width read as zero. Word
 /// `h·W + w` of PE row `y` is one contiguous run of key row `n`, so the
-/// tiles are copied in slab order (see [`super::preload_stationary`]).
+/// tiles are copied in slab order (see `kernels::preload_stationary`).
 ///
 /// # Panics
 ///

@@ -18,7 +18,7 @@ use crate::config::CanonConfig;
 use crate::isa::{InstrHandle, InstrRing, Instruction, Vector, LANES, PIPE_DEPTH};
 use crate::noc::{LinkGrid, TaggedVector};
 use crate::pe::PeArray;
-use crate::stats::{RunReport, Stats};
+use crate::stats::RunReport;
 use crate::SimError;
 use std::collections::VecDeque;
 
@@ -141,18 +141,7 @@ pub fn run_spatial(
     }
 
     let config_cycles = (cfg.cols * PIPE_DEPTH) as u64;
-    let mut stats = Stats::new();
-    for idx in 0..pes.len() {
-        let c = pes.counters(idx);
-        stats.instrs_executed += c.instrs;
-        stats.compute_instrs += c.compute_instrs;
-        stats.mac_instrs += c.mac_instrs;
-        let pe = pes.pe(idx);
-        stats.dmem_reads += pe.dmem.read_count();
-        stats.dmem_writes += pe.dmem.write_count();
-        stats.spad_reads += pe.spad.read_count();
-        stats.spad_writes += pe.spad.write_count();
-    }
+    let mut stats = pes.activity().to_stats();
     stats.noc_hops = grid.total_pushes();
     stats.offchip_read_bytes = feed_bytes;
     Ok(SpatialOutput {
@@ -258,6 +247,57 @@ mod tests {
         let out = run_spatial(&cfg, &program, vec![vec![]], 5).unwrap();
         assert_eq!(out.report.stats.compute_instrs, 5);
         assert_eq!(out.south.len(), 3); // 5 cycles minus 2-cycle fill
+    }
+
+    /// Pins a whole spatial report: a NOP-held PE counts one instruction
+    /// per cycle and nothing else, and the other PEs count their memory
+    /// reads and writes, NoC pushes and fed bytes.
+    #[test]
+    fn spatial_report_pins_every_count() {
+        let cfg = cfg(2, 2);
+        let (north, west, east) = (
+            Addr::Port(Direction::North),
+            Addr::Port(Direction::West),
+            Addr::Port(Direction::East),
+        );
+        let grid = vec![
+            vec![
+                Instruction::new(Opcode::Add, north, Addr::DataMem(0), east),
+                Instruction::new(Opcode::Add, west, Addr::Spad(0), Addr::Spad(0)),
+            ],
+            vec![
+                Instruction::NOP,
+                Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(1), Addr::DataMem(2))
+                    .with_imm(Vector::splat(2)),
+            ],
+        ];
+        let program = SpatialProgram {
+            grid,
+            preload: vec![(1, 1, 1, vec![Vector::splat(3)])],
+        };
+        let feed = (1..=3)
+            .map(|i| TaggedVector {
+                value: Vector::splat(i),
+                tag: i as u32,
+            })
+            .collect();
+        let out = run_spatial(&cfg, &program, vec![feed], 6).unwrap();
+        assert_eq!(out.report.cycles, 6 + 2 * PIPE_DEPTH as u64);
+        assert_eq!(
+            out.report.stats,
+            crate::stats::Stats {
+                instrs_executed: 24,
+                compute_instrs: 18,
+                mac_instrs: 6,
+                dmem_reads: 18,
+                dmem_writes: 4,
+                spad_reads: 6,
+                spad_writes: 4,
+                noc_hops: 7,
+                offchip_read_bytes: 12,
+                ..crate::stats::Stats::new()
+            }
+        );
     }
 
     #[test]

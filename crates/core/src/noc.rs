@@ -14,7 +14,7 @@
 //! (every NoC transfer of every cycle), so they are allocation-free on
 //! success: error context arrives as a copyable [`ErrCtx`] descriptor that
 //! is rendered to a string only when a protocol error actually fires, and
-//! the FIFO itself is a fixed-capacity ring buffer ([`Ring`]) — bounded
+//! the FIFO itself is a fixed-capacity ring buffer (`Ring`) — bounded
 //! links never reallocate (the credit protocol proves their occupancy
 //! bound), while sink/elastic links grow to their high-water mark once and
 //! then stay allocation-free.
@@ -235,15 +235,6 @@ impl Link {
             relaxed: true,
             pushes: 0,
         }
-    }
-
-    /// Pops the oldest entry, yielding zero when empty (spatial-mode
-    /// semantics).
-    pub fn pop_or_zero(&mut self) -> TaggedVector {
-        if self.zero_source {
-            return TaggedVector::ZERO;
-        }
-        self.ring.pop_front().unwrap_or(TaggedVector::ZERO)
     }
 
     /// Pushes an entry.

@@ -64,6 +64,15 @@ pub enum MetaToken {
     End,
 }
 
+/// Latency, in cycles, of the channels between vertically adjacent
+/// orchestrators: a message or a south-channel credit return sent at cycle
+/// `n` is visible at `n + MSG_LATENCY`.
+pub const MSG_LATENCY: u64 = 2;
+
+/// Capacity, in messages, of each orchestrator-to-orchestrator message
+/// channel.
+pub const MSG_CAPACITY: usize = 4;
+
 /// Message identifiers on the inter-orchestrator channel.
 pub mod msg_id {
     /// A partial sum for output row `rid` was flushed south (Listing 1's

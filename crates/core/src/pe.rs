@@ -16,8 +16,11 @@
 //! ## Struct-of-arrays layout
 //!
 //! All PEs of a fabric live in one [`PeArray`]: data memories, scratchpads,
-//! register banks, activity counters, and the three pipeline-stage slots are
-//! parallel `Vec`s indexed by PE id. The per-phase sweeps of
+//! register banks, and the three pipeline-stage slots are parallel `Vec`s
+//! indexed by PE id. Activity is not per PE: every PE of a row executes the
+//! same instruction stream, and every reader of activity (the run report,
+//! Fig 11's energy model, the sweep records) wants array-wide totals, so the
+//! array keeps one `Activity` total. The per-phase sweeps of
 //! [`crate::fabric::Fabric::step`] then walk dense, homogeneous arrays — the
 //! stage slot a COMMIT pass touches is contiguous across PEs instead of
 //! strided by the whole PE record. Because every PE advances in lockstep,
@@ -32,28 +35,20 @@
 
 use crate::isa::{Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, Vector};
 use crate::noc::{ErrCtx, LinkGrid, RowLinks, TaggedVector};
+use crate::stats::Stats;
 use crate::SimError;
 
 /// Number of SIMD registers per PE.
 pub const NUM_REGS: usize = 4;
 
-/// Occupancy of one pipeline-stage slot.
-///
-/// `PlainNop` is a compressed encoding of the canonical bubble — an
-/// instruction that is `Nop` with null operands, null result, and no route
-/// (exactly what orchestrators emit for stalls and row ends). Such a slot
-/// reads no operands, computes nothing, writes nothing back, can never
-/// forward a value, and retires as [`Instruction::NOP`]; encoding it in the
-/// state tag lets the sparse-band streams, which are bubble-heavy, move one
-/// byte per stage instead of a full in-flight record.
+/// Occupancy of one pipeline-stage slot (no bubble state: the fabric elides
+/// bubbles at issue; the spatial runner's held NOPs load as instructions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Slot {
     /// No instruction in this stage.
     #[default]
     Empty,
-    /// The canonical NOP (see above).
-    PlainNop,
-    /// A real instruction; the per-field stage arrays hold its state.
+    /// An instruction; the per-field stage arrays hold its state.
     Full,
 }
 
@@ -63,10 +58,6 @@ enum Slot {
 pub struct CommitEffects {
     /// An instruction retired (and was forwarded, when a slot was given).
     pub retired: bool,
-    /// The retired instruction was a bubble ([`Instruction::is_plain_nop`]):
-    /// nothing was written into the forward slot — the caller should
-    /// propagate the bubble as a tag, not a record.
-    pub bubble: bool,
     /// The instruction drives the south output link
     /// ([`Instruction::pushes_toward`] semantics — conservative for NOPs).
     pub drives_south: bool,
@@ -78,31 +69,46 @@ impl CommitEffects {
     /// The no-instruction outcome.
     pub const NONE: CommitEffects = CommitEffects {
         retired: false,
-        bubble: false,
         drives_south: false,
         drives_east: false,
     };
 }
 
-/// Per-PE activity counters (memory counters live in the memories).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeCounters {
-    /// Instructions that entered the pipeline (including NOPs).
+/// PE activity summed over a whole [`PeArray`]. Per-PE stepping adds to it
+/// one PE at a time, column lockstep `cols` at a time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Activity {
+    /// Instructions that entered a pipeline (including NOPs).
     pub instrs: u64,
     /// Compute instructions executed.
     pub compute_instrs: u64,
     /// MAC instructions executed.
     pub mac_instrs: u64,
+    /// Data-memory word reads (data memory and scratchpad are counted
+    /// apart: their per-access energies differ, Fig 11).
+    pub dmem_reads: u64,
+    /// Data-memory word writes.
+    pub dmem_writes: u64,
+    /// Scratchpad entry reads.
+    pub spad_reads: u64,
+    /// Scratchpad entry writes.
+    pub spad_writes: u64,
 }
 
-/// Per-PE memory access counters (data memory and scratchpad tracked
-/// separately — their per-access energies differ, Fig 11).
-#[derive(Debug, Clone, Copy, Default)]
-struct MemCounts {
-    dmem_reads: u64,
-    dmem_writes: u64,
-    spad_reads: u64,
-    spad_writes: u64,
+impl Activity {
+    /// Run stats holding these totals and nothing else.
+    pub(crate) fn to_stats(self) -> Stats {
+        Stats {
+            instrs_executed: self.instrs,
+            compute_instrs: self.compute_instrs,
+            mac_instrs: self.mac_instrs,
+            dmem_reads: self.dmem_reads,
+            dmem_writes: self.dmem_writes,
+            spad_reads: self.spad_reads,
+            spad_writes: self.spad_writes,
+            ..Stats::new()
+        }
+    }
 }
 
 /// Shared view of one PE memory (a strided view of the [`PeArray`] slab:
@@ -114,8 +120,6 @@ pub struct MemRef<'a> {
     stride: usize,
     offset: usize,
     len: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemRef<'_> {
@@ -138,20 +142,10 @@ impl MemRef<'_> {
         assert!(addr < self.len, "word {addr} of {}", self.len);
         self.slab[addr * self.stride + self.offset]
     }
-
-    /// Number of counted reads.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Number of counted writes.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
 }
 
 /// Mutable view of one PE memory (a strided view of the [`PeArray`] slab —
-/// see [`MemRef`]).
+/// see [`MemRef`]); its counted accesses add to the array's activity total.
 #[derive(Debug)]
 pub struct MemMut<'a> {
     slab: &'a mut [Vector],
@@ -224,16 +218,6 @@ impl MemMut<'_> {
             self.slab[(base + i) * self.stride + self.offset] = w;
         }
         *self.dirty = (*self.dirty).max(base + data.len());
-    }
-
-    /// Number of counted reads.
-    pub fn read_count(&self) -> u64 {
-        *self.reads
-    }
-
-    /// Number of counted writes.
-    pub fn write_count(&self) -> u64 {
-        *self.writes
     }
 }
 
@@ -407,18 +391,12 @@ pub struct PeRef<'a> {
     /// Dual-port scratchpad (psum / stream-reuse buffer).
     pub spad: MemRef<'a>,
     regs: &'a [Vector; NUM_REGS],
-    counters: PeCounters,
 }
 
 impl PeRef<'_> {
     /// Register file access (tests / debugging).
     pub fn reg(&self, i: usize) -> Vector {
         self.regs[i]
-    }
-
-    /// Activity counters.
-    pub fn counters(&self) -> PeCounters {
-        self.counters
     }
 }
 
@@ -467,7 +445,6 @@ pub struct PeArray {
     spad_dirty: usize,
     /// Number of PEs (the slab stride).
     n: usize,
-    mem_counts: Vec<MemCounts>,
     regs: Vec<[Vector; NUM_REGS]>,
     /// Pipeline-stage slots, struct-of-arrays at field granularity:
     /// `xxx[s][i]` is field `xxx` of stage slot `s` of PE `i`. Slot roles
@@ -477,7 +454,7 @@ pub struct PeArray {
     /// 4-byte [`InstrHandle`] into the issued-instruction ring plus the
     /// (eagerly computed) lane result, COMMIT resolves the handle back
     /// through the shared [`InstrRing`] (+ routed payload when a route is
-    /// present) — and a `PlainNop` bubble moves only its one state byte.
+    /// present).
     state: [Vec<Slot>; 3],
     handles: [Vec<InstrHandle>; 3],
     results: [Vec<Vector>; 3],
@@ -492,12 +469,7 @@ pub struct PeArray {
     /// (and only touched) when the slot's instruction carries a route.
     routed: [Vec<TaggedVector>; 3],
     load_idx: usize,
-    counters: Vec<PeCounters>,
-    /// Activity of column-lockstep row executions, credited `cols` at a
-    /// time. [`crate::fabric::Fabric::report`] folds these into the
-    /// totals; the per-PE counters cover per-PE stepping.
-    batch_pe: PeCounters,
-    batch_mem: MemCounts,
+    activity: Activity,
     /// Column-lockstep operand buffers (sized on first use, kept across
     /// resets).
     lockstep_scratch: RowScratch,
@@ -514,7 +486,6 @@ impl PeArray {
             dmem_dirty: 0,
             spad_dirty: 0,
             n,
-            mem_counts: vec![MemCounts::default(); n],
             regs: vec![[Vector::ZERO; NUM_REGS]; n],
             state: std::array::from_fn(|_| vec![Slot::Empty; n]),
             handles: std::array::from_fn(|_| vec![InstrHandle::default(); n]),
@@ -523,16 +494,14 @@ impl PeArray {
             flush_addr: std::array::from_fn(|_| vec![Addr::Null; n]),
             routed: std::array::from_fn(|_| vec![TaggedVector::ZERO; n]),
             load_idx: 0,
-            counters: vec![PeCounters::default(); n],
-            batch_pe: PeCounters::default(),
-            batch_mem: MemCounts::default(),
+            activity: Activity::default(),
             lockstep_scratch: RowScratch::default(),
         }
     }
 
     /// Returns the array to its post-construction state in place, reusing
     /// every allocation: memories (the rows below the dirty marks) and
-    /// registers zeroed, pipeline slots emptied, all counters cleared.
+    /// registers zeroed, pipeline slots emptied, activity cleared.
     /// After this call the array is indistinguishable from
     /// `PeArray::new(n, dmem_words, spad_entries)` (fabric reuse across
     /// warm-pool requests depends on that).
@@ -541,7 +510,6 @@ impl PeArray {
         self.spad[..self.spad_dirty * self.n].fill(Vector::ZERO);
         self.dmem_dirty = 0;
         self.spad_dirty = 0;
-        self.mem_counts.fill(MemCounts::default());
         for regs in &mut self.regs {
             *regs = [Vector::ZERO; NUM_REGS];
         }
@@ -554,19 +522,12 @@ impl PeArray {
             self.routed[s].fill(TaggedVector::ZERO);
         }
         self.load_idx = 0;
-        self.counters.fill(PeCounters::default());
-        self.batch_pe = PeCounters::default();
-        self.batch_mem = MemCounts::default();
+        self.activity = Activity::default();
     }
 
-    /// Number of PEs.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// True when the array holds no PEs.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+    /// Activity of every PE so far, summed.
+    pub(crate) fn activity(&self) -> Activity {
+        self.activity
     }
 
     fn exec_idx(&self) -> usize {
@@ -579,40 +540,33 @@ impl PeArray {
 
     /// Shared view of PE `idx`.
     pub fn pe(&self, idx: usize) -> PeRef<'_> {
-        let mc = self.mem_counts[idx];
         PeRef {
             dmem: MemRef {
                 slab: &self.dmem,
                 stride: self.n,
                 offset: idx,
                 len: self.dmem_words,
-                reads: mc.dmem_reads,
-                writes: mc.dmem_writes,
             },
             spad: MemRef {
                 slab: &self.spad,
                 stride: self.n,
                 offset: idx,
                 len: self.spad_entries,
-                reads: mc.spad_reads,
-                writes: mc.spad_writes,
             },
             regs: &self.regs[idx],
-            counters: self.counters[idx],
         }
     }
 
     /// Mutable view of PE `idx` (memory preloads).
     pub fn pe_mut(&mut self, idx: usize) -> PeMut<'_> {
-        let mc = &mut self.mem_counts[idx];
         PeMut {
             dmem: MemMut {
                 slab: &mut self.dmem,
                 stride: self.n,
                 offset: idx,
                 len: self.dmem_words,
-                reads: &mut mc.dmem_reads,
-                writes: &mut mc.dmem_writes,
+                reads: &mut self.activity.dmem_reads,
+                writes: &mut self.activity.dmem_writes,
                 dirty: &mut self.dmem_dirty,
                 what: "dmem",
             },
@@ -621,8 +575,8 @@ impl PeArray {
                 stride: self.n,
                 offset: idx,
                 len: self.spad_entries,
-                reads: &mut mc.spad_reads,
-                writes: &mut mc.spad_writes,
+                reads: &mut self.activity.spad_reads,
+                writes: &mut self.activity.spad_writes,
                 dirty: &mut self.spad_dirty,
                 what: "spad",
             },
@@ -645,14 +599,13 @@ impl PeArray {
     /// Reads PE `idx`'s data-memory word `a`, counting the access.
     #[inline]
     fn dmem_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_read(
             &self.dmem,
             self.dmem_words,
             self.n,
             idx,
             a,
-            &mut mc.dmem_reads,
+            &mut self.activity.dmem_reads,
             "dmem",
         )
     }
@@ -660,7 +613,6 @@ impl PeArray {
     /// Writes PE `idx`'s data-memory word `a`, counting the access.
     #[inline]
     fn dmem_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_write(
             &mut self.dmem,
             self.dmem_words,
@@ -668,7 +620,7 @@ impl PeArray {
             idx,
             a,
             v,
-            &mut mc.dmem_writes,
+            &mut self.activity.dmem_writes,
             "dmem",
         )?;
         self.dmem_dirty = self.dmem_dirty.max(a + 1);
@@ -678,14 +630,13 @@ impl PeArray {
     /// Reads PE `idx`'s scratchpad entry `a`, counting the access.
     #[inline]
     fn spad_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_read(
             &self.spad,
             self.spad_entries,
             self.n,
             idx,
             a,
-            &mut mc.spad_reads,
+            &mut self.activity.spad_reads,
             "spad",
         )
     }
@@ -693,7 +644,6 @@ impl PeArray {
     /// Writes PE `idx`'s scratchpad entry `a`, counting the access.
     #[inline]
     fn spad_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        let mc = &mut self.mem_counts[idx];
         slab_write(
             &mut self.spad,
             self.spad_entries,
@@ -701,16 +651,11 @@ impl PeArray {
             idx,
             a,
             v,
-            &mut mc.spad_writes,
+            &mut self.activity.spad_writes,
             "spad",
         )?;
         self.spad_dirty = self.spad_dirty.max(a + 1);
         Ok(())
-    }
-
-    /// Activity counters of PE `idx`.
-    pub fn counters(&self, idx: usize) -> PeCounters {
-        self.counters[idx]
     }
 
     /// Register file access (tests / debugging).
@@ -734,10 +679,8 @@ impl PeArray {
             return None;
         }
         // Younger first: the EXECUTE-stage instruction is the most recent
-        // writer still in flight. `PlainNop` slots have a null result
-        // address and no flush semantics, so only `Full` slots can forward.
-        // The scan touches only the cached 4-byte address fields — never
-        // the instruction ring.
+        // writer still in flight. The scan touches only the cached 4-byte
+        // address fields — never the instruction ring.
         for s in [self.exec_idx(), self.commit_idx()] {
             if self.state[s][idx] != Slot::Full {
                 continue;
@@ -867,19 +810,6 @@ impl PeArray {
         self.load_generic(idx, h, ring, grid, r, c, cycle, true)
     }
 
-    /// LOAD of a bubble (see [`Instruction::is_plain_nop`]) into PE `idx`:
-    /// counts the instruction and occupies the slot with the one-byte
-    /// `PlainNop` state — no operand resolution, no validation.
-    #[inline]
-    pub fn load_bubble(&mut self, idx: usize) {
-        debug_assert!(
-            self.state[self.load_idx][idx] == Slot::Empty,
-            "LOAD slot occupied at shift time"
-        );
-        self.counters[idx].instrs += 1;
-        self.state[self.load_idx][idx] = Slot::PlainNop;
-    }
-
     /// [`PeArray::load`] for an eastward-forwarded instruction: the §3.1
     /// route-conflict validation is skipped because `noc_conflict` is a pure
     /// function of the instruction and the identical copy was already
@@ -899,23 +829,6 @@ impl PeArray {
         self.load_generic(idx, h, ring, grid, r, c, cycle, false)
     }
 
-    /// Activity of lockstep row executions (instruction counters), credited
-    /// `cols` at a time; the per-PE counters cover per-PE stepping.
-    pub fn batch_counters(&self) -> PeCounters {
-        self.batch_pe
-    }
-
-    /// Memory accesses of lockstep row executions:
-    /// `(dmem reads, dmem writes, spad reads, spad writes)`.
-    pub fn batch_mem_counts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.batch_mem.dmem_reads,
-            self.batch_mem.dmem_writes,
-            self.batch_mem.spad_reads,
-            self.batch_mem.spad_writes,
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn load_generic(
@@ -930,17 +843,6 @@ impl PeArray {
         validate: bool,
     ) -> Result<(), SimError> {
         let instr = ring.get(h);
-        // Fast path for the canonical NOP (null operands and result, no
-        // route): the sparse-band streams are NOP-heavy (row ends, stalls,
-        // bubbles), and a plain NOP touches no memory, no ports, cannot
-        // conflict, and cannot forward — only its state byte moves. (The
-        // fabric's injection network pre-classifies bubbles at issue and
-        // calls [`PeArray::load_bubble`] directly; this check serves direct
-        // callers that intern NOPs, e.g. the spatial runner's unused PEs.)
-        if instr.is_plain_nop() {
-            self.load_bubble(idx);
-            return Ok(());
-        }
         if validate {
             if let Some(d) = instr.noc_conflict() {
                 return Err(SimError::RouterConflict {
@@ -950,16 +852,16 @@ impl PeArray {
                 });
             }
         }
-        self.counters[idx].instrs += 1;
+        self.activity.instrs += 1;
         if instr.op.is_compute() {
-            self.counters[idx].compute_instrs += 1;
+            self.activity.compute_instrs += 1;
         }
         if instr.op.is_mac() {
-            self.counters[idx].mac_instrs += 1;
+            self.activity.mac_instrs += 1;
         }
         // A value can only be forwarded from a `Full` EXECUTE/COMMIT slot,
-        // so when both are bubbles or empty (common in sparse bands) every
-        // operand read skips the per-address forwarding scan.
+        // so when both are empty (common in sparse bands) every operand read
+        // skips the per-address forwarding scan.
         let fw_possible = self.state[self.exec_idx()][idx] == Slot::Full
             || self.state[self.commit_idx()][idx] == Slot::Full;
         let mut shared_pop = None;
@@ -1070,40 +972,11 @@ impl PeArray {
 
     /// COMMIT stage of PE `idx`: writes the result (memory / register / NoC
     /// push), performs the flush-clear of `MovFlush`/`AddFlush`, and pushes
-    /// the pass-through payload. Returns the retiring instruction so the
-    /// fabric can forward it to the eastern neighbour.
-    ///
-    /// # Errors
-    ///
-    /// Propagates address and NoC protocol errors.
-    pub fn commit(
-        &mut self,
-        idx: usize,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<Option<Instruction>, SimError> {
-        let mut fwd = InstrHandle::default();
-        let eff = self.commit_into(idx, ring, grid, r, c, cycle, Some(&mut fwd))?;
-        if !eff.retired {
-            return Ok(None);
-        }
-        Ok(Some(if eff.bubble {
-            Instruction::NOP
-        } else {
-            *ring.get(fwd)
-        }))
-    }
-
-    /// [`PeArray::commit`] with the eastward forwarding folded in: a
-    /// retiring non-bubble instruction's 4-byte [`InstrHandle`] is written
-    /// into `forward_into` (the neighbour's injection slot) — the record
-    /// itself never moves, it stays interned in `ring`; a retiring bubble
-    /// only sets `bubble` in the returned effects (it *is* the canonical
-    /// NOP, so there is nothing to write). The return is a compact effect
-    /// descriptor for the caller's wake propagation.
+    /// the pass-through payload. The retiring instruction's 4-byte
+    /// [`InstrHandle`] is written into `forward_into` (the eastern
+    /// neighbour's injection slot) — the record itself never moves, it
+    /// stays interned in `ring`. The return is a compact effect descriptor
+    /// for the caller's wake propagation.
     ///
     /// # Errors
     ///
@@ -1121,21 +994,8 @@ impl PeArray {
         forward_into: Option<&mut InstrHandle>,
     ) -> Result<CommitEffects, SimError> {
         let commit_idx = self.commit_idx();
-        match self.state[commit_idx][idx] {
-            Slot::Empty => return Ok(CommitEffects::NONE),
-            Slot::PlainNop => {
-                // A bubble writes nothing and pushes nothing; it retires as
-                // the canonical NOP (its unused immediate/tag fields are
-                // architecturally unobservable), propagated as a tag.
-                self.state[commit_idx][idx] = Slot::Empty;
-                return Ok(CommitEffects {
-                    retired: true,
-                    bubble: true,
-                    drives_south: false,
-                    drives_east: false,
-                });
-            }
-            Slot::Full => {}
+        if self.state[commit_idx][idx] == Slot::Empty {
+            return Ok(CommitEffects::NONE);
         }
         self.state[commit_idx][idx] = Slot::Empty;
         let h = self.handles[commit_idx][idx];
@@ -1205,15 +1065,14 @@ impl PeArray {
         }
         Ok(CommitEffects {
             retired: true,
-            bubble: false,
             drives_south: instr.pushes_toward(Direction::South),
             drives_east: instr.pushes_toward(Direction::East),
         })
     }
 
-    /// Handle of the real (non-bubble) instruction sitting in PE `idx`'s
-    /// COMMIT slot this cycle, if any — a read-only peek used by the trace
-    /// layer to stamp commit events before the slot is consumed.
+    /// Handle of the instruction sitting in PE `idx`'s COMMIT slot this
+    /// cycle, if any — a read-only peek used by the trace layer to stamp
+    /// commit events before the slot is consumed.
     pub fn commit_handle(&self, idx: usize) -> Option<InstrHandle> {
         let s = self.commit_idx();
         if self.state[s][idx] == Slot::Full {
@@ -1246,7 +1105,7 @@ impl PeArray {
     // addresses) lives in the row's column-0 slot, and only the per-column
     // values (`results`, `routed`, memories, registers) are touched for
     // all `cols` PEs — contiguous slices of the address-major slabs.
-    // Activity counts are credited `cols` at a time to the batch counters.
+    // Activity counts are credited `cols` at a time to the array total.
     // Only this engine dispatches on the ring's [`Plan`]: per-PE stepping
     // executes every instruction through the generic path, so it stays an
     // independent reference for the differential tests.
@@ -1372,13 +1231,13 @@ impl PeArray {
                 if a as usize >= self.dmem_words {
                     return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
                 }
-                self.batch_mem.dmem_reads += cols;
+                self.activity.dmem_reads += cols;
             }
             Addr::Spad(a) => {
                 if a as usize >= self.spad_entries {
                     return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
                 }
-                self.batch_mem.spad_reads += cols;
+                self.activity.spad_reads += cols;
             }
             a => unreachable!("{a} is not a storage operand"),
         }
@@ -1479,9 +1338,9 @@ impl PeArray {
             }
             Plan::Generic => unreachable!("generic plans take the operand path"),
         }
-        self.batch_pe.instrs += cols;
-        self.batch_pe.compute_instrs += cols;
-        self.batch_pe.mac_instrs += cols;
+        self.activity.instrs += cols;
+        self.activity.compute_instrs += cols;
+        self.activity.mac_instrs += cols;
         Ok(())
     }
 
@@ -1508,12 +1367,12 @@ impl PeArray {
             });
         }
         let n = cols as u64;
-        self.batch_pe.instrs += n;
+        self.activity.instrs += n;
         if instr.op.is_compute() {
-            self.batch_pe.compute_instrs += n;
+            self.activity.compute_instrs += n;
         }
         if instr.op.is_mac() {
-            self.batch_pe.mac_instrs += n;
+            self.activity.mac_instrs += n;
         }
         let RowScratch {
             op1,
@@ -1646,8 +1505,7 @@ impl PeArray {
     ) -> Result<CommitEffects, SimError> {
         let base = row * cols;
         let cs = self.commit_idx();
-        if self.state[cs][base] != Slot::Full {
-            debug_assert_eq!(self.state[cs][base], Slot::Empty, "bubbles are elided");
+        if self.state[cs][base] == Slot::Empty {
             return Ok(CommitEffects::NONE);
         }
         self.state[cs][base] = Slot::Empty;
@@ -1680,7 +1538,7 @@ impl PeArray {
                     if a >= self.dmem_words {
                         return Err(mem_oob("dmem", "write", a, self.dmem_words));
                     }
-                    self.batch_mem.dmem_writes += cols as u64;
+                    self.activity.dmem_writes += cols as u64;
                     self.dmem_dirty = self.dmem_dirty.max(a + 1);
                     self.dmem[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
@@ -1690,7 +1548,7 @@ impl PeArray {
                     if a >= self.spad_entries {
                         return Err(mem_oob("spad", "write", a, self.spad_entries));
                     }
-                    self.batch_mem.spad_writes += cols as u64;
+                    self.activity.spad_writes += cols as u64;
                     self.spad_dirty = self.spad_dirty.max(a + 1);
                     self.spad[a * n..][span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
@@ -1725,7 +1583,7 @@ impl PeArray {
                     if a >= self.spad_entries {
                         return Err(mem_oob("spad", "write", a, self.spad_entries));
                     }
-                    self.batch_mem.spad_writes += cols as u64;
+                    self.activity.spad_writes += cols as u64;
                     self.spad[a * n..][span.clone()].fill(Vector::ZERO);
                 }
                 Addr::Reg(i) => {
@@ -1753,7 +1611,6 @@ impl PeArray {
         }
         Ok(CommitEffects {
             retired: true,
-            bubble: false,
             drives_south: instr.pushes_toward(Direction::South),
             drives_east: instr.pushes_toward(Direction::East),
         })
@@ -1784,7 +1641,7 @@ mod tests {
         pes.load(0, h, &ring, grid, 0, 0, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit(0, &ring, grid, 0, 0, 2).unwrap();
+        pes.commit_into(0, &ring, grid, 0, 0, 2, None).unwrap();
     }
 
     #[test]
@@ -1795,8 +1652,13 @@ mod tests {
             .with_imm(Vector::splat(9));
         run_one(&mut pes, &mut g, i);
         assert_eq!(pes.reg(0, 1), Vector::splat(9));
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(0).compute_instrs, 0);
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 1,
+                ..Activity::default()
+            }
+        );
     }
 
     #[test]
@@ -1808,8 +1670,19 @@ mod tests {
             .with_imm(Vector::splat(3));
         run_one(&mut pes, &mut g, mac);
         run_one(&mut pes, &mut g, mac);
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 2,
+                compute_instrs: 2,
+                mac_instrs: 2,
+                dmem_reads: 2,
+                spad_reads: 2,
+                spad_writes: 2,
+                ..Activity::default()
+            }
+        );
         assert_eq!(pes.pe_mut(0).spad.read(2).unwrap(), Vector([6, 12, 18, 24]));
-        assert_eq!(pes.counters(0).mac_instrs, 2);
     }
 
     #[test]
@@ -1828,12 +1701,12 @@ mod tests {
         pes.advance();
         pes.load(0, h, &ring, &mut g, 0, 0, 1).unwrap();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
+        pes.commit_into(0, &ring, &mut g, 0, 0, 2, None).unwrap();
         pes.load(0, h, &ring, &mut g, 0, 0, 2).unwrap();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 3).unwrap();
+        pes.commit_into(0, &ring, &mut g, 0, 0, 3, None).unwrap();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 4).unwrap();
+        pes.commit_into(0, &ring, &mut g, 0, 0, 4, None).unwrap();
         assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector::splat(3));
     }
 
@@ -1981,9 +1854,13 @@ mod tests {
         let mut pes = one_pe();
         let mut g = grid1x1();
         run_one(&mut pes, &mut g, Instruction::NOP);
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(0).compute_instrs, 0);
-        assert_eq!(pes.pe(0).dmem.read_count(), 0);
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 1,
+                ..Activity::default()
+            }
+        );
         assert!(pes.pipeline_empty(0));
     }
 
@@ -2001,7 +1878,13 @@ mod tests {
         );
         run_one(&mut pes, &mut g, i);
         assert!(g.vertical(1, 0).is_empty());
-        assert_eq!(pes.counters(0).instrs, 1);
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 1,
+                ..Activity::default()
+            }
+        );
     }
 
     #[test]
@@ -2034,12 +1917,17 @@ mod tests {
         pes.load(1, h1, &ring, &mut g, 0, 1, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
-        pes.commit(1, &ring, &mut g, 0, 1, 2).unwrap();
+        pes.commit_into(0, &ring, &mut g, 0, 0, 2, None).unwrap();
+        pes.commit_into(1, &ring, &mut g, 0, 1, 2, None).unwrap();
         assert_eq!(pes.reg(0, 0), Vector::splat(1));
         assert_eq!(pes.reg(1, 0), Vector::splat(2));
-        assert_eq!(pes.counters(0).instrs, 1);
-        assert_eq!(pes.counters(1).instrs, 1);
+        assert_eq!(
+            pes.activity(),
+            Activity {
+                instrs: 2,
+                ..Activity::default()
+            }
+        );
         assert_eq!(LANES, 4);
     }
 }

@@ -186,11 +186,6 @@ impl Dense {
             data,
         })
     }
-
-    /// Consumes the matrix and returns its row-major storage.
-    pub fn into_vec(self) -> Vec<Value> {
-        self.data
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Dense {

@@ -14,7 +14,7 @@
 //!   every architecture: baselines are provisioned **iso-MAC** with the
 //!   Canon fabric of each cell, so a geometry sweep compares equal peak
 //!   compute at every point;
-//! * [`backend`] — the [`Backend`](backend::Backend) trait: one uniform
+//! * [`backend`] — the [`Backend`] trait: one uniform
 //!   `supports`/`run` interface over any [`Workload`], implemented for
 //!   Canon and the four baseline simulators, replacing per-figure dispatch
 //!   (loop nests on the tensor-only baselines surface as `Unsupported`, the
@@ -25,7 +25,7 @@
 //!   thread count. Cells execute under `catch_unwind` with per-cell
 //!   wall-clock/cycle budgets and bounded transient retry, so panics,
 //!   deadlocks, and runaways become structured
-//!   [`CellFailure`](store::CellFailure) records instead of lost sweeps —
+//!   [`CellFailure`] records instead of lost sweeps —
 //!   with a deterministic [`FaultPlan`](canon_core::FaultPlan) hook to
 //!   exercise every failure path on demand;
 //! * [`store`] — a JSONL result store (hand-rolled serializer, no external

@@ -423,13 +423,6 @@ impl GridBuilder {
         self
     }
 
-    /// Switches the geometry axis to the large-fabric tier
-    /// ([`large_geometries`]).
-    pub fn large_tier(self) -> GridBuilder {
-        let geoms = large_geometries();
-        self.geometries(&geoms)
-    }
-
     /// Sets the scale-divisor axis.
     pub fn scales(mut self, scales: &[usize]) -> GridBuilder {
         self.scales = scales.to_vec();

@@ -85,9 +85,9 @@ pub fn cfg_fingerprint(cfg: &CanonConfig) -> String {
         cfg.spad_entries,
         canon_core::isa::PIPE_DEPTH,
         cfg.link_fifo_depth,
-        cfg.orch_msg_latency,
-        cfg.orch_msg_capacity,
-        cfg.offchip_bytes_per_cycle,
+        canon_core::orchestrator::MSG_LATENCY,
+        canon_core::orchestrator::MSG_CAPACITY,
+        canon_core::offchip::LPDDR5X_X16_GBPS,
         cfg.watchdog_factor,
         cfg.watchdog_slack,
     );
