@@ -446,7 +446,7 @@ fn golden_spmm_on(cfg: &CanonConfig, depth: usize) -> Fabric {
 /// the golden SpMM band (same stream, seed, and tile as
 /// [`golden_spmm_fabric`]) but on a depth-1 psum window with shallow link
 /// FIFOs, so the captured trace exercises credit back-pressure and the
-/// exported stall spans are non-trivial.
+/// exported stall spans are non-trivial. It runs on column lockstep.
 pub fn golden_trace_fabric() -> Fabric {
     let cfg = CanonConfig {
         link_fifo_depth: 4,

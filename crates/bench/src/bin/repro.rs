@@ -650,10 +650,11 @@ fn main() {
                     std::process::exit(1);
                 });
             println!(
-                "wrote {} trace events ({} cycles, {} stall cycles) to {path}",
+                "wrote {} trace events ({} cycles, {} stall cycles, {} engine) to {path}",
                 events.len(),
                 report.cycles,
-                report.stats.stall_cycles
+                report.stats.stall_cycles,
+                format!("{:?}", report.engine).to_lowercase()
             );
             println!("open in Perfetto (ui.perfetto.dev) or chrome://tracing");
         } else {

@@ -45,7 +45,7 @@ pub struct CanonConfig {
     pub watchdog_slack: u64,
     /// Simulator-host knob (not an architectural parameter): the
     /// column-lockstep engine. On, a [`Fabric::run`](crate::Fabric::run)
-    /// that starts on a fresh, untraced fabric whose rows are all
+    /// that starts on a fresh fabric (traced or not) whose rows are all
     /// lockstep-safe (GEMM, SpMM, N:M, SDDMM and Window) and whose feeder
     /// streams have equal length simulates each row issue once across all
     /// columns (see the engine table in `canon_core::fabric`). Off, every

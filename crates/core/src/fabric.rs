@@ -34,12 +34,14 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep (the `lockstep` submodule) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, no trace sink, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
-//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, traced runs, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the active sweep below, each PE's LOAD and COMMIT through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
+//! | column lockstep (the `lockstep` submodule) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
+//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the active sweep below, each PE's LOAD and COMMIT through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
 //!
 //! [`RunReport::engine`] names the engine that ran.
 //!
-//! Both engines share one orchestrator phase (`Fabric::orchestrate`).
+//! Both engines share one orchestrator phase (`Fabric::orchestrate`), and
+//! a trace sink records only what they share ([`crate::trace`]), so a
+//! traced run takes the engine an untraced one would.
 //!
 //! ## Active-set scheduling
 //!
@@ -233,6 +235,22 @@ impl RowTable {
     }
 }
 
+/// Row `r`'s south-link credits at the start of a run. The bottom row
+/// flushes into the edge sink, which never runs out. An injected deadlock
+/// (`FaultAction::WithholdCredits`) starves every other row, so its first
+/// flush stalls on credit forever and the *real* watchdog path fires;
+/// zeroing the bottom row's credits would instead trip the "push without
+/// credit" FSM-bug assertion, a different failure than the one injected.
+fn initial_south_credits(cfg: &CanonConfig, r: usize) -> usize {
+    if r + 1 == cfg.rows {
+        usize::MAX / 2
+    } else if matches!(cfg.fault, Some(crate::fault::FaultAction::WithholdCredits)) {
+        0
+    } else {
+        cfg.link_fifo_depth - 2
+    }
+}
+
 /// One entry of the staggered instruction network's injection queue.
 ///
 /// Only real instructions occupy slots: bubbles ([`Instruction::is_plain_nop`])
@@ -326,7 +344,6 @@ pub struct Fabric {
     /// Number of feeders still holding tokens (skips the edge-feed phase and
     /// keeps the quiescence check O(1) in the column count).
     feeders_pending: usize,
-    feeder_bytes_per_token: u64,
     south_collected: Vec<CollectedEntry>,
     east_collected: Vec<CollectedEntry>,
     cycle: u64,
@@ -362,25 +379,10 @@ impl Fabric {
     pub fn new(cfg: &CanonConfig, north_edge_feeder: bool) -> Fabric {
         cfg.validate().expect("invalid CanonConfig");
         let n = cfg.pe_count();
-        // Injected deadlock (`FaultAction::WithholdCredits`): starve every
-        // non-bottom row of south-link credits so its first flush stalls on
-        // credit forever and the *real* watchdog path fires. The bottom row
-        // keeps its sink credits — zeroing those would instead trip the
-        // "push without credit" FSM-bug assertion, which is a different
-        // failure than the one being injected.
-        let withhold = matches!(cfg.fault, Some(crate::fault::FaultAction::WithholdCredits));
-        let initial_credits = if withhold { 0 } else { cfg.link_fifo_depth - 2 };
-        let rows = RowTable::new(cfg.rows, |r| {
-            if r + 1 == cfg.rows {
-                usize::MAX / 2 // bottom row flushes into the edge sink
-            } else {
-                initial_credits
-            }
-        });
         Fabric {
             pes: PeArray::new(n, cfg.dmem_words, cfg.spad_entries),
             grid: LinkGrid::new(cfg.rows, cfg.cols, cfg.link_fifo_depth, north_edge_feeder),
-            rows,
+            rows: RowTable::new(cfg.rows, |r| initial_south_credits(cfg, r)),
             // One issue per row per cycle, last read 3·cols − 1 cycles after
             // issue ⇒ at most rows·3·cols records are live at once; one
             // spare cycle of issue keeps wraps strictly slower than
@@ -393,7 +395,6 @@ impl Fabric {
             inject_next: InjectQueue::new(n),
             feeders: vec![VecDeque::new(); cfg.cols],
             feeders_pending: 0,
-            feeder_bytes_per_token: LANES as u64,
             // Collectors start at a page's worth of entries: their doubling
             // growth was the bulk of the residual steady-state allocations.
             south_collected: Vec::with_capacity(128),
@@ -464,16 +465,7 @@ impl Fabric {
             cfg.spad_entries,
             cfg.link_fifo_depth,
         );
-        let withhold = matches!(cfg.fault, Some(crate::fault::FaultAction::WithholdCredits));
-        let initial_credits = if withhold { 0 } else { cfg.link_fifo_depth - 2 };
-        let rows = cfg.rows;
-        self.rows.reset(|r| {
-            if r + 1 == rows {
-                usize::MAX / 2
-            } else {
-                initial_credits
-            }
-        });
+        self.rows.reset(|r| initial_south_credits(cfg, r));
         self.pes.reset();
         self.grid.clear_links();
         self.ring.reset();
@@ -486,7 +478,6 @@ impl Fabric {
             f.clear();
         }
         self.feeders_pending = 0;
-        self.feeder_bytes_per_token = LANES as u64;
         self.south_collected.clear();
         self.east_collected.clear();
         self.cycle = 0;
@@ -649,42 +640,46 @@ impl Fabric {
         self.rows.meta_pos[r] = 0;
     }
 
-    /// Attaches a trace sink: from the next cycle on, every engine layer
-    /// records cycle-stamped [`crate::trace::TraceEvent`]s into it. Attach
-    /// **before the first cycle** for a stream that
-    /// [`crate::trace::replay_stats`] can replay into the exact
-    /// [`RunReport`]; a mid-run attach still yields exact counter *totals*
-    /// (the header snapshots the counter bases) but cannot describe the
-    /// cycles already simulated.
+    /// Attaches a trace sink: both engines record the orchestrator phase's
+    /// decisions and each cycle's off-chip and feeder traffic into it as
+    /// cycle-stamped [`crate::trace::TraceEvent`]s, and
+    /// [`crate::trace::replay_stats`] replays the stream into the exact
+    /// [`RunReport`]. The engine choice is unaffected.
     ///
     /// Keep a handle to the sink's storage (e.g. a
     /// [`crate::trace::VecSink`] clone) — [`Fabric::take_trace_sink`] gives
     /// the sink back after the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics after the first cycle: the stream must describe the whole
+    /// run.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+        assert_eq!(self.cycle, 0, "trace sink attached after the first cycle");
         self.trace = Some(Box::new(TraceRecorder::new(
             sink,
             self.cfg.rows,
             self.cfg.cols,
-            &self.grid,
             self.extra_offchip_read,
             self.extra_offchip_write,
         )));
     }
 
-    /// Detaches the trace recorder, closing the stream: all pending wait
-    /// spans are flushed and the [`crate::trace::TraceEvent::RunEnd`]
-    /// footer is recorded. Returns the sink, or `None` when no trace was
-    /// attached.
+    /// Detaches the trace recorder, closing the stream: any off-chip tail
+    /// and all pending wait spans are flushed, the collector exits are
+    /// recorded, and the [`crate::trace::TraceEvent::RunEnd`] footer
+    /// closes it. Returns the sink, or `None` when no trace was attached.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         let mut tr = self.trace.take()?;
-        tr.finish(
+        tr.end_of_cycle(
             self.cycle,
+            0,
             self.extra_offchip_read,
             self.extra_offchip_write,
-            self.active_pe_cycles,
-            self.batched_pe_cycles,
         );
-        Some(tr.into_sink())
+        tr.on_collected(Direction::South, &self.south_collected);
+        tr.on_collected(Direction::East, &self.east_collected);
+        Some(tr.finish(self.cycle, self.active_pe_cycles, self.batched_pe_cycles))
     }
 
     /// Queues north-edge stream tokens for column `c` (one token enters the
@@ -841,19 +836,15 @@ impl Fabric {
         // they are settled as `cols` instruction latches and a drain-horizon
         // extension instead of marching through the pipeline (see
         // [`Inject`]).
-        let mut issued_handle = None;
         if instr.is_plain_nop() {
             self.elided_bubbles += 1;
             self.bubble_horizon = self.bubble_horizon.max(now + 3 * cols as u64);
         } else {
             self.inject_now.put(r * cols, instr, &mut self.ring);
             self.active.insert(r * cols);
-            if self.trace.is_some() {
-                issued_handle = Some(self.inject_now.handle[r * cols]);
-            }
         }
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.on_orch_step(now, r, &action, issued_handle);
+            tr.on_orch_step(now, r, &action);
         }
         Ok(())
     }
@@ -885,6 +876,7 @@ impl Fabric {
 
         // 1. North-edge feeders: at most one token per column per cycle. A
         // token landing on column c's edge FIFO wakes its consumer PE (0, c).
+        let mut fed = 0;
         if self.feeders_pending > 0 {
             for c in 0..cols {
                 if let Some(&tok) = self.feeders[c].front() {
@@ -895,7 +887,8 @@ impl Fabric {
                         if self.feeders[c].is_empty() {
                             self.feeders_pending -= 1;
                         }
-                        self.extra_offchip_read += self.feeder_bytes_per_token;
+                        self.extra_offchip_read += LANES as u64;
+                        fed += 1;
                         self.active.insert(c);
                     }
                 }
@@ -940,13 +933,6 @@ impl Fabric {
                 // straight into the eastern neighbour's injection slot and
                 // reports its link drives as flags.
                 let has_east = c + 1 < cols;
-                // Peek the retiring handle before COMMIT consumes the slot
-                // (trace-only; the branch is the hook's entire cost).
-                let traced_commit = if self.trace.is_some() {
-                    self.pes.commit_handle(idx)
-                } else {
-                    None
-                };
                 let eff = self.pes.commit_into(
                     idx,
                     &self.ring,
@@ -961,12 +947,6 @@ impl Fabric {
                     },
                 )?;
                 if eff.retired {
-                    if let Some(h) = traced_commit {
-                        let op = self.ring.get(h).op;
-                        if let Some(tr) = self.trace.as_deref_mut() {
-                            tr.on_commit(now, r, c, h, op);
-                        }
-                    }
                     if has_east {
                         self.inject_next.kind[idx + 1] = Inject::Instr;
                         self.active.insert(idx + 1);
@@ -1043,9 +1023,6 @@ impl Fabric {
             for c in 0..cols {
                 let link = self.grid.vertical(nrows, c);
                 while let Some(e) = link.try_pop() {
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.on_collect(now, Direction::South, c, e.tag);
-                    }
                     self.south_collected.push(CollectedEntry {
                         tag: e.tag,
                         lane: c,
@@ -1059,9 +1036,6 @@ impl Fabric {
             for r in 0..nrows {
                 let link = self.grid.horizontal(r, cols);
                 while let Some(e) = link.try_pop() {
-                    if let Some(tr) = self.trace.as_deref_mut() {
-                        tr.on_collect(now, Direction::East, r, e.tag);
-                    }
                     self.east_collected.push(CollectedEntry {
                         tag: e.tag,
                         lane: r,
@@ -1072,15 +1046,9 @@ impl Fabric {
             }
         }
 
-        // 6. Trace epilogue: diff the NoC push counters and off-chip bytes
-        // against the last scan (zero work without a sink).
+        // 6. Trace epilogue: this cycle's off-chip and feeder traffic.
         if let Some(tr) = self.trace.as_deref_mut() {
-            tr.end_of_cycle(
-                now,
-                &self.grid,
-                self.extra_offchip_read,
-                self.extra_offchip_write,
-            );
+            tr.end_of_cycle(now, fed, self.extra_offchip_read, self.extra_offchip_write);
         }
 
         self.cycle += 1;
@@ -1212,11 +1180,6 @@ impl Fabric {
         // watchdog/protocol abort still attributes the wall time spent.
         self.wall_ns += wall_start.elapsed().as_nanos() as u64;
         result?;
-        // The run drained: give back the edge sinks' growth overshoot (they
-        // are empty — step 5 drains them the cycle they are pushed), so a
-        // finished cell's fabric holds only high-water footprints while its
-        // collectors are post-processed ([`Link::reset`]).
-        self.grid.reset_links();
         Ok(self.report())
     }
 

@@ -67,6 +67,7 @@
 //! * errors fire at column 0 first, at the same cycle with the same message.
 
 use super::{Fabric, Inject};
+use crate::isa::LANES;
 use crate::noc::RowLinks;
 use crate::orchestrator::RowProgram;
 use crate::SimError;
@@ -195,8 +196,8 @@ impl Lockstep {
 }
 
 impl Fabric {
-    /// Whether this [`Fabric::run`] may take the lockstep engine: a fresh,
-    /// untraced fabric (cycle 0) with the fast engine on
+    /// Whether this [`Fabric::run`] may take the lockstep engine: a fresh
+    /// fabric (cycle 0) with the fast engine on
     /// ([`crate::CanonConfig::lockstep`]), north-edge feeder streams of equal
     /// length (or no feeder at all), and only lockstep-safe row programs
     /// ([`RowProgram::lockstep_safe`]).
@@ -210,7 +211,6 @@ impl Fabric {
         };
         self.cycle == 0
             && self.cfg.lockstep
-            && self.trace.is_none()
             && feeders_ok
             && self
                 .rows
@@ -292,7 +292,7 @@ impl Fabric {
                 *pushed += 1;
                 queued += 1;
                 ls.feed.pushes += 1;
-                self.extra_offchip_read += self.feeder_bytes_per_token;
+                self.extra_offchip_read += LANES as u64;
                 if *pushed == ls.feed.tokens {
                     self.feeders_pending -= 1;
                 }
@@ -323,6 +323,7 @@ impl Fabric {
         let now = self.cycle;
         let cols = self.cfg.cols;
         let nrows = self.cfg.rows;
+        let fed_before = self.lockstep.feed.pushes;
         let queued_only = if self.lockstep.feed.live {
             self.lockstep_feed(now)
         } else {
@@ -364,6 +365,14 @@ impl Fabric {
         }
         self.pes.advance();
         self.lockstep.advance(now, replayed, pipe0, cols);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.end_of_cycle(
+                now,
+                self.lockstep.feed.pushes - fed_before,
+                self.extra_offchip_read,
+                self.extra_offchip_write,
+            );
+        }
         self.cycle += 1;
         Ok(())
     }

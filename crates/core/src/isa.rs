@@ -467,14 +467,6 @@ impl Instruction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InstrHandle(u32);
 
-impl InstrHandle {
-    /// The raw intern counter — a stable per-issue id within a run, used by
-    /// the trace layer to correlate issue and commit events.
-    pub fn id(self) -> u32 {
-        self.0
-    }
-}
-
 /// The column-lockstep engine's execution plan of an interned instruction,
 /// decoded once by [`InstrRing::intern`].
 ///

@@ -87,7 +87,7 @@ impl std::fmt::Display for ErrCtx {
 
 /// A fixed-capacity ring buffer of [`TaggedVector`]s. Bounded links size it
 /// once at construction; unbounded flavours (sinks, elastic links) grow it
-/// by doubling, reaching their high-water mark and then never allocating
+/// by doubling, reaching their peak occupancy and then never allocating
 /// again.
 ///
 /// The backing storage is always a power of two so that the wrap-around is
@@ -98,9 +98,6 @@ struct Ring {
     buf: Box<[TaggedVector]>,
     head: usize,
     len: usize,
-    /// Peak occupancy since the last [`Ring::reset`] (drives the shrink —
-    /// doubling growth can overshoot the actual peak by up to 2x).
-    high_water: usize,
 }
 
 impl Ring {
@@ -110,20 +107,7 @@ impl Ring {
             buf: vec![TaggedVector::ZERO; size].into_boxed_slice(),
             head: 0,
             len: 0,
-            high_water: 0,
         }
-    }
-
-    /// Drops queued entries and shrinks the backing storage to the
-    /// high-water mark's power of two, then rearms the mark.
-    fn reset(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        let tight = self.high_water.next_power_of_two().max(1);
-        if tight < self.buf.len() {
-            self.buf = vec![TaggedVector::ZERO; tight].into_boxed_slice();
-        }
-        self.high_water = 0;
     }
 
     #[inline]
@@ -153,9 +137,6 @@ impl Ring {
         let idx = (self.head + self.len) & self.mask();
         self.buf[idx] = entry;
         self.len += 1;
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
     }
 
     #[inline]
@@ -343,31 +324,14 @@ impl Link {
         std::iter::from_fn(move || self.try_pop())
     }
 
-    /// Drops any queued entries and returns an unbounded link's backing
-    /// storage to its high-water footprint: the doubling growth of sinks
-    /// and elastic links can overshoot the actual peak occupancy by up to
-    /// 2x, and previously the peak buffer was kept for the link's whole
-    /// lifetime. The fabric resets its edge sinks when a run drains,
-    /// lowering resident memory while a finished cell's collectors are
-    /// post-processed alongside other workers' live fabrics on large
-    /// `--jobs N` sweeps. Bounded links are left untouched — their buffer
-    /// *is* the credit-protocol bound, allocated once.
-    pub fn reset(&mut self) {
-        if self.capacity == usize::MAX {
-            self.ring.reset();
-        }
-    }
-
     /// Returns the link to its post-construction state for fabric reuse:
-    /// queued entries dropped and the push counter zeroed, on **every**
-    /// link flavour (unlike [`Link::reset`], which only shrinks unbounded
-    /// rings between runs of the same fabric). Bounded links keep their
-    /// credit-protocol-sized buffer; unbounded links keep their high-water
-    /// footprint — both architecturally invisible.
+    /// queued entries dropped and the push counter zeroed, on every link
+    /// flavour. Bounded links keep their credit-protocol-sized buffer;
+    /// unbounded links keep their grown one — both architecturally
+    /// invisible.
     pub fn clear(&mut self) {
         self.ring.head = 0;
         self.ring.len = 0;
-        self.ring.high_water = 0;
         self.pushes = 0;
     }
 }
@@ -717,35 +681,6 @@ impl LinkGrid {
         &self.horizontal[r * (self.cols + 1) + c]
     }
 
-    /// Number of links in the grid (vertical then horizontal — the
-    /// enumeration order of [`LinkGrid::for_each_push_count`]).
-    pub fn link_count(&self) -> usize {
-        self.vertical.len() + self.horizontal.len()
-    }
-
-    /// Visits every link's cumulative push count in a fixed order: all
-    /// vertical links row-major (`r` in `0..=rows`, `c` in `0..cols`), then
-    /// all horizontal links row-major (`r` in `0..rows`, `c` in `0..=cols`).
-    /// `f(vertical, r, c, pushes)` — the trace layer diffs consecutive scans
-    /// to attribute NoC hops to links per cycle.
-    pub fn for_each_push_count(&self, mut f: impl FnMut(bool, usize, usize, u64)) {
-        for r in 0..=self.rows {
-            for c in 0..self.cols {
-                f(true, r, c, self.vertical[r * self.cols + c].push_count());
-            }
-        }
-        for r in 0..self.rows {
-            for c in 0..=self.cols {
-                f(
-                    false,
-                    r,
-                    c,
-                    self.horizontal[r * (self.cols + 1) + c].push_count(),
-                );
-            }
-        }
-    }
-
     /// Total pushes across all links (NoC hop count).
     pub fn total_pushes(&self) -> u64 {
         self.vertical.iter().map(Link::push_count).sum::<u64>()
@@ -782,17 +717,6 @@ impl LinkGrid {
     /// work" half of its deactivation condition.
     pub fn pe_inputs_empty(&self, r: usize, c: usize) -> bool {
         self.vertical_ref(r, c).is_empty() && self.horizontal_ref(r, c).is_empty()
-    }
-
-    /// [`Link::reset`] applied to every unbounded link (edge sinks, elastic
-    /// links): gives back growth overshoot once a run has drained.
-    pub fn reset_links(&mut self) {
-        for l in &mut self.vertical {
-            l.reset();
-        }
-        for l in &mut self.horizontal {
-            l.reset();
-        }
     }
 
     /// [`Link::clear`] applied to every link: drops any queued entries and
@@ -902,39 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_shrinks_sinks_to_high_water_but_not_bounded_links() {
-        let mut sink = Link::sink();
-        // Peak occupancy 9 → buffer grew to 16; high-water pow2 is also 16,
-        // so grow-to-exact keeps it. Peak 5 → buffer 8 after growth from a
-        // drained state; push/drain to overshoot: grow to 16 with peak 9,
-        // drain, then reset with a *new* interval peak of 2.
-        for i in 0..9 {
-            sink.push(tv(i, 0), 0, "t").unwrap();
-        }
-        while sink.try_pop().is_some() {}
-        sink.reset(); // shrinks 16 → 16 (peak 9) and rearms the mark
-        for i in 0..2 {
-            sink.push(tv(i, 0), 0, "t").unwrap();
-        }
-        while sink.try_pop().is_some() {}
-        sink.reset(); // peak since last reset is 2 → shrink to 2
-                      // Still fully functional after shrinking.
-        for i in 0..20 {
-            sink.push(tv(i, 0), 0, "t").unwrap();
-        }
-        assert_eq!(sink.len(), 20);
-        assert_eq!(sink.drain_all().count(), 20);
-        // Bounded links keep their protocol-sized buffer and contents are
-        // untouched by the grid-wide reset only insofar as they are
-        // bounded; Link::reset on a bounded link is a no-op.
-        let mut b = Link::bounded(4);
-        b.push(tv(1, 1), 0, "t").unwrap();
-        b.reset();
-        assert_eq!(b.len(), 1, "bounded links are not reset");
-        assert_eq!(b.pop(0, "t").unwrap().tag, 1);
-    }
-
-    #[test]
     fn sink_accepts_many_and_drains_in_place() {
         let mut l = Link::sink();
         for i in 0..100 {
@@ -949,7 +840,7 @@ mod tests {
         }
         assert_eq!(seen, 100);
         assert!(l.is_empty());
-        // A drained sink keeps its high-water storage: refills do not error.
+        // A drained sink keeps its grown storage: refills do not error.
         l.push(tv(7, 7), 1, "t").unwrap();
         assert_eq!(l.drain_all().count(), 1);
     }

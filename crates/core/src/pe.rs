@@ -1070,18 +1070,6 @@ impl PeArray {
         })
     }
 
-    /// Handle of the instruction sitting in PE `idx`'s COMMIT slot this
-    /// cycle, if any — a read-only peek used by the trace layer to stamp
-    /// commit events before the slot is consumed.
-    pub fn commit_handle(&self, idx: usize) -> Option<InstrHandle> {
-        let s = self.commit_idx();
-        if self.state[s][idx] == Slot::Full {
-            Some(self.handles[s][idx])
-        } else {
-            None
-        }
-    }
-
     /// Advances every pipeline by one stage (end of cycle): the stages are
     /// renamed by rotating the shared slot index — no in-flight state is
     /// moved, and the cost is independent of the PE count.

@@ -1,30 +1,39 @@
 //! Cycle-accurate tracing and stall attribution for the Canon fabric.
 //!
-//! ## Architecture
+//! ## What is recorded
 //!
-//! A [`TraceSink`] attached via `Fabric::set_trace_sink` receives a stream
-//! of cycle-stamped [`TraceEvent`]s recorded by a [`TraceRecorder`] that the
-//! fabric drives from every engine layer: orchestrator FSM decisions
-//! (instruction issues, bubble steps, coalesced wait spans with their
-//! [`StallCause`]), PE commits, NoC link hops, off-chip bursts, collector
-//! emits.
-//! When no sink is attached the fabric's hot loops pay one untaken branch —
-//! the `repro bench --check` alloc/throughput gates pin that the trace-off
-//! engine is unchanged.
+//! Every control decision of a Canon fabric is made at the edge of a row:
+//! each orchestrator FSM issues one instruction per cycle into column 0,
+//! and time-lapsed SIMD replays it down the row, one column every 3 cycles
+//! (§2.1). A [`TraceSink`] attached via `Fabric::set_trace_sink` therefore
+//! receives only what both engines share:
+//!
+//! * the orchestrator phase's decisions — instruction issues, bubble steps
+//!   with side effects, and coalesced wait spans with their
+//!   [`StallCause`];
+//! * one end-of-cycle [`TraceEvent::OffchipBurst`] per cycle that moved
+//!   off-chip bytes or north-edge feeder tokens;
+//! * the edge-collector exits, emitted when the stream closes.
+//!
+//! Everything per-PE is derived: column `c` commits an issue of cycle `t`
+//! at `t + 3c + 2`, and makes the NoC pushes and memory accesses
+//! [`issue_cost`] lists. The stream is the same on column
+//! lockstep and on per-PE stepping, so a traced run takes the engine an
+//! untraced one would. When no sink is attached each engine pays one
+//! untaken branch per row step and per cycle.
 //!
 //! ## Exactness
 //!
-//! The event stream is **architecturally complete**: [`replay_stats`]
-//! reconstructs the run's full [`Stats`] — including the per-cause stall
-//! breakdown summing to `stall_cycles` — byte-for-byte from the events
-//! alone, provided the sink was attached before the first cycle.
+//! [`replay_stats`] reconstructs the run's full [`Stats`] — including the
+//! per-cause stall breakdown summing to `stall_cycles` — byte-for-byte from
+//! the events alone. The sink must be attached before the first cycle.
 //!
 //! ## Consumers
 //!
 //! * [`write_chrome_trace`] emits Chrome trace-event JSON loadable in
 //!   [Perfetto](https://ui.perfetto.dev) — one track per orchestrator row
 //!   (issues, steps, stall spans colored by cause) and one per PE column
-//!   (commits), plus NoC/off-chip counter tracks.
+//!   (derived commits), plus NoC/off-chip counter tracks.
 //! * [`render_profile`] prints a textual profile: top stall causes, per-row
 //!   occupancy, and active-PE timeline buckets.
 //!
@@ -35,12 +44,12 @@
 //! let sink = VecSink::default();
 //! fabric.set_trace_sink(Box::new(sink.clone()));
 //! fabric.run()?;
-//! fabric.take_trace_sink(); // flush pending spans + RunEnd footer
+//! fabric.take_trace_sink(); // flush pending spans, collector exits, RunEnd
 //! let events = sink.take_events();
 //! ```
 
-use crate::isa::{Direction, InstrHandle, Instruction, Opcode};
-use crate::noc::LinkGrid;
+use crate::fabric::CollectedEntry;
+use crate::isa::{Addr, Direction, Instruction, Opcode};
 use crate::orchestrator::OrchAction;
 use crate::stats::{RunReport, StallCause, Stats};
 use std::sync::{Arc, Mutex};
@@ -52,18 +61,16 @@ use std::sync::{Arc, Mutex};
 /// [`TraceEvent::RunEnd`] footer describe the work actually performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// Stream header: geometry plus counter bases at attach time (all zero
-    /// when the sink is attached before the first cycle).
+    /// Stream header: geometry plus the off-chip bytes the kernel mapper
+    /// accounted before the first cycle.
     RunBegin {
         /// Orchestrator row count.
         rows: usize,
         /// PE column count.
         cols: usize,
-        /// NoC pushes already counted when the sink attached.
-        noc_base: u64,
-        /// Off-chip read bytes already accounted when the sink attached.
+        /// Off-chip read bytes accounted before the first cycle.
         offchip_read_base: u64,
-        /// Off-chip write bytes already accounted when the sink attached.
+        /// Off-chip write bytes accounted before the first cycle.
         offchip_write_base: u64,
     },
     /// An orchestrator step that issued a real (non-bubble) instruction
@@ -75,8 +82,6 @@ pub enum TraceEvent {
         row: usize,
         /// FSM state after the step.
         state: u8,
-        /// Ring handle (correlates with [`TraceEvent::Commit`]).
-        handle: InstrHandle,
         /// The issued instruction (decoded op kind and operands).
         instr: Instruction,
         /// The step consumed a meta-stream token.
@@ -123,33 +128,8 @@ pub enum TraceEvent {
         /// Attributed stall cause (`None` = idle, not back-pressured).
         cause: Option<StallCause>,
     },
-    /// A real instruction retiring from a PE.
-    Commit {
-        /// Commit cycle.
-        cycle: u64,
-        /// PE row.
-        row: usize,
-        /// PE column.
-        col: usize,
-        /// Ring handle (correlates with [`TraceEvent::Issue`]).
-        handle: InstrHandle,
-        /// Decoded op kind.
-        op: Opcode,
-    },
-    /// `count` pushes traversed one NoC link this cycle.
-    NocHop {
-        /// Cycle.
-        cycle: u64,
-        /// True for a southbound (vertical) link, false for eastbound.
-        vertical: bool,
-        /// Link row (see [`LinkGrid`] indexing).
-        row: usize,
-        /// Link column.
-        col: usize,
-        /// Pushes on this link this cycle.
-        count: u64,
-    },
-    /// Off-chip traffic accounted this cycle (deltas, not totals).
+    /// Off-chip traffic and north-edge feeder pushes of one cycle (deltas,
+    /// not totals).
     OffchipBurst {
         /// Cycle.
         cycle: u64,
@@ -157,6 +137,9 @@ pub enum TraceEvent {
         read_bytes: u64,
         /// Bytes written off-chip this cycle.
         write_bytes: u64,
+        /// Tokens the north-edge feeders pushed into the array this cycle
+        /// (one NoC hop and `LANES` read bytes each).
+        feeder_tokens: u64,
     },
     /// A value exited the array into an edge collector.
     CollectorEmit {
@@ -171,7 +154,7 @@ pub enum TraceEvent {
     },
     /// Stream footer: totals that close the books on the run.
     RunEnd {
-        /// Cycles simulated while the sink was attached (final cycle count).
+        /// Cycles simulated (final cycle count).
         cycles: u64,
         /// Scheduler diagnostic (engine-dependent).
         active_pe_cycles: u64,
@@ -185,7 +168,8 @@ impl TraceEvent {
     /// True for events that depend only on the simulated architecture
     /// (everything except the [`TraceEvent::RunEnd`] footer's scheduler
     /// diagnostics), so two programs with the same behaviour, e.g. a native
-    /// FSM and its assembled LUT twin, emit the same architectural stream.
+    /// FSM and its assembled LUT twin, or one program on both engines, emit
+    /// the same architectural stream.
     pub fn is_architectural(&self) -> bool {
         !matches!(self, TraceEvent::RunEnd { .. })
     }
@@ -240,46 +224,36 @@ struct PendingWait {
 }
 
 /// The fabric-side event producer: owns the sink, coalesces per-row wait
-/// spans, and diffs NoC/off-chip counters per cycle. Constructed by
-/// `Fabric::set_trace_sink`; every method is a hook called from one engine
-/// layer.
-pub struct TraceRecorder {
+/// spans, and diffs the off-chip counters per cycle. Constructed by
+/// `Fabric::set_trace_sink`; both engines call the same hooks.
+pub(crate) struct TraceRecorder {
     sink: Box<dyn TraceSink>,
     pending: Vec<Option<PendingWait>>,
-    last_pushes: Vec<u64>,
     last_offchip_read: u64,
     last_offchip_write: u64,
 }
 
 impl TraceRecorder {
-    /// Creates a recorder and emits the [`TraceEvent::RunBegin`] header,
-    /// snapshotting the counter bases so mid-run attachment stays
-    /// well-defined.
-    pub fn new(
-        sink: Box<dyn TraceSink>,
+    /// Creates a recorder and emits the [`TraceEvent::RunBegin`] header.
+    pub(crate) fn new(
+        mut sink: Box<dyn TraceSink>,
         rows: usize,
         cols: usize,
-        grid: &LinkGrid,
         offchip_read: u64,
         offchip_write: u64,
     ) -> TraceRecorder {
-        let mut last_pushes = Vec::with_capacity(grid.link_count());
-        grid.for_each_push_count(|_, _, _, pushes| last_pushes.push(pushes));
-        let mut rec = TraceRecorder {
-            sink,
-            pending: (0..rows).map(|_| None).collect(),
-            last_pushes,
-            last_offchip_read: offchip_read,
-            last_offchip_write: offchip_write,
-        };
-        rec.sink.record(&TraceEvent::RunBegin {
+        sink.record(&TraceEvent::RunBegin {
             rows,
             cols,
-            noc_base: grid.total_pushes(),
             offchip_read_base: offchip_read,
             offchip_write_base: offchip_write,
         });
-        rec
+        TraceRecorder {
+            sink,
+            pending: vec![None; rows],
+            last_offchip_read: offchip_read,
+            last_offchip_write: offchip_write,
+        }
     }
 
     fn flush_wait(&mut self, row: usize) {
@@ -294,22 +268,16 @@ impl TraceRecorder {
         }
     }
 
-    /// Records one orchestrator step. `handle` is `Some` exactly when the
-    /// action issued a real (non-bubble) instruction. Pure waits — bubble,
-    /// no consumes, no message — coalesce into a pending [`TraceEvent::Wait`]
-    /// span that is flushed lazily at the row's next non-wait event.
-    pub fn on_orch_step(
-        &mut self,
-        cycle: u64,
-        row: usize,
-        action: &OrchAction,
-        handle: Option<InstrHandle>,
-    ) {
+    /// Records one orchestrator step. Pure waits — bubble, no consumes, no
+    /// message — coalesce into a pending [`TraceEvent::Wait`] span that is
+    /// flushed lazily at the row's next non-wait event.
+    pub(crate) fn on_orch_step(&mut self, cycle: u64, row: usize, action: &OrchAction) {
+        let issued = !action.instr.is_plain_nop();
         let consumed_input = action.consumes_input();
         let consumed_msg = action.consumes_msg();
         let sent_msg = action.msg_out().is_some();
         let stall = action.stall_cause();
-        if handle.is_none() && !consumed_input && !consumed_msg && !sent_msg {
+        if !issued && !consumed_input && !consumed_msg && !sent_msg {
             // Pure wait: coalesce. Flush on any discontinuity (state or
             // cause changed, or a gap — e.g. cycles of a row that drained
             // and was re-activated by a late message).
@@ -334,19 +302,19 @@ impl TraceRecorder {
             return;
         }
         self.flush_wait(row);
-        let ev = match handle {
-            Some(h) => TraceEvent::Issue {
+        let ev = if issued {
+            TraceEvent::Issue {
                 cycle,
                 row,
                 state: action.state_id,
-                handle: h,
                 instr: action.instr,
                 consumed_input,
                 consumed_msg,
                 sent_msg,
                 stall,
-            },
-            None => TraceEvent::Step {
+            }
+        } else {
+            TraceEvent::Step {
                 cycle,
                 row,
                 state: action.state_id,
@@ -354,93 +322,54 @@ impl TraceRecorder {
                 consumed_msg,
                 sent_msg,
                 stall,
-            },
+            }
         };
         self.sink.record(&ev);
     }
 
-    /// Records a real instruction retiring from PE `(row, col)`.
-    pub fn on_commit(
+    /// End of cycle `cycle`: records one [`TraceEvent::OffchipBurst`] when
+    /// the off-chip byte counters moved since the last call.
+    /// `feeder_tokens` is the number of tokens the north-edge feeders
+    /// pushed this cycle.
+    pub(crate) fn end_of_cycle(
         &mut self,
         cycle: u64,
-        row: usize,
-        col: usize,
-        handle: InstrHandle,
-        op: Opcode,
-    ) {
-        self.sink.record(&TraceEvent::Commit {
-            cycle,
-            row,
-            col,
-            handle,
-            op,
-        });
-    }
-
-    /// Records a collector emit.
-    pub fn on_collect(&mut self, cycle: u64, edge: Direction, lane: usize, tag: u32) {
-        self.sink.record(&TraceEvent::CollectorEmit {
-            cycle,
-            edge,
-            lane,
-            tag,
-        });
-    }
-
-    /// End-of-cycle scan: diffs every link's push counter against the last
-    /// scan (emitting per-link [`TraceEvent::NocHop`]s in the fixed
-    /// [`LinkGrid::for_each_push_count`] order) and the off-chip byte
-    /// counters (emitting one [`TraceEvent::OffchipBurst`]).
-    pub fn end_of_cycle(
-        &mut self,
-        cycle: u64,
-        grid: &LinkGrid,
+        feeder_tokens: u64,
         offchip_read: u64,
         offchip_write: u64,
     ) {
-        let last = &mut self.last_pushes;
-        let sink = &mut self.sink;
-        let mut i = 0usize;
-        grid.for_each_push_count(|vertical, row, col, pushes| {
-            let delta = pushes - last[i];
-            if delta > 0 {
-                last[i] = pushes;
-                sink.record(&TraceEvent::NocHop {
-                    cycle,
-                    vertical,
-                    row,
-                    col,
-                    count: delta,
-                });
-            }
-            i += 1;
-        });
-        self.scan_offchip(cycle, offchip_read, offchip_write);
-    }
-
-    fn scan_offchip(&mut self, cycle: u64, offchip_read: u64, offchip_write: u64) {
         if offchip_read != self.last_offchip_read || offchip_write != self.last_offchip_write {
             self.sink.record(&TraceEvent::OffchipBurst {
                 cycle,
                 read_bytes: offchip_read - self.last_offchip_read,
                 write_bytes: offchip_write - self.last_offchip_write,
+                feeder_tokens,
             });
             self.last_offchip_read = offchip_read;
             self.last_offchip_write = offchip_write;
         }
     }
 
-    /// Closes the stream: emits any off-chip tail, flushes every pending
-    /// wait span, and records the [`TraceEvent::RunEnd`] footer.
-    pub fn finish(
-        &mut self,
+    /// Records the exits of one edge collector.
+    pub(crate) fn on_collected(&mut self, edge: Direction, entries: &[CollectedEntry]) {
+        for e in entries {
+            self.sink.record(&TraceEvent::CollectorEmit {
+                cycle: e.cycle,
+                edge,
+                lane: e.lane,
+                tag: e.tag,
+            });
+        }
+    }
+
+    /// Closes the stream: flushes every pending wait span, records the
+    /// [`TraceEvent::RunEnd`] footer and releases the sink.
+    pub(crate) fn finish(
+        mut self,
         cycles: u64,
-        offchip_read: u64,
-        offchip_write: u64,
         active_pe_cycles: u64,
         batched_pe_cycles: u64,
-    ) {
-        self.scan_offchip(cycles, offchip_read, offchip_write);
+    ) -> Box<dyn TraceSink> {
         for row in 0..self.pending.len() {
             self.flush_wait(row);
         }
@@ -449,20 +378,26 @@ impl TraceRecorder {
             active_pe_cycles,
             batched_pe_cycles,
         });
-    }
-
-    /// Releases the sink (detach).
-    pub fn into_sink(self) -> Box<dyn TraceSink> {
         self.sink
     }
 }
 
-/// Per-execution memory activity of one instruction — a pure function of
-/// the instruction, mirroring the PE's LOAD/COMMIT accounting exactly
-/// (operand reads are counted before store-to-load forwarding, so the
-/// counts do not depend on pipeline state).
+/// The cycles at which the columns `0..cols` commit an instruction issued
+/// at `cycle`, before `end`: the 3-cycle stagger of §2.1 brings it to
+/// column `c` at `cycle + 3c`, and it commits two stages later.
+fn commit_cycles(cycle: u64, cols: usize, end: u64) -> impl Iterator<Item = u64> {
+    (0..cols as u64)
+        .map(move |c| cycle + 3 * c + 2)
+        .take_while(move |&t| t < end)
+}
+
+/// What one execution of an instruction on one PE does beyond its
+/// opcode — a pure function of the instruction, mirroring the PE's
+/// LOAD/COMMIT accounting exactly (operand reads are counted before
+/// store-to-load forwarding, so the counts do not depend on pipeline
+/// state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemProfile {
+pub struct IssueCost {
     /// Data-memory reads.
     pub dmem_reads: u64,
     /// Data-memory writes.
@@ -471,18 +406,18 @@ pub struct MemProfile {
     pub spad_reads: u64,
     /// Scratchpad writes.
     pub spad_writes: u64,
+    /// NoC link pushes at COMMIT: a port result and a pass-through route.
+    pub noc_pushes: u64,
 }
 
-/// The memory activity one execution of `instr` performs on a PE. Replay
-/// multiplies by the column count (every column of a row executes each
-/// issue once).
-pub fn issue_cost(instr: &Instruction) -> MemProfile {
-    use crate::isa::Addr;
-    let mut p = MemProfile::default();
+/// The cost of one execution of `instr` on a PE. Every column of a row
+/// executes each issue once, so a run costs `cols` times this per issue.
+pub fn issue_cost(instr: &Instruction) -> IssueCost {
+    let mut p = IssueCost::default();
     if instr.is_plain_nop() {
         return p;
     }
-    let read = |a: Addr, p: &mut MemProfile| match a {
+    let read = |a: Addr, p: &mut IssueCost| match a {
         Addr::DataMem(_) => p.dmem_reads += 1,
         Addr::Spad(_) => p.spad_reads += 1,
         _ => {}
@@ -500,6 +435,7 @@ pub fn issue_cost(instr: &Instruction) -> MemProfile {
         match instr.res {
             Addr::DataMem(_) => p.dmem_writes += 1,
             Addr::Spad(_) => p.spad_writes += 1,
+            Addr::Port(_) => p.noc_pushes += 1,
             _ => {}
         }
     }
@@ -509,28 +445,38 @@ pub fn issue_cost(instr: &Instruction) -> MemProfile {
             p.spad_writes += 1;
         }
     }
+    p.noc_pushes += u64::from(instr.route.is_some());
     p
 }
 
 /// Reconstructs the run's [`RunReport`] from a captured event stream.
 ///
-/// With the sink attached before the first cycle, the result equals
-/// `fabric.report()` byte-for-byte (`wall_ns` excepted — host time is not
-/// an architectural quantity and does not participate in `RunReport`
-/// equality).
+/// The result equals `fabric.report()` byte-for-byte (`wall_ns` and
+/// `engine` excepted — neither is an architectural quantity, and neither
+/// participates in `RunReport` equality). A stream of several runs, such
+/// as the tiles of one `kernels::execute`, replays into their summed
+/// report.
 pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
     let mut stats = Stats::new();
     let mut rows = 0usize;
     let mut cols = 0u64;
     let mut cycles = 0u64;
-    let mut orch_steps = 0u64;
     let mut last_state: Vec<Option<u8>> = Vec::new();
-    let step_state = |last: &mut Vec<Option<u8>>, row: usize, state: u8, transitions: &mut u64| {
+    // One orchestrator step, or a wait span of `steps` steps.
+    let step = |stats: &mut Stats,
+                last: &mut [Option<u8>],
+                (row, state, steps): (usize, u8, u64),
+                stall: Option<StallCause>| {
+        stats.orch_steps += steps;
         if last[row] != Some(state) {
             if last[row].is_some() {
-                *transitions += 1;
+                stats.orch_transitions += 1;
             }
             last[row] = Some(state);
+        }
+        if let Some(cause) = stall {
+            stats.stall_cycles += steps;
+            stats.stall_breakdown.add(cause, steps);
         }
     };
     for ev in events {
@@ -538,46 +484,35 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
             TraceEvent::RunBegin {
                 rows: r,
                 cols: c,
-                noc_base,
                 offchip_read_base,
                 offchip_write_base,
             } => {
                 rows = r;
                 cols = c as u64;
                 last_state = vec![None; r];
-                stats.noc_hops = noc_base;
-                stats.offchip_read_bytes = offchip_read_base;
-                stats.offchip_write_bytes = offchip_write_base;
+                stats.offchip_read_bytes += offchip_read_base;
+                stats.offchip_write_bytes += offchip_write_base;
             }
             TraceEvent::Issue {
                 row,
                 state,
                 instr,
                 consumed_input,
-                consumed_msg: _,
                 sent_msg,
                 stall,
                 ..
             } => {
-                orch_steps += 1;
-                step_state(&mut last_state, row, state, &mut stats.orch_transitions);
+                step(&mut stats, &mut last_state, (row, state, 1), stall);
                 stats.meta_tokens += consumed_input as u64;
                 stats.orch_messages += sent_msg as u64;
-                if let Some(cause) = stall {
-                    stats.stall_cycles += 1;
-                    stats.stall_breakdown.add(cause, 1);
-                }
-                if instr.op.is_compute() {
-                    stats.compute_instrs += cols;
-                }
-                if instr.op.is_mac() {
-                    stats.mac_instrs += cols;
-                }
+                stats.compute_instrs += cols * instr.op.is_compute() as u64;
+                stats.mac_instrs += cols * instr.op.is_mac() as u64;
                 let cost = issue_cost(&instr);
                 stats.dmem_reads += cost.dmem_reads * cols;
                 stats.dmem_writes += cost.dmem_writes * cols;
                 stats.spad_reads += cost.spad_reads * cols;
                 stats.spad_writes += cost.spad_writes * cols;
+                stats.noc_hops += cost.noc_pushes * cols;
             }
             TraceEvent::Step {
                 row,
@@ -587,14 +522,9 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
                 stall,
                 ..
             } => {
-                orch_steps += 1;
-                step_state(&mut last_state, row, state, &mut stats.orch_transitions);
+                step(&mut stats, &mut last_state, (row, state, 1), stall);
                 stats.meta_tokens += consumed_input as u64;
                 stats.orch_messages += sent_msg as u64;
-                if let Some(cause) = stall {
-                    stats.stall_cycles += 1;
-                    stats.stall_breakdown.add(cause, 1);
-                }
             }
             TraceEvent::Wait {
                 row,
@@ -602,40 +532,33 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
                 state,
                 cause,
                 ..
-            } => {
-                orch_steps += len;
-                step_state(&mut last_state, row, state, &mut stats.orch_transitions);
-                if let Some(cause) = cause {
-                    stats.stall_cycles += len;
-                    stats.stall_breakdown.add(cause, len);
-                }
-            }
-            TraceEvent::NocHop { count, .. } => stats.noc_hops += count,
+            } => step(&mut stats, &mut last_state, (row, state, len), cause),
             TraceEvent::OffchipBurst {
                 read_bytes,
                 write_bytes,
+                feeder_tokens,
                 ..
             } => {
                 stats.offchip_read_bytes += read_bytes;
                 stats.offchip_write_bytes += write_bytes;
+                stats.noc_hops += feeder_tokens;
             }
-            TraceEvent::Commit { .. } | TraceEvent::CollectorEmit { .. } => {}
+            TraceEvent::CollectorEmit { .. } => {}
             TraceEvent::RunEnd {
                 cycles: c,
                 active_pe_cycles,
                 batched_pe_cycles,
             } => {
-                cycles = c;
-                stats.active_pe_cycles = active_pe_cycles;
-                stats.batched_pe_cycles = batched_pe_cycles;
+                cycles += c;
+                stats.active_pe_cycles += active_pe_cycles;
+                stats.batched_pe_cycles += batched_pe_cycles;
             }
         }
     }
     // Every orchestrator step clocks one instruction latch into each column
     // of its row — a real issue marches through `cols` PEs, an elided bubble
     // is credited `cols` latches.
-    stats.orch_steps = orch_steps;
-    stats.instrs_executed = orch_steps * cols;
+    stats.instrs_executed = stats.orch_steps * cols;
     RunReport {
         cycles,
         pes: rows * cols as usize,
@@ -643,6 +566,22 @@ pub fn replay_stats(events: &[TraceEvent]) -> RunReport {
         wall_ns: 0,
         engine: crate::stats::Engine::Scalar,
     }
+}
+
+/// The geometry of the stream's [`TraceEvent::RunBegin`] header and the
+/// cycle count of its [`TraceEvent::RunEnd`] footer.
+fn geometry(events: &[TraceEvent]) -> (usize, usize, u64) {
+    let (mut rows, mut cols, mut cycles) = (0, 0, 0);
+    for ev in events {
+        match *ev {
+            TraceEvent::RunBegin {
+                rows: r, cols: c, ..
+            } => (rows, cols) = (r, c),
+            TraceEvent::RunEnd { cycles: c, .. } => cycles = c,
+            _ => {}
+        }
+    }
+    (rows, cols, cycles)
 }
 
 /// Catapult color name for one stall cause (Perfetto honors the classic
@@ -661,9 +600,11 @@ fn cause_cname(cause: Option<StallCause>) -> &'static str {
 /// Writes the event stream as Chrome trace-event JSON (the
 /// `{"traceEvents":[...]}` object form), loadable in Perfetto or
 /// `chrome://tracing`. Track layout: pid 1 = orchestrator rows (one thread
-/// per row: issues, steps, wait spans colored by stall cause), pid 2 = PE columns (one thread per column: commits), pid 3 =
-/// collectors, plus `noc_hops` / `offchip` counter tracks. Cycle stamps map
-/// 1:1 to trace microseconds.
+/// per row: issues, steps, wait spans colored by stall cause), pid 2 = PE
+/// columns (one thread per column: the commits derived from the issues),
+/// pid 3 = collectors, plus `noc_hops` / `offchip` counter tracks. Cycle
+/// stamps map 1:1 to trace microseconds; derived events stop at the
+/// footer's cycle count.
 ///
 /// # Errors
 ///
@@ -683,49 +624,48 @@ pub fn write_chrome_trace<W: std::io::Write>(
             write!(w, $($arg)*)?;
         }};
     }
-    // Metadata tracks from the header event.
-    for ev in events {
-        if let TraceEvent::RunBegin { rows, cols, .. } = *ev {
-            item!("{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{{\"name\":\"orchestrator rows\"}}}}");
-            item!("{{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{{\"name\":\"PE columns\"}}}}");
-            item!("{{\"ph\":\"M\",\"pid\":3,\"name\":\"process_name\",\"args\":{{\"name\":\"collectors\"}}}}");
-            for r in 0..rows {
-                item!("{{\"ph\":\"M\",\"pid\":1,\"tid\":{r},\"name\":\"thread_name\",\"args\":{{\"name\":\"row {r}\"}}}}");
-            }
-            for c in 0..cols {
-                item!("{{\"ph\":\"M\",\"pid\":2,\"tid\":{c},\"name\":\"thread_name\",\"args\":{{\"name\":\"col {c}\"}}}}");
-            }
-            item!("{{\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"south\"}}}}");
-            item!("{{\"ph\":\"M\",\"pid\":3,\"tid\":1,\"name\":\"thread_name\",\"args\":{{\"name\":\"east\"}}}}");
-            break;
-        }
+    let (rows, cols, cycles) = geometry(events);
+    item!("{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{{\"name\":\"orchestrator rows\"}}}}");
+    item!(
+        "{{\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{{\"name\":\"PE columns\"}}}}"
+    );
+    item!(
+        "{{\"ph\":\"M\",\"pid\":3,\"name\":\"process_name\",\"args\":{{\"name\":\"collectors\"}}}}"
+    );
+    for r in 0..rows {
+        item!("{{\"ph\":\"M\",\"pid\":1,\"tid\":{r},\"name\":\"thread_name\",\"args\":{{\"name\":\"row {r}\"}}}}");
     }
-    // Per-cycle NoC hop totals fold into one counter track.
-    let mut noc_counter: Option<(u64, u64)> = None;
+    for c in 0..cols {
+        item!("{{\"ph\":\"M\",\"pid\":2,\"tid\":{c},\"name\":\"thread_name\",\"args\":{{\"name\":\"col {c}\"}}}}");
+    }
+    item!("{{\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"south\"}}}}");
+    item!("{{\"ph\":\"M\",\"pid\":3,\"tid\":1,\"name\":\"thread_name\",\"args\":{{\"name\":\"east\"}}}}");
+    // NoC pushes per cycle: each issue's pushes at every column's commit,
+    // plus the feeder tokens; one counter sample per busy cycle.
+    let mut hops = vec![0u64; cycles as usize + 1];
     for ev in events {
-        if let Some((cycle, total)) = noc_counter {
-            let same = matches!(*ev, TraceEvent::NocHop { cycle: c, .. } if c == cycle);
-            if !same {
-                item!("{{\"ph\":\"C\",\"pid\":1,\"name\":\"noc_hops\",\"ts\":{cycle},\"args\":{{\"hops\":{total}}}}}");
-                noc_counter = None;
-            }
-        }
         match *ev {
-            TraceEvent::RunBegin { .. } => {}
+            TraceEvent::RunBegin { .. } | TraceEvent::RunEnd { .. } => {}
             TraceEvent::Issue {
                 cycle,
                 row,
                 state,
-                handle,
                 instr,
                 ..
             } => {
                 item!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{row},\"ts\":{cycle},\"dur\":1,\"name\":\"{:?}\",\"cat\":\"issue\",\"cname\":\"good\",\"args\":{{\"handle\":{},\"tag\":{},\"state\":{state}}}}}",
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{row},\"ts\":{cycle},\"dur\":1,\"name\":\"{:?}\",\"cat\":\"issue\",\"cname\":\"good\",\"args\":{{\"tag\":{},\"state\":{state}}}}}",
                     instr.op,
-                    handle.id(),
                     instr.tag
                 );
+                let pushes = issue_cost(&instr).noc_pushes;
+                for (c, t) in commit_cycles(cycle, cols, cycles).enumerate() {
+                    item!(
+                        "{{\"ph\":\"X\",\"pid\":2,\"tid\":{c},\"ts\":{t},\"dur\":1,\"name\":\"{:?}\",\"cat\":\"commit\",\"args\":{{\"row\":{row},\"issued\":{cycle}}}}}",
+                        instr.op
+                    );
+                    hops[t as usize] += pushes;
+                }
             }
             TraceEvent::Step {
                 cycle,
@@ -753,32 +693,16 @@ pub fn write_chrome_trace<W: std::io::Write>(
                     "{{\"ph\":\"X\",\"pid\":1,\"tid\":{row},\"ts\":{from},\"dur\":{len},\"name\":\"{name}\",\"cat\":\"wait\",\"cname\":\"{cname}\",\"args\":{{\"state\":{state}}}}}"
                 );
             }
-            TraceEvent::Commit {
-                cycle,
-                row,
-                col,
-                handle,
-                op,
-            } => {
-                item!(
-                    "{{\"ph\":\"X\",\"pid\":2,\"tid\":{col},\"ts\":{cycle},\"dur\":1,\"name\":\"{op:?}\",\"cat\":\"commit\",\"args\":{{\"row\":{row},\"handle\":{}}}}}",
-                    handle.id()
-                );
-            }
-            TraceEvent::NocHop { cycle, count, .. } => {
-                noc_counter = Some(match noc_counter {
-                    Some((c, t)) if c == cycle => (c, t + count),
-                    _ => (cycle, count),
-                });
-            }
             TraceEvent::OffchipBurst {
                 cycle,
                 read_bytes,
                 write_bytes,
+                feeder_tokens,
             } => {
                 item!(
                     "{{\"ph\":\"C\",\"pid\":1,\"name\":\"offchip_bytes\",\"ts\":{cycle},\"args\":{{\"read\":{read_bytes},\"write\":{write_bytes}}}}}"
                 );
+                hops[cycle.min(cycles) as usize] += feeder_tokens;
             }
             TraceEvent::CollectorEmit {
                 cycle,
@@ -791,11 +715,10 @@ pub fn write_chrome_trace<W: std::io::Write>(
                     "{{\"ph\":\"i\",\"pid\":3,\"tid\":{tid},\"ts\":{cycle},\"name\":\"emit\",\"s\":\"t\",\"args\":{{\"lane\":{lane},\"tag\":{tag}}}}}"
                 );
             }
-            TraceEvent::RunEnd { .. } => {}
         }
     }
-    if let Some((cycle, total)) = noc_counter {
-        item!("{{\"ph\":\"C\",\"pid\":1,\"name\":\"noc_hops\",\"ts\":{cycle},\"args\":{{\"hops\":{total}}}}}");
+    for (cycle, &n) in hops.iter().enumerate().filter(|(_, &n)| n > 0) {
+        item!("{{\"ph\":\"C\",\"pid\":1,\"name\":\"noc_hops\",\"ts\":{cycle},\"args\":{{\"hops\":{n}}}}}");
     }
     write!(w, "\n]}}")?;
     use std::io::Write as _;
@@ -803,20 +726,12 @@ pub fn write_chrome_trace<W: std::io::Write>(
 }
 
 /// Renders the textual profile: header, top stall causes, per-row occupancy
-/// histogram, and active-PE timeline buckets.
+/// histogram, and active-PE timeline buckets (commits derived from the
+/// issues, up to the footer's cycle count).
 pub fn render_profile(events: &[TraceEvent]) -> String {
     use std::fmt::Write as _;
     let report = replay_stats(events);
-    let (mut rows, mut cols) = (0usize, 0usize);
-    for ev in events {
-        if let TraceEvent::RunBegin {
-            rows: r, cols: c, ..
-        } = *ev
-        {
-            rows = r;
-            cols = c;
-        }
-    }
+    let (rows, cols, _) = geometry(events);
     let cycles = report.cycles.max(1);
     let s = &report.stats;
     let mut out = String::new();
@@ -910,9 +825,10 @@ pub fn render_profile(events: &[TraceEvent]) -> String {
     let width = cycles.div_ceil(buckets);
     let mut commits = vec![0u64; buckets as usize];
     for ev in events {
-        if let TraceEvent::Commit { cycle, .. } = *ev {
-            let b = (cycle / width).min(buckets - 1) as usize;
-            commits[b] += 1;
+        if let TraceEvent::Issue { cycle, .. } = *ev {
+            for t in commit_cycles(cycle, cols, report.cycles) {
+                commits[(t / width).min(buckets - 1) as usize] += 1;
+            }
         }
     }
     let pes = (rows * cols).max(1) as u64;
@@ -940,7 +856,6 @@ pub fn render_profile(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Addr;
 
     fn sink_pair() -> (VecSink, Box<dyn TraceSink>) {
         let s = VecSink::default();
@@ -950,18 +865,17 @@ mod tests {
 
     #[test]
     fn wait_spans_coalesce_and_flush_on_discontinuity() {
-        let grid = LinkGrid::new(2, 2, 4, false);
         let (buf, sink) = sink_pair();
-        let mut rec = TraceRecorder::new(sink, 2, 2, &grid, 0, 0);
+        let mut rec = TraceRecorder::new(sink, 2, 2, 0, 0);
         let wait = OrchAction::stall(3, StallCause::Credit);
-        rec.on_orch_step(10, 0, &wait, None);
-        rec.on_orch_step(11, 0, &wait, None);
+        rec.on_orch_step(10, 0, &wait);
+        rec.on_orch_step(11, 0, &wait);
         // A gap (cycle 12 missing) starts a new span.
-        rec.on_orch_step(13, 0, &wait, None);
-        rec.on_orch_step(14, 0, &wait, None);
+        rec.on_orch_step(13, 0, &wait);
+        rec.on_orch_step(14, 0, &wait);
         // A different cause flushes the span.
-        rec.on_orch_step(15, 0, &OrchAction::stall(3, StallCause::MsgSlot), None);
-        rec.finish(20, 0, 0, 0, 0);
+        rec.on_orch_step(15, 0, &OrchAction::stall(3, StallCause::MsgSlot));
+        rec.finish(20, 0, 0);
         let evs = buf.take_events();
         let waits: Vec<_> = evs
             .iter()
@@ -988,23 +902,24 @@ mod tests {
         let mac = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(3), Addr::Spad(1));
         assert_eq!(
             issue_cost(&mac),
-            MemProfile {
+            IssueCost {
                 dmem_reads: 1,
                 spad_reads: 1,
                 spad_writes: 1,
-                dmem_writes: 0
+                ..IssueCost::default()
             }
         );
         // GEMM MAC into a register: one dmem read only.
         let reg = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Reg(0));
         assert_eq!(
             issue_cost(&reg),
-            MemProfile {
+            IssueCost {
                 dmem_reads: 1,
-                ..MemProfile::default()
+                ..IssueCost::default()
             }
         );
-        // Flush from spad to the south port: read + flush-clear write.
+        // Flush from spad to the south port: read + flush-clear write, and
+        // one push.
         let flush = Instruction::new(
             Opcode::MovFlush,
             Addr::Spad(0),
@@ -1013,31 +928,58 @@ mod tests {
         );
         assert_eq!(
             issue_cost(&flush),
-            MemProfile {
+            IssueCost {
                 spad_reads: 1,
                 spad_writes: 1,
-                ..MemProfile::default()
+                noc_pushes: 1,
+                ..IssueCost::default()
             }
         );
         // A routed NOP moves data but touches no memory.
         let nop = Instruction::new(Opcode::Nop, Addr::Null, Addr::Null, Addr::Null)
             .with_route(Direction::North, Direction::South);
-        assert_eq!(issue_cost(&nop), MemProfile::default());
+        assert_eq!(
+            issue_cost(&nop),
+            IssueCost {
+                noc_pushes: 1,
+                ..IssueCost::default()
+            }
+        );
+    }
+
+    #[test]
+    fn derived_commits_follow_the_stagger_and_stop_at_the_footer() {
+        assert_eq!(
+            commit_cycles(5, 4, 100).collect::<Vec<_>>(),
+            [7, 10, 13, 16]
+        );
+        assert_eq!(commit_cycles(5, 4, 13).collect::<Vec<_>>(), [7, 10]);
+        assert_eq!(commit_cycles(5, 4, 7).count(), 0);
     }
 
     #[test]
     fn chrome_export_is_valid_json_shape() {
-        let grid = LinkGrid::new(1, 1, 4, false);
         let (buf, sink) = sink_pair();
-        let mut rec = TraceRecorder::new(sink, 1, 1, &grid, 0, 0);
+        let mut rec = TraceRecorder::new(sink, 1, 2, 0, 0);
         let issue = OrchAction::issue(
             Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Spad(0)),
             0,
         )
         .take_input();
-        rec.on_orch_step(0, 0, &issue, Some(InstrHandle::default()));
-        rec.on_orch_step(1, 0, &OrchAction::stall(0, StallCause::Credit), None);
-        rec.finish(2, 8, 0, 0, 0);
+        rec.on_orch_step(0, 0, &issue);
+        rec.end_of_cycle(0, 1, 8, 0);
+        rec.on_orch_step(1, 0, &OrchAction::stall(0, StallCause::Credit));
+        rec.on_collected(
+            Direction::South,
+            &[CollectedEntry {
+                tag: 3,
+                lane: 1,
+                value: crate::isa::Vector::ZERO,
+                cycle: 4,
+            }],
+        );
+        // Column 1 would commit at cycle 5, past the footer.
+        rec.finish(5, 0, 0);
         let mut out = Vec::new();
         write_chrome_trace(&buf.take_events(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -1045,17 +987,21 @@ mod tests {
         assert!(text.ends_with("]}"));
         assert!(text.contains("\"name\":\"MacS\""));
         assert!(text.contains("\"name\":\"credit\""));
+        assert_eq!(text.matches("\"cat\":\"commit\"").count(), 1);
+        assert!(text.contains("\"name\":\"noc_hops\",\"ts\":0,\"args\":{\"hops\":1}"));
+        assert!(text.contains("\"name\":\"emit\""));
         assert!(!text.contains(",,"), "no empty array items");
     }
 
     #[test]
     fn replay_of_synthetic_stream_counts_everything_once() {
-        let instr = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Spad(0));
+        // A MAC that also routes one entry south: one push per column.
+        let instr = Instruction::new(Opcode::MacS, Addr::Imm, Addr::DataMem(0), Addr::Spad(0))
+            .with_route(Direction::North, Direction::South);
         let events = vec![
             TraceEvent::RunBegin {
                 rows: 1,
                 cols: 2,
-                noc_base: 0,
                 offchip_read_base: 4,
                 offchip_write_base: 0,
             },
@@ -1063,7 +1009,6 @@ mod tests {
                 cycle: 0,
                 row: 0,
                 state: 0,
-                handle: InstrHandle::default(),
                 instr,
                 consumed_input: true,
                 consumed_msg: false,
@@ -1077,17 +1022,11 @@ mod tests {
                 state: 1,
                 cause: Some(StallCause::Credit),
             },
-            TraceEvent::NocHop {
-                cycle: 1,
-                vertical: true,
-                row: 1,
-                col: 0,
-                count: 2,
-            },
             TraceEvent::OffchipBurst {
                 cycle: 2,
                 read_bytes: 8,
                 write_bytes: 4,
+                feeder_tokens: 1,
             },
             TraceEvent::RunEnd {
                 cycles: 4,
@@ -1111,7 +1050,7 @@ mod tests {
         assert_eq!(s.stall_breakdown.credit, 3);
         assert_eq!(s.stall_breakdown.total(), s.stall_cycles);
         assert_eq!(s.orch_transitions, 1); // state 0 -> 1
-        assert_eq!(s.noc_hops, 2);
+        assert_eq!(s.noc_hops, 3); // 1 push x 2 cols + 1 feeder token
         assert_eq!(s.offchip_read_bytes, 12);
         assert_eq!(s.offchip_write_bytes, 4);
         assert_eq!(s.active_pe_cycles, 6);

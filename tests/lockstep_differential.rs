@@ -17,9 +17,10 @@
 //! (`PanicAt`, `max_cycles`, the watchdog under `WithholdCredits`) to the
 //! same cycle and error for both, warm-pool reuse after a lockstep run, the
 //! engine's reach (every tile of the sweep's GEMM, SpMM, N:M, SDDMM and
-//! Window cells engages, and `Custom` rows, unequal feeder streams, traced
-//! and stepped-then-run fabrics do not), and one large-tier 64×64 golden on
-//! both engines.
+//! Window cells engages, and so does a traced fabric; `Custom` rows,
+//! unequal feeder streams and stepped-then-run fabrics do not), and one
+//! large-tier 64×64 golden on both engines. `tests/trace_replay.rs` diffs
+//! the two engines' trace streams.
 
 use canon::arch::fabric::CollectedEntry;
 use canon::arch::fault::FaultAction;
@@ -654,7 +655,8 @@ fn lockstep_reaches_every_tensor_tile() {
     }
 }
 
-/// Lockstep must stay off wherever it is not exact or not requested.
+/// Lockstep must stay off wherever it is not exact or not requested, and a
+/// trace sink must not turn it off.
 #[test]
 fn lockstep_stays_off_outside_its_reach() {
     let p = dense();
@@ -672,10 +674,11 @@ fn lockstep_stays_off_outside_its_reach() {
     ragged.set_feeder(q.cols - 1, Vec::new());
     assert!(ragged.run().is_err(), "ragged feeders");
     assert_eq!(ragged.report().engine, Engine::Scalar, "ragged feeders");
-    // Traced fabrics.
+    // Traced fabrics keep lockstep: the trace records only what both
+    // engines share.
     let mut traced = p.fabric(&p.cfg());
     traced.set_trace_sink(Box::new(VecSink::default()));
-    assert!(!took_lockstep(&traced.run().expect("drains")), "traced");
+    assert!(took_lockstep(&traced.run().expect("drains")), "traced");
     // Stepped, then run.
     let mut stepped = p.fabric(&p.cfg());
     stepped.step().expect("steps");
