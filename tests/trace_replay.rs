@@ -220,13 +220,24 @@ fn sddmm_kernel_trace_replays_stats_exactly() {
 }
 
 #[test]
-#[should_panic(expected = "trace sink attached after the first cycle")]
 fn attach_after_the_first_cycle_panics() {
     // The stream must describe the whole run: the per-PE activity it
     // derives from issues cannot be reconstructed for cycles already gone.
     let mut fabric = spmm_fabric(4, 3, false, true);
     fabric.step().expect("step");
-    fabric.set_trace_sink(Box::new(VecSink::default()));
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        fabric.set_trace_sink(Box::new(VecSink::default()));
+    }))
+    .expect_err("a late attach must panic");
+    let msg = err
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| err.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        msg.contains("trace sink attached after the first cycle"),
+        "unexpected panic message: {msg:?}"
+    );
 }
 
 #[test]
