@@ -201,7 +201,7 @@ pub struct SteadyState {
     pub bytes: u64,
     /// PE count of the measured fabric (denominator of the active ratio).
     pub pes: usize,
-    /// PE-cycles the active-set sweep actually visited.
+    /// PE-cycles with work in flight (`Stats::active_pe_cycles`).
     pub active_pe_cycles: u64,
     /// Of those, PE-cycles the column-lockstep engine executed.
     pub lockstep_pe_cycles: u64,
@@ -224,7 +224,7 @@ impl SteadyState {
         self.allocs as f64 / self.cycles.max(1) as f64
     }
 
-    /// Share of the swept PE work the column-lockstep engine carried
+    /// Share of the live PE-cycles the column-lockstep engine carried
     /// (`lockstep_pe_cycles / active_pe_cycles`).
     pub fn lockstep_share(&self) -> f64 {
         self.lockstep_pe_cycles as f64 / self.active_pe_cycles.max(1) as f64
@@ -606,8 +606,8 @@ pub fn render_text(report: &BenchReport) -> String {
         );
         let _ = writeln!(
             s,
-            "scheduler: active PE sweeps {:.1}% of PE-cycles; {} orch steps; \
-             column lockstep {} of {} swept PE-cycles ({:.1}%)",
+            "activity: {:.1}% of PE-cycles live; {} orch steps; \
+             column lockstep {} of {} live PE-cycles ({:.1}%)",
             ss.active_pe_cycles as f64 / (ss.cycles.max(1) * ss.pes.max(1) as u64) as f64 * 100.0,
             ss.orch_steps,
             ss.lockstep_pe_cycles,

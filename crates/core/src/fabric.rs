@@ -13,17 +13,16 @@
 //!    delivered message, credits, and north-FIFO occupancy, and issues one
 //!    instruction into column 0 (possibly NOP);
 //!    drained rows return at once (see *Orchestrator scheduling* below);
-//! 3. **active sweep** — COMMIT (NoC pushes happen this phase, retiring
+//! 3. **PE sweep** — COMMIT (NoC pushes happen this phase, retiring
 //!    instructions are forwarded eastward as 4-byte [`InstrHandle`]s into
 //!    the shared issue ring) and LOAD (which also computes the EXECUTE
-//!    stage's lane result eagerly — see [`crate::pe`]) run for every PE in
-//!    the active set, in PE-id order; column 0 receives this cycle's
-//!    orchestrator instruction, column `c > 0` receives the instruction that
-//!    retired from column `c-1` **last** cycle, reproducing the 3-cycle
-//!    stagger of §2.1 (issue at cycle *n* reaches column *c* at cycle
-//!    *n + 3c*);
-//! 4. pipeline advance (an O(1) rotation of the shared stage index) and edge
-//!    -sink draining into the collectors, gated on this cycle's sink pushes.
+//!    stage's lane result eagerly — see [`crate::pe`]) run for every PE,
+//!    in PE-id order; column 0 receives this cycle's orchestrator
+//!    instruction, column `c > 0` receives the instruction that retired
+//!    from column `c-1` **last** cycle, reproducing the 3-cycle stagger of
+//!    §2.1 (issue at cycle *n* reaches column *c* at cycle *n + 3c*);
+//! 4. pipeline advance (an O(1) rotation of the shared stage index) and
+//!    edge-sink draining into the collectors.
 //!
 //! ## Engines
 //!
@@ -34,8 +33,8 @@
 //!
 //! | engine | runs when | work per cycle |
 //! |---|---|---|
-//! | column lockstep (the `lockstep` submodule) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each live row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
-//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the active sweep below, each PE's LOAD and COMMIT through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
+//! | column lockstep (the `lockstep` submodule) | the run starts on a fresh fabric (cycle 0) with [`CanonConfig::lockstep`] on, north-edge feeder streams of equal length (or none), and only lockstep-safe row programs ([`RowProgram::lockstep_safe`]): GEMM, SpMM, N:M, SDDMM and Window | feeder phase, orchestrator phase, then each row's COMMIT + LOAD executed once across all `cols` columns; the `3c` column shift, the edge FIFOs of the lagging columns and the West→East chain (a row scan) are derived, not simulated |
+//! | scalar engine | every other run: [`RowProgram::Custom`] rows, LUT tables with West/East ports, unequal feeder streams, stepped-then-run fabrics, and every run with [`CanonConfig::lockstep`] off (the per-PE stepping reference of the differential tests and `repro --per-pe`) | edge feed, orchestrator phase, then the PE sweep of step 3: every PE's COMMIT and LOAD through the generic per-PE path (no issue-time decoding, so it shares no fast path with lockstep) |
 //!
 //! [`RunReport::engine`] names the engine that ran.
 //!
@@ -43,15 +42,17 @@
 //! a trace sink records only what they share ([`crate::trace`]), so a
 //! traced run takes the engine an untraced one would.
 //!
-//! ## Active-set scheduling
+//! ## Liveness
 //!
-//! The sweep of step 3 iterates an [`ActiveSet`] bitset instead of the whole
-//! array: a PE enters the set when an instruction is injected towards it
-//! (orchestrator issue, eastward forwarding) or a NoC push lands on one of
-//! its input links, and leaves at end of cycle once its pipeline, pending
-//! injections, and input links are all empty. Phases never visit drained
-//! PEs, and the per-cycle quiescence test collapses from a whole-fabric
-//! sweep to `active.is_empty()` plus O(rows) of orchestrator state.
+//! A PE is *live* when it has an instruction in its pipeline, a pending
+//! injection, or a token on an input link. Every cycle adds the PEs live
+//! after the feeder and orchestrator phases to
+//! [`Stats::active_pe_cycles`](crate::Stats::active_pe_cycles). The sweep
+//! of step 3 visits every PE and counts them inline: every link's producer
+//! has a smaller PE id than its consumer, so a PE's liveness for the next
+//! cycle is final when its turn ends, and the next cycle's feeder pushes
+//! and orchestrator issues add the PEs they wake. [`Fabric::quiescent`]
+//! reads that count, so testing for the end of a run scans no PE.
 //!
 //! ## Orchestrator scheduling
 //!
@@ -124,7 +125,6 @@ use crate::orchestrator::{
     MetaToken, OrchIo, OrchMessage, OrchProgram, RowProgram, MSG_CAPACITY, MSG_LATENCY,
 };
 use crate::pe::{PeArray, PeMut, PeRef};
-use crate::sched::ActiveSet;
 use crate::stats::{Engine, RunReport, StallBreakdown};
 use crate::trace::{TraceRecorder, TraceSink};
 use crate::SimError;
@@ -150,12 +150,12 @@ pub struct CollectedEntry {
 /// (state ids are 3-bit in hardware, so the top byte value is free).
 const NO_STATE: u8 = u8::MAX;
 
-/// Per-row orchestrator state, struct-of-arrays: each field of the former
-/// boxed per-row record is a flat array indexed by row id, mirroring
-/// [`PeArray`]'s layout one level up. The row dispatch touches a handful of
-/// hot fields per row — the cursor into the meta stream, the credit count,
-/// the queue fronts — and those are dense across rows instead of strided by
-/// a whole row record.
+/// Per-row orchestrator state, struct-of-arrays: each per-row field is a
+/// flat array indexed by row id, mirroring [`PeArray`]'s layout one level
+/// up (activity counters are fabric-wide totals, as in [`PeArray`]). The
+/// row dispatch touches a handful of hot fields per row — the cursor into
+/// the meta stream, the credit count, the queue fronts — and those are
+/// dense across rows instead of strided by a whole row record.
 struct RowTable {
     programs: Vec<Option<RowProgram>>,
     /// Input meta-data streams, consumed through `meta_pos` (a cursor into
@@ -169,14 +169,15 @@ struct RowTable {
     /// step (sentinel-packed: one byte per row instead of `Option<u8>`'s
     /// two).
     last_state: Vec<u8>,
-    orch_steps: Vec<u64>,
-    transitions: Vec<u64>,
-    messages_sent: Vec<u64>,
-    /// Per-cause stall attribution; its [`StallBreakdown::total`] is the
-    /// row's contribution to
+    /// Orchestrator activity, summed over rows: the report reads only the
+    /// fabric-wide totals.
+    orch_steps: u64,
+    transitions: u64,
+    messages_sent: u64,
+    /// Per-cause stall attribution; its [`StallBreakdown::total`] is
     /// [`Stats::stall_cycles`](crate::Stats::stall_cycles).
-    stall_causes: Vec<StallBreakdown>,
-    meta_consumed: Vec<u64>,
+    stall_causes: StallBreakdown,
+    meta_consumed: u64,
 }
 
 impl RowTable {
@@ -193,11 +194,11 @@ impl RowTable {
             inbox: vec![VecDeque::with_capacity(8); rows],
             credit_returns: vec![VecDeque::with_capacity(16); rows],
             last_state: vec![NO_STATE; rows],
-            orch_steps: vec![0; rows],
-            transitions: vec![0; rows],
-            messages_sent: vec![0; rows],
-            stall_causes: vec![StallBreakdown::default(); rows],
-            meta_consumed: vec![0; rows],
+            orch_steps: 0,
+            transitions: 0,
+            messages_sent: 0,
+            stall_causes: StallBreakdown::default(),
+            meta_consumed: 0,
         }
     }
 
@@ -218,11 +219,11 @@ impl RowTable {
             self.credit_returns[r].clear();
         }
         self.last_state.fill(NO_STATE);
-        self.orch_steps.fill(0);
-        self.transitions.fill(0);
-        self.messages_sent.fill(0);
-        self.stall_causes.fill(StallBreakdown::default());
-        self.meta_consumed.fill(0);
+        self.orch_steps = 0;
+        self.transitions = 0;
+        self.messages_sent = 0;
+        self.stall_causes = StallBreakdown::default();
+        self.meta_consumed = 0;
     }
 
     fn done(&self, r: usize) -> bool {
@@ -333,8 +334,10 @@ pub struct Fabric {
     /// credited to [`Stats::instrs_executed`](crate::Stats::instrs_executed)
     /// at report time.
     elided_bubbles: u64,
-    /// PEs with possible work this cycle (see [`ActiveSet`]).
-    active: ActiveSet,
+    /// Live PEs (see the module docs) as of the last sweep, plus those the
+    /// current cycle's feeder and orchestrator phases woke. Column lockstep
+    /// counts only column 0, one PE per row.
+    live: usize,
     /// Instruction to inject into each PE this cycle (column > 0 slots are
     /// written by the previous cycle's commits).
     inject_now: InjectQueue,
@@ -347,7 +350,7 @@ pub struct Fabric {
     south_collected: Vec<CollectedEntry>,
     east_collected: Vec<CollectedEntry>,
     cycle: u64,
-    /// Sum over cycles of the active-set size (scheduler diagnostic).
+    /// Sum over cycles of the live PE count.
     active_pe_cycles: u64,
     /// PE-cycles the lockstep engine executed column-vectorized (scheduler
     /// diagnostic, reported as
@@ -390,7 +393,7 @@ impl Fabric {
             ring: InstrRing::with_capacity(cfg.rows * (3 * cfg.cols + 1)),
             bubble_horizon: 0,
             elided_bubbles: 0,
-            active: ActiveSet::new(n),
+            live: 0,
             inject_now: InjectQueue::new(n),
             inject_next: InjectQueue::new(n),
             feeders: vec![VecDeque::new(); cfg.cols],
@@ -435,8 +438,8 @@ impl Fabric {
 
     /// Resets the fabric in place to the state `Fabric::new(cfg,
     /// self.north_edge_feeder())` would produce, reusing every allocation
-    /// (the PE slabs, link rings, instruction ring, and scheduler bitsets
-    /// are zeroed, not rebuilt). This is the warm-pool reuse path: a
+    /// (the PE slabs, link rings and instruction ring are zeroed, not
+    /// rebuilt). This is the warm-pool reuse path: a
     /// request-serving worker resets a drained (or failed — deadlocked and
     /// timed-out fabrics carry mid-flight state, which this clears too)
     /// fabric instead of paying construction for every request.
@@ -471,7 +474,7 @@ impl Fabric {
         self.ring.reset();
         self.bubble_horizon = 0;
         self.elided_bubbles = 0;
-        self.active.clear();
+        self.live = 0;
         self.inject_now.clear();
         self.inject_next.clear();
         for f in &mut self.feeders {
@@ -495,7 +498,7 @@ impl Fabric {
     }
 
     /// Audits that the fabric carries no residual state from a previous
-    /// run: cycle zero, quiescent, scheduler and NoC empty, memories
+    /// run: cycle zero, quiescent, no live PE, NoC empty, memories
     /// zeroed, and every reported statistic zero. [`Fabric::reset`] runs
     /// this automatically under `debug_assertions`; it is public so tests
     /// (and the pool's own paranoia) can invoke it directly.
@@ -506,10 +509,7 @@ impl Fabric {
     pub fn assert_pristine(&self) {
         assert_eq!(self.cycle, 0, "pristine fabric: cycle not zero");
         assert!(self.quiescent(), "pristine fabric: not quiescent");
-        assert!(
-            self.active.is_empty(),
-            "pristine fabric: active set not empty"
-        );
+        assert_eq!(self.active_pe_count(), 0, "pristine fabric: live PEs");
         assert!(
             self.inject_now.is_clear() && self.inject_next.is_clear(),
             "pristine fabric: pending instruction injections"
@@ -724,19 +724,34 @@ impl Fabric {
         self.cycle
     }
 
-    /// Number of PEs currently in the active set.
-    pub fn active_pe_count(&self) -> usize {
-        self.active.count()
+    /// Whether PE `(r, c)` is live (see the module docs): an instruction
+    /// in its pipeline, an injection pending in `pending`, or a token on an
+    /// input link (in the per-PE link model). Between cycles the pending
+    /// injections are `inject_now`; at the end of a PE's turn in the sweep,
+    /// `inject_next`.
+    fn pe_live(&self, pending: &InjectQueue, r: usize, c: usize) -> bool {
+        let idx = r * self.cfg.cols + c;
+        !self.pes.pipeline_empty(idx)
+            || pending.kind[idx] == Inject::Instr
+            || !self.grid.pe_inputs_empty(r, c)
     }
 
-    /// Coordinates `(row, col)` of the PEs currently in the active set, in
-    /// row-major order (diagnostics / tests; allocates).
-    pub fn active_pes(&self) -> Vec<(usize, usize)> {
+    fn live_pes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let cols = self.cfg.cols;
-        self.active
-            .iter_ids()
-            .map(|idx| (idx / cols, idx % cols))
-            .collect()
+        (0..self.cfg.rows)
+            .flat_map(move |r| (0..cols).map(move |c| (r, c)))
+            .filter(|&(r, c)| self.pe_live(&self.inject_now, r, c))
+    }
+
+    /// Number of live PEs (a scan of every PE).
+    pub fn active_pe_count(&self) -> usize {
+        self.live_pes().count()
+    }
+
+    /// Coordinates `(row, col)` of the live PEs, in row-major order
+    /// (diagnostics / tests; allocates).
+    pub fn active_pes(&self) -> Vec<(usize, usize)> {
+        self.live_pes().collect()
     }
 
     /// Dispatches orchestrator row `r` at cycle `now`: delivers due
@@ -779,23 +794,23 @@ impl Fabric {
             .as_mut()
             .expect("checked present above")
             .step(&io);
-        self.rows.orch_steps[r] += 1;
+        self.rows.orch_steps += 1;
         debug_assert!(
             action.state_id != NO_STATE,
             "state id {NO_STATE} is reserved as the never-stepped sentinel"
         );
         if self.rows.last_state[r] != action.state_id {
             if self.rows.last_state[r] != NO_STATE {
-                self.rows.transitions[r] += 1;
+                self.rows.transitions += 1;
             }
             self.rows.last_state[r] = action.state_id;
         }
         if let Some(cause) = action.stall_cause() {
-            self.rows.stall_causes[r].add(cause, 1);
+            self.rows.stall_causes.add(cause, 1);
         }
         if action.consumes_input() {
             self.rows.meta_pos[r] += 1;
-            self.rows.meta_consumed[r] += 1;
+            self.rows.meta_consumed += 1;
         }
         if action.consumes_msg() {
             self.rows.inbox[r].pop_front();
@@ -815,7 +830,7 @@ impl Fabric {
             self.rows.credit_returns[r - 1].push_back(deliver);
         }
         if let Some(m) = action.msg_out() {
-            self.rows.messages_sent[r] += 1;
+            self.rows.messages_sent += 1;
             if r + 1 < nrows {
                 if self.rows.inbox[r + 1].len() >= MSG_CAPACITY {
                     return Err(SimError::Deadlock {
@@ -840,8 +855,12 @@ impl Fabric {
             self.elided_bubbles += 1;
             self.bubble_horizon = self.bubble_horizon.max(now + 3 * cols as u64);
         } else {
+            // An issue wakes an idle column-0 PE. Its West input is the
+            // zero-source edge, so the North link is its only input.
+            if self.pes.pipeline_empty(r * cols) && io.north_tokens == 0 {
+                self.live += 1;
+            }
             self.inject_now.put(r * cols, instr, &mut self.ring);
-            self.active.insert(r * cols);
         }
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.on_orch_step(now, r, &action);
@@ -875,21 +894,22 @@ impl Fabric {
         let nrows = self.cfg.rows;
 
         // 1. North-edge feeders: at most one token per column per cycle. A
-        // token landing on column c's edge FIFO wakes its consumer PE (0, c).
+        // token landing on column c's edge FIFO wakes PE (0, c) if idle.
         let mut fed = 0;
         if self.feeders_pending > 0 {
             for c in 0..cols {
                 if let Some(&tok) = self.feeders[c].front() {
-                    let link = self.grid.vertical(0, c);
-                    if link.len() < self.cfg.link_fifo_depth {
-                        link.push(tok, now, "north feeder")?;
+                    if self.grid.vertical_ref(0, c).len() < self.cfg.link_fifo_depth {
+                        if !self.pe_live(&self.inject_now, 0, c) {
+                            self.live += 1;
+                        }
+                        self.grid.vertical(0, c).push(tok, now, "north feeder")?;
                         self.feeders[c].pop_front();
                         if self.feeders[c].is_empty() {
                             self.feeders_pending -= 1;
                         }
                         self.extra_offchip_read += LANES as u64;
                         fed += 1;
-                        self.active.insert(c);
                     }
                 }
             }
@@ -898,151 +918,77 @@ impl Fabric {
         // 2. Orchestrator phase.
         self.orchestrate(now)?;
 
-        // 3. Active sweep: COMMIT (NoC pushes, eastward forwarding), EXECUTE
-        // and LOAD for every live PE, in PE-id order. Processing each PE's
-        // three phases back to back is cycle-identical to phase barriers
-        // because dataflow is strictly south/east-bound: a link's producer
-        // always has a smaller id than its consumer, so same-cycle pushes
-        // are committed before the consuming LOAD runs (see module docs).
-        // Each word is copied before scanning it: PEs woken mid-sweep by a
-        // push have no same-cycle work and are picked up next cycle.
-        //
-        // The same producer-before-consumer ordering makes a PE's
-        // next-cycle activity fully known by the time its turn ends (its
-        // west neighbour's forwarding commit and all pushes into its input
-        // links have already run), so deactivation happens inline instead of
-        // in a second sweep. The row/column of each id is tracked
-        // incrementally — ids are visited in ascending order, so no
-        // divisions run in the loop.
-        self.active_pe_cycles += self.active.count() as u64;
-        let mut south_sink_dirty = false;
-        let mut east_sink_dirty = false;
-        let mut r = 0usize;
-        let mut row_base = 0usize;
-        for w in 0..self.active.word_count() {
-            let mut bits = self.active.word(w);
-            while bits != 0 {
-                let idx = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                while idx >= row_base + cols {
-                    r += 1;
-                    row_base += cols;
-                }
-                let c = idx - row_base;
-                // COMMIT writes a retiring instruction's 4-byte handle
-                // straight into the eastern neighbour's injection slot and
-                // reports its link drives as flags.
-                let has_east = c + 1 < cols;
-                let eff = self.pes.commit_into(
-                    idx,
-                    &self.ring,
-                    &mut self.grid,
-                    r,
-                    c,
-                    now,
-                    if has_east {
-                        Some(&mut self.inject_next.handle[idx + 1])
-                    } else {
-                        None
-                    },
-                )?;
-                if eff.retired {
-                    if has_east {
-                        self.inject_next.kind[idx + 1] = Inject::Instr;
-                        self.active.insert(idx + 1);
-                    }
-                    if eff.drives_south {
-                        if r + 1 < nrows {
-                            self.active.insert(idx + cols);
-                        } else {
-                            south_sink_dirty = true;
-                        }
-                    }
-                    if eff.drives_east && !has_east {
-                        east_sink_dirty = true;
-                    }
-                }
-                let mut loaded = true;
-                match self.inject_now.kind[idx] {
-                    Inject::None => loaded = false,
-                    Inject::Instr => {
-                        self.inject_now.kind[idx] = Inject::None;
-                        let h = self.inject_now.handle[idx];
-                        if c == 0 {
-                            // Fresh orchestrator issue: validate the §3.1
-                            // route rules once here; the eastward-forwarded
-                            // copies are identical and skip the re-check.
-                            self.pes
-                                .load(idx, h, &self.ring, &mut self.grid, r, c, now)?;
-                        } else {
-                            self.pes.load_forwarded(
-                                idx,
-                                h,
-                                &self.ring,
-                                &mut self.grid,
-                                r,
-                                c,
-                                now,
-                            )?;
-                        }
-                    }
-                }
-                // Inline deactivation: a PE leaves the set once its
-                // pipeline, pending injection, and input links are all
-                // empty. The condition is exact (everything that could
-                // change it this cycle has already run), which is what lets
-                // `quiescent()` trust `active.is_empty()`. A PE that just
-                // loaded is trivially still live — the common case costs one
-                // branch.
-                if !loaded
-                    && self.pes.pipeline_empty(idx)
-                    && self.inject_next.kind[idx] == Inject::None
-                    && self.grid.pe_inputs_empty(r, c)
+        // 3. PE sweep: COMMIT (NoC pushes, eastward forwarding), EXECUTE and
+        // LOAD for every PE, in PE-id order. Processing each PE's three
+        // phases back to back is cycle-identical to phase barriers because
+        // dataflow is strictly south/east-bound: a link's producer always
+        // has a smaller id than its consumer, so same-cycle pushes are
+        // committed before the consuming LOAD runs (see module docs). For
+        // the same reason a PE's next-cycle liveness is final when its turn
+        // ends, so the sweep counts it there.
+        self.active_pe_cycles += self.live as u64;
+        let mut live_next = 0;
+        let mut idx = 0;
+        for r in 0..nrows {
+            for c in 0..cols {
+                // A retiring instruction's 4-byte handle goes straight into
+                // the eastern neighbour's injection slot.
+                if let Some(h) = self
+                    .pes
+                    .commit(idx, &self.ring, &mut self.grid, r, c, now)?
                 {
-                    self.active.remove(idx);
+                    if c + 1 < cols {
+                        self.inject_next.kind[idx + 1] = Inject::Instr;
+                        self.inject_next.handle[idx + 1] = h;
+                    }
                 }
+                if self.inject_now.kind[idx] == Inject::Instr {
+                    self.inject_now.kind[idx] = Inject::None;
+                    let h = self.inject_now.handle[idx];
+                    self.pes
+                        .load(idx, h, &self.ring, &mut self.grid, r, c, now)?;
+                }
+                if self.pe_live(&self.inject_next, r, c) {
+                    live_next += 1;
+                }
+                idx += 1;
             }
         }
+        self.live = live_next;
 
         // 4. Advance pipelines (O(1) stage-index rotation); next cycle's
-        // column > 0 injections become current. Every pending injection was
-        // consumed by the sweep (a pending slot implies an active bit), so
-        // the swapped-out array needs no clearing.
+        // column > 0 injections become current. The sweep consumed every
+        // pending injection, so the swapped-out array needs no clearing.
         self.pes.advance();
         std::mem::swap(&mut self.inject_now, &mut self.inject_next);
         debug_assert!(
             self.inject_next.is_clear(),
-            "injection leaked past the active sweep"
+            "injection leaked past the PE sweep"
         );
 
-        // 5. Drain edge sinks straight into the collectors, only on cycles
-        // in which a bottom-row/east-column commit drove a sink link: the
-        // sink links are popped in place, with no per-edge temporary
-        // collection, and entries always exit in the cycle they were pushed.
-        if south_sink_dirty {
-            for c in 0..cols {
-                let link = self.grid.vertical(nrows, c);
-                while let Some(e) = link.try_pop() {
-                    self.south_collected.push(CollectedEntry {
-                        tag: e.tag,
-                        lane: c,
-                        value: e.value,
-                        cycle: now,
-                    });
-                }
+        // 5. Drain edge sinks straight into the collectors: the sink links
+        // are popped in place, with no per-edge temporary collection, and
+        // entries always exit in the cycle they were pushed.
+        for c in 0..cols {
+            let link = self.grid.vertical(nrows, c);
+            while let Some(e) = link.try_pop() {
+                self.south_collected.push(CollectedEntry {
+                    tag: e.tag,
+                    lane: c,
+                    value: e.value,
+                    cycle: now,
+                });
             }
         }
-        if east_sink_dirty {
-            for r in 0..nrows {
-                let link = self.grid.horizontal(r, cols);
-                while let Some(e) = link.try_pop() {
-                    self.east_collected.push(CollectedEntry {
-                        tag: e.tag,
-                        lane: r,
-                        value: e.value,
-                        cycle: now,
-                    });
-                }
+        for r in 0..nrows {
+            let link = self.grid.horizontal(r, cols);
+            while let Some(e) = link.try_pop() {
+                self.east_collected.push(CollectedEntry {
+                    tag: e.tag,
+                    lane: r,
+                    value: e.value,
+                    cycle: now,
+                });
             }
         }
 
@@ -1058,11 +1004,11 @@ impl Fabric {
     /// True when all orchestrators are done, all pipelines and links are
     /// empty, and no messages or feeder tokens are pending.
     ///
-    /// The active set makes this O(rows): an occupied pipeline, pending
-    /// injection, or non-empty link keeps its PE active, so PE and NoC
-    /// drain-state collapses to `active.is_empty()`.
+    /// O(rows): the PE and NoC half reads the live count the last cycle
+    /// left (an occupied pipeline, pending injection, or non-empty input
+    /// link makes its PE live).
     pub fn quiescent(&self) -> bool {
-        self.active.is_empty()
+        self.live == 0
             && self.lockstep.lagging_now == 0
             && self.cycle >= self.bubble_horizon
             && self.feeders_pending == 0
@@ -1187,14 +1133,12 @@ impl Fabric {
     pub fn report(&self) -> RunReport {
         let mut stats = self.pes.activity().to_stats();
         stats.noc_hops = self.grid.total_pushes() + self.lockstep.noc_hops(self.cfg.cols);
-        for r in 0..self.rows.len() {
-            stats.orch_steps += self.rows.orch_steps[r];
-            stats.orch_transitions += self.rows.transitions[r];
-            stats.orch_messages += self.rows.messages_sent[r];
-            stats.stall_cycles += self.rows.stall_causes[r].total();
-            stats.stall_breakdown.merge(&self.rows.stall_causes[r]);
-            stats.meta_tokens += self.rows.meta_consumed[r];
-        }
+        stats.orch_steps = self.rows.orch_steps;
+        stats.orch_transitions = self.rows.transitions;
+        stats.orch_messages = self.rows.messages_sent;
+        stats.stall_cycles = self.rows.stall_causes.total();
+        stats.stall_breakdown = self.rows.stall_causes;
+        stats.meta_tokens = self.rows.meta_consumed;
         // Elided bubbles: each would have latched into every column of its
         // row (`cols` pipeline NOPs counted by the marching simulator).
         stats.instrs_executed += self.elided_bubbles * self.cfg.cols as u64;
@@ -1218,7 +1162,7 @@ impl std::fmt::Debug for Fabric {
             .field("rows", &self.cfg.rows)
             .field("cols", &self.cfg.cols)
             .field("cycle", &self.cycle)
-            .field("active", &self.active.count())
+            .field("live", &self.live)
             .finish_non_exhaustive()
     }
 }
@@ -1443,9 +1387,9 @@ mod tests {
 
     #[test]
     fn active_set_follows_the_wavefront() {
-        // A single issued instruction sweeps eastward; the active set tracks
-        // exactly the PEs holding it (plus the injection ahead of it), and
-        // empties once the fabric drains.
+        // A single issued instruction sweeps eastward; the live PEs are
+        // exactly those holding it (or its pending injection), and none is
+        // left once the fabric drains.
         let cfg = small_cfg();
         let mut f = Fabric::new(&cfg, false);
         let i = Instruction::new(Opcode::Mov, Addr::Imm, Addr::Null, Addr::Reg(0))

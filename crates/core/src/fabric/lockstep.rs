@@ -4,7 +4,7 @@
 //! every 3 cycles, so column `c` executes exactly column 0's instruction
 //! sequence `3c` cycles later. The engine therefore steps time in column
 //! 0's frame: at column-0 cycle `T` the orchestrators step exactly as in
-//! the scalar engine, then each live row COMMITs its issue from `T − 2` and
+//! the scalar engine, then each row COMMITs its issue from `T − 2` and
 //! LOADs its issue from `T` on all `cols` PEs at once
 //! ([`PeArray::lockstep_commit_row`](crate::pe::PeArray) and
 //! `lockstep_load_row`), over the row links of
@@ -33,7 +33,7 @@
 //!   condition holds at `t + 1 + 3c` (the streams have equal length). So a
 //!   column-`c` pop never finds its FIFO empty where column 0's pop did not.
 //! * *Activity.* Column `c`'s FIFO does not follow column 0's (every column
-//!   starts filling at cycle 0), and a token on it keeps PE `(0, c)` active
+//!   starts filling at cycle 0), and a token on it keeps PE `(0, c)` live
 //!   before the popping instruction arrives. The feeder phase therefore
 //!   tracks every column's occupancy — its pushes, and column 0's cumulative
 //!   pops `3c` cycles back — and counts PE `(0, c)` when its FIFO holds a
@@ -59,11 +59,13 @@
 //! * south-edge exits of column `c` are stamped `T + 3c` and merged into
 //!   (cycle, column) order when the run ends; east-edge exits are already in
 //!   (cycle, row) order; both keep only exits before an abort cycle;
-//! * the active set holds column 0 only; a ring of its per-cycle size gives
-//!   the scalar engine's active PEs at cycle `X` as `Σ_c live(X − 3c)` plus
-//!   the feeder term above, so [`Stats::active_pe_cycles`](crate::Stats)
-//!   and the end of the run (column 0 drained, then the lagging columns) are
-//!   the scalar engine's exactly;
+//! * liveness (see [`crate::fabric`]) is counted for column 0 only, one PE
+//!   per row by the same rule: its pipeline, its pending issue, and row link
+//!   `r`; a ring of that per-cycle count gives the scalar engine's live PEs
+//!   at cycle `X` as `Σ_c live(X − 3c)` plus the feeder term above, so
+//!   [`Stats::active_pe_cycles`](crate::Stats) and the end of the run
+//!   (column 0 drained, then the lagging columns) are the scalar engine's
+//!   exactly;
 //! * errors fire at column 0 first, at the same cycle with the same message.
 
 use super::{Fabric, Inject};
@@ -80,7 +82,7 @@ pub(super) struct Lockstep {
     /// The row-granular links.
     pub(super) links: RowLinks,
     /// Column 0's per-cycle activity as the lagging columns replay it —
-    /// active rows, with row 0 counted by its pipeline alone (the lagging
+    /// live rows, with row 0 counted by its pipeline alone (the lagging
     /// columns' edge FIFOs are counted by the feeder phase) — indexed by
     /// `cycle & (len − 1)` (at least `3·cols` deep).
     live: Vec<u64>,
@@ -90,7 +92,7 @@ pub(super) struct Lockstep {
     /// residue mod 3 (the sum obeys `S(X) = S(X − 3) + live(X − 3) −
     /// live(X − 3·cols)`).
     lagging: [u64; 3],
-    /// That sum for the current cycle: the active PEs of columns `1..cols`,
+    /// That sum for the current cycle: the live PEs of columns `1..cols`,
     /// which lag column 0, apart from the feeder term. The run cannot end
     /// while it is nonzero.
     pub(super) lagging_now: u64,
@@ -270,7 +272,7 @@ impl Fabric {
     /// The feeder phase of column-0 cycle `now` (the lockstep twin of
     /// [`Fabric::step`]'s phase 1, for every column): pushes at most one
     /// token per column, and returns how many lagging row-0 PEs only their
-    /// edge FIFO keeps active.
+    /// edge FIFO keeps live.
     fn lockstep_feed(&mut self, now: u64) -> u64 {
         let depth = self.cfg.link_fifo_depth;
         let ls = &mut self.lockstep;
@@ -297,8 +299,12 @@ impl Fabric {
                     self.feeders_pending -= 1;
                 }
                 if c == 0 {
+                    // Wakes row 0 if idle (no issue is pending before the
+                    // orchestrator phase).
+                    if self.pes.pipeline_empty(0) && ls.links.len(0) == 0 {
+                        self.live += 1;
+                    }
                     ls.links.push_north();
-                    self.active.insert(0);
                 }
             }
             live |= *pushed < ls.feed.tokens;
@@ -317,8 +323,9 @@ impl Fabric {
 
     /// Advances one column-0 cycle: the feeder phase, the orchestrator
     /// phase (shared with [`Fabric::step`]), then COMMIT + LOAD of every
-    /// live row across all columns, in ascending row order — the same
-    /// push-before-pop order per link as the scalar sweep.
+    /// row across all columns, in ascending row order — the same
+    /// push-before-pop order per link as the scalar sweep, which also makes
+    /// a row's next-cycle liveness final when its turn ends.
     pub(super) fn lockstep_step(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         let cols = self.cfg.cols;
@@ -330,25 +337,19 @@ impl Fabric {
             0
         };
         self.orchestrate(now)?;
-        let live = self.active.count() as u64;
+        let live = self.live as u64;
         let pe_cycles = live + self.lockstep.lagging_now + queued_only;
         self.active_pe_cycles += pe_cycles;
         self.batched_pe_cycles += pe_cycles;
         // Row 0's activity without its edge FIFO, which is what the lagging
         // columns replay `3c` cycles later.
         let pipe0 = !self.pes.pipeline_empty(0) || self.inject_now.kind[0] == Inject::Instr;
-        let replayed = live - u64::from(self.active.contains(0)) + u64::from(pipe0);
+        let replayed = live - u64::from(!pipe0 && self.lockstep.links.len(0) > 0);
+        let mut live_next = 0;
         for r in 0..nrows {
             let idx = r * cols;
-            if !self.active.contains(idx) {
-                continue;
-            }
-            let eff =
-                self.pes
-                    .lockstep_commit_row(r, cols, &self.ring, &mut self.lockstep.links, now)?;
-            if eff.drives_south && r + 1 < nrows {
-                self.active.insert(idx + cols);
-            }
+            self.pes
+                .lockstep_commit_row(r, cols, &self.ring, &mut self.lockstep.links, now)?;
             if self.inject_now.kind[idx] == Inject::Instr {
                 self.inject_now.kind[idx] = Inject::None;
                 self.pes.lockstep_load_row(
@@ -359,10 +360,12 @@ impl Fabric {
                     &mut self.lockstep.links,
                     now,
                 )?;
-            } else if self.pes.pipeline_empty(idx) && self.lockstep.links.len(r) == 0 {
-                self.active.remove(idx);
+            }
+            if !self.pes.pipeline_empty(idx) || self.lockstep.links.len(r) > 0 {
+                live_next += 1;
             }
         }
+        self.live = live_next;
         self.pes.advance();
         self.lockstep.advance(now, replayed, pipe0, cols);
         if let Some(tr) = self.trace.as_deref_mut() {

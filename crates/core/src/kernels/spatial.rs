@@ -70,22 +70,6 @@ pub fn run_spatial(
     for (r, c, base, words) in &program.preload {
         pes.pe_mut(r * cfg.cols + c).dmem.preload(*base, words);
     }
-    // Validate every held instruction's §3.1 route rules once up front
-    // (cycle 0, row-major — exactly where and when the per-cycle LOAD used
-    // to detect it); the execution loop then re-loads without re-checking.
-    if steps > 0 {
-        for r in 0..cfg.rows {
-            for c in 0..cfg.cols {
-                if let Some(d) = program.grid[r][c].noc_conflict() {
-                    return Err(SimError::RouterConflict {
-                        cycle: 0,
-                        pe: (r, c),
-                        direction: d.to_string(),
-                    });
-                }
-            }
-        }
-    }
     let mut grid = LinkGrid::new_elastic(cfg.rows, cfg.cols);
     // Held instructions are interned once; the execution loop replays the
     // 4-byte handles. The ring is sized to the PE count and never interns
@@ -116,19 +100,19 @@ pub fn run_spatial(
                 feed_bytes += LANES as u64;
             }
         }
-        // Unlike the dynamic fabric's fused active sweep, the phases stay
+        // Unlike the dynamic fabric's fused per-PE sweep, the phases stay
         // barriered here: elastic links pop zero when empty, so the relative
         // order of pushes and pops across PEs is architecturally visible
         // during warm-up and must match the hardware's phase ordering.
         for r in 0..cfg.rows {
             for c in 0..cfg.cols {
-                pes.commit_into(r * cfg.cols + c, &ring, &mut grid, r, c, cycle, None)?;
+                pes.commit(r * cfg.cols + c, &ring, &mut grid, r, c, cycle)?;
             }
         }
         for r in 0..cfg.rows {
             for c in 0..cfg.cols {
                 let idx = r * cfg.cols + c;
-                pes.load_forwarded(idx, handles[idx], &ring, &mut grid, r, c, cycle)?;
+                pes.load(idx, handles[idx], &ring, &mut grid, r, c, cycle)?;
             }
         }
         pes.advance();

@@ -21,7 +21,7 @@
 //! | Per-PE data memory + dual-port scratchpad (§2.2) | [`pe`] (slab views) |
 //! | Circuit-switched data NoC, staggered instruction NoC (§2.1) | [`noc`] |
 //! | Programmable orchestrator, LUT bitstream (Fig 5, §3.2) | [`orchestrator`] |
-//! | PE array + cycle loop, active-set scheduled | [`fabric`], [`sched`] |
+//! | PE array + cycle loop (every PE stepped each cycle; column lockstep) | [`fabric`] |
 //! | Kernel mappings (§4, Appendices A–D) | [`kernels`] |
 //! | Off-chip bandwidth / tiling model (§6.4) | [`offchip`] |
 //! | Per-component activity counters | [`stats`] |
@@ -54,7 +54,6 @@ pub mod offchip;
 pub mod orchestrator;
 pub mod pe;
 pub mod pool;
-pub mod sched;
 pub mod stats;
 pub mod trace;
 

@@ -687,34 +687,9 @@ impl LinkGrid {
             + self.horizontal.iter().map(Link::push_count).sum::<u64>()
     }
 
-    /// True when every internal (non-edge) link is empty.
-    pub fn internal_quiescent(&self) -> bool {
-        for r in 1..self.rows {
-            for c in 0..self.cols {
-                if !self.vertical_ref(r, c).is_empty() {
-                    return false;
-                }
-            }
-        }
-        for r in 0..self.rows {
-            for c in 1..self.cols {
-                if !self.horizontal_ref(r, c).is_empty() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// True when north-edge feeder links still hold tokens.
-    pub fn north_edge_pending(&self) -> bool {
-        (0..self.cols).any(|c| !self.vertical_ref(0, c).is_empty())
-    }
-
     /// True when both input links of PE `(r, c)` — the southbound link into
-    /// its North port and the eastbound link into its West port — are empty.
-    /// The fabric's active-set scheduler uses this as the "no pending NoC
-    /// work" half of its deactivation condition.
+    /// its North port and the eastbound link into its West port — are empty:
+    /// the NoC half of the fabric's liveness rule.
     pub fn pe_inputs_empty(&self, r: usize, c: usize) -> bool {
         self.vertical_ref(r, c).is_empty() && self.horizontal_ref(r, c).is_empty()
     }
@@ -865,9 +840,9 @@ mod tests {
     fn grid_with_feeder_north_edge_is_bounded() {
         let mut g = LinkGrid::new(2, 2, 4, true);
         g.vertical(0, 0).push(tv(1, 1), 0, "feed").unwrap();
-        assert!(g.north_edge_pending());
+        assert_eq!(g.vertical_ref(0, 0).len(), 1);
         assert_eq!(g.vertical(0, 0).pop(0, "t").unwrap().tag, 1);
-        assert!(!g.north_edge_pending());
+        assert_eq!(g.vertical_ref(0, 0).len(), 0);
     }
 
     #[test]
@@ -881,18 +856,5 @@ mod tests {
         assert!(!g.pe_inputs_empty(1, 1));
         g.horizontal(1, 1).pop(0, "t").unwrap();
         assert!(g.pe_inputs_empty(1, 1));
-    }
-
-    #[test]
-    fn quiescence_tracks_internal_links_only() {
-        let mut g = LinkGrid::new(3, 3, 4, false);
-        assert!(g.internal_quiescent());
-        g.vertical(1, 1).push(tv(0, 5), 0, "t").unwrap();
-        assert!(!g.internal_quiescent());
-        g.vertical(1, 1).pop(0, "t").unwrap();
-        assert!(g.internal_quiescent());
-        // Sink contents do not affect quiescence.
-        g.vertical(3, 0).push(tv(0, 5), 0, "t").unwrap();
-        assert!(g.internal_quiescent());
     }
 }

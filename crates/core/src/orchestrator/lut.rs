@@ -309,12 +309,7 @@ impl MicroOp {
     /// [`LutProgram::is_vertical_only`]).
     fn is_vertical_only(&self) -> bool {
         let sideways = |a: AddrSel| matches!(a, AddrSel::PortWest | AddrSel::PortEast);
-        let phantom_drive = self.op == Opcode::Nop
-            && matches!(
-                self.res,
-                AddrSel::PortNorth | AddrSel::PortSouth | AddrSel::PortWest | AddrSel::PortEast
-            );
-        ![self.op1, self.op2, self.res].into_iter().any(sideways) && !phantom_drive
+        ![self.op1, self.op2, self.res].into_iter().any(sideways)
     }
 
     /// The all-NOP micro-op (unprogrammed LUT entries).
@@ -545,11 +540,8 @@ impl LutProgram {
     }
 
     /// True when no entry of the instruction table names a West or East
-    /// port, and no `Nop` entry names a port result: such a `Nop` claims
-    /// the south drive without pushing, marking the PE below live on an
-    /// empty link, which the scalar sweep retires on a schedule lockstep
-    /// does not reproduce. Routes are North→South by construction.
-    /// Undecodable entries issue nothing.
+    /// port. Routes are North→South by construction. Undecodable entries
+    /// issue nothing.
     pub fn is_vertical_only(&self) -> bool {
         self.vertical_only
     }

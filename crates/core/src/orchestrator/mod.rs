@@ -311,12 +311,11 @@ impl RowProgram {
 
     /// True when the fabric may run this row in column lockstep (see
     /// [`crate::fabric`]): every instruction the program can issue moves
-    /// data only vertically (no West/East port, no phantom south drive), or
-    /// its only West/East instruction is SDDMM's chain, which pops West and
-    /// pushes East in one instruction. The SpMM-window, register-
-    /// accumulation and SDDMM FSMs qualify; a LUT program qualifies when
-    /// its instruction table is vertical-only
-    /// ([`lut::LutProgram::is_vertical_only`]); open
+    /// data only vertically (no West/East port), or its only West/East
+    /// instruction is SDDMM's chain, which pops West and pushes East in one
+    /// instruction. The SpMM-window, register-accumulation and SDDMM FSMs
+    /// qualify; a LUT program qualifies when its instruction table is
+    /// vertical-only ([`lut::LutProgram::is_vertical_only`]); open
     /// [`RowProgram::Custom`] programs do not.
     pub fn lockstep_safe(&self) -> bool {
         match self {

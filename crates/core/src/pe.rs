@@ -52,28 +52,6 @@ enum Slot {
     Full,
 }
 
-/// What a [`PeArray::commit_into`] call did, as compact flags the fabric's
-/// wake propagation consumes without re-inspecting the instruction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommitEffects {
-    /// An instruction retired (and was forwarded, when a slot was given).
-    pub retired: bool,
-    /// The instruction drives the south output link
-    /// ([`Instruction::pushes_toward`] semantics — conservative for NOPs).
-    pub drives_south: bool,
-    /// The instruction drives the east output link.
-    pub drives_east: bool,
-}
-
-impl CommitEffects {
-    /// The no-instruction outcome.
-    pub const NONE: CommitEffects = CommitEffects {
-        retired: false,
-        drives_south: false,
-        drives_east: false,
-    };
-}
-
 /// PE activity summed over a whole [`PeArray`]. Per-PE stepping adds to it
 /// one PE at a time, column lockstep `cols` at a time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -807,50 +785,13 @@ impl PeArray {
         c: usize,
         cycle: u64,
     ) -> Result<(), SimError> {
-        self.load_generic(idx, h, ring, grid, r, c, cycle, true)
-    }
-
-    /// [`PeArray::load`] for an eastward-forwarded instruction: the §3.1
-    /// route-conflict validation is skipped because `noc_conflict` is a pure
-    /// function of the instruction and the identical copy was already
-    /// validated when the upstream column loaded it. (Also used by the
-    /// spatial runner, which validates each held instruction once up front.)
-    #[inline]
-    pub fn load_forwarded(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        self.load_generic(idx, h, ring, grid, r, c, cycle, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn load_generic(
-        &mut self,
-        idx: usize,
-        h: InstrHandle,
-        ring: &InstrRing,
-        grid: &mut LinkGrid,
-        r: usize,
-        c: usize,
-        cycle: u64,
-        validate: bool,
-    ) -> Result<(), SimError> {
         let instr = ring.get(h);
-        if validate {
-            if let Some(d) = instr.noc_conflict() {
-                return Err(SimError::RouterConflict {
-                    cycle,
-                    pe: (r, c),
-                    direction: d.to_string(),
-                });
-            }
+        if let Some(d) = instr.noc_conflict() {
+            return Err(SimError::RouterConflict {
+                cycle,
+                pe: (r, c),
+                direction: d.to_string(),
+            });
         }
         self.activity.instrs += 1;
         if instr.op.is_compute() {
@@ -972,18 +913,16 @@ impl PeArray {
 
     /// COMMIT stage of PE `idx`: writes the result (memory / register / NoC
     /// push), performs the flush-clear of `MovFlush`/`AddFlush`, and pushes
-    /// the pass-through payload. The retiring instruction's 4-byte
-    /// [`InstrHandle`] is written into `forward_into` (the eastern
-    /// neighbour's injection slot) — the record itself never moves, it
-    /// stays interned in `ring`. The return is a compact effect descriptor
-    /// for the caller's wake propagation.
+    /// the pass-through payload. Returns the retiring instruction's 4-byte
+    /// [`InstrHandle`] (the caller forwards it east; the record itself
+    /// never moves, it stays interned in `ring`), or `None` when the
+    /// COMMIT stage is empty.
     ///
     /// # Errors
     ///
     /// Propagates address and NoC protocol errors.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn commit_into(
+    pub fn commit(
         &mut self,
         idx: usize,
         ring: &InstrRing,
@@ -991,11 +930,10 @@ impl PeArray {
         r: usize,
         c: usize,
         cycle: u64,
-        forward_into: Option<&mut InstrHandle>,
-    ) -> Result<CommitEffects, SimError> {
+    ) -> Result<Option<InstrHandle>, SimError> {
         let commit_idx = self.commit_idx();
         if self.state[commit_idx][idx] == Slot::Empty {
-            return Ok(CommitEffects::NONE);
+            return Ok(None);
         }
         self.state[commit_idx][idx] = Slot::Empty;
         let h = self.handles[commit_idx][idx];
@@ -1060,14 +998,7 @@ impl PeArray {
             let entry = self.routed[commit_idx][idx];
             Self::push_port(route.to, entry, grid, r, c, cycle)?;
         }
-        if let Some(slot) = forward_into {
-            *slot = h;
-        }
-        Ok(CommitEffects {
-            retired: true,
-            drives_south: instr.pushes_toward(Direction::South),
-            drives_east: instr.pushes_toward(Direction::East),
-        })
+        Ok(Some(h))
     }
 
     /// Advances every pipeline by one stage (end of cycle): the stages are
@@ -1477,7 +1408,7 @@ impl PeArray {
     /// Column-lockstep COMMIT of the instruction in `row`'s COMMIT slot on
     /// all `cols` PEs: write-back, flush-clear, and route push, with South
     /// pushes landing in the row link below (or the south sink). The
-    /// row-granular [`PeArray::commit_into`]; eastward forwarding is
+    /// row-granular [`PeArray::commit`]; eastward forwarding is
     /// implicit (every column runs the same issue).
     ///
     /// # Errors
@@ -1490,11 +1421,11 @@ impl PeArray {
         ring: &InstrRing,
         links: &mut RowLinks,
         cycle: u64,
-    ) -> Result<CommitEffects, SimError> {
+    ) -> Result<(), SimError> {
         let base = row * cols;
         let cs = self.commit_idx();
         if self.state[cs][base] == Slot::Empty {
-            return Ok(CommitEffects::NONE);
+            return Ok(());
         }
         self.state[cs][base] = Slot::Empty;
         let instr = ring.get(self.handles[cs][base]);
@@ -1597,11 +1528,7 @@ impl PeArray {
                 dst.copy_from_slice(routed)
             })?;
         }
-        Ok(CommitEffects {
-            retired: true,
-            drives_south: instr.pushes_toward(Direction::South),
-            drives_east: instr.pushes_toward(Direction::East),
-        })
+        Ok(())
     }
 }
 
@@ -1629,7 +1556,7 @@ mod tests {
         pes.load(0, h, &ring, grid, 0, 0, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit_into(0, &ring, grid, 0, 0, 2, None).unwrap();
+        pes.commit(0, &ring, grid, 0, 0, 2).unwrap();
     }
 
     #[test]
@@ -1689,12 +1616,12 @@ mod tests {
         pes.advance();
         pes.load(0, h, &ring, &mut g, 0, 0, 1).unwrap();
         pes.advance();
-        pes.commit_into(0, &ring, &mut g, 0, 0, 2, None).unwrap();
+        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
         pes.load(0, h, &ring, &mut g, 0, 0, 2).unwrap();
         pes.advance();
-        pes.commit_into(0, &ring, &mut g, 0, 0, 3, None).unwrap();
+        pes.commit(0, &ring, &mut g, 0, 0, 3).unwrap();
         pes.advance();
-        pes.commit_into(0, &ring, &mut g, 0, 0, 4, None).unwrap();
+        pes.commit(0, &ring, &mut g, 0, 0, 4).unwrap();
         assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector::splat(3));
     }
 
@@ -1905,8 +1832,8 @@ mod tests {
         pes.load(1, h1, &ring, &mut g, 0, 1, 0).unwrap();
         pes.advance();
         pes.advance();
-        pes.commit_into(0, &ring, &mut g, 0, 0, 2, None).unwrap();
-        pes.commit_into(1, &ring, &mut g, 0, 1, 2, None).unwrap();
+        pes.commit(0, &ring, &mut g, 0, 0, 2).unwrap();
+        pes.commit(1, &ring, &mut g, 0, 1, 2).unwrap();
         assert_eq!(pes.reg(0, 0), Vector::splat(1));
         assert_eq!(pes.reg(1, 0), Vector::splat(2));
         assert_eq!(

@@ -162,11 +162,12 @@ pub struct Stats {
     pub offchip_read_bytes: u64,
     /// Bytes streamed out to off-chip (collected results).
     pub offchip_write_bytes: u64,
-    /// PE-cycles spent in the step loop's active set (sum over cycles of the
-    /// active-set size) — a scheduler diagnostic: `active_pe_cycles /
-    /// (cycles × pes)` is the fraction of PE sweeps the active-set scheduler
-    /// actually performs; the remainder is work the pre-scheduler simulator
-    /// swept through for nothing.
+    /// PE-cycles with work in flight: the sum over cycles of the PEs that
+    /// hold an instruction in their pipeline, a pending injection, or a
+    /// token on an input link (counted after the feeder and orchestrator
+    /// phases; see `crate::fabric`). `active_pe_cycles / (cycles × pes)`
+    /// is the fraction of the fabric that had work; both engines count it
+    /// exactly the same.
     pub active_pe_cycles: u64,
     /// PE-cycles executed by the column-lockstep engine (each row issue
     /// executed once across all columns; see `crate::fabric`), 0 on the

@@ -1,13 +1,13 @@
-//! Property tests for the active-set scheduler invariant (the structural
-//! core of the SoA/active-set refactor): a fabric stepped to quiescence
-//! reports an **empty** active set, and re-activating one PE via a NoC push
-//! wakes exactly that link's consumer — no more, no less.
+//! Property tests for PE liveness: a PE is live when it has an instruction
+//! in its pipeline, a pending injection, or a token on an input link. A
+//! fabric run to quiescence has **no** live PE, and a token pushed onto one
+//! link makes exactly that link's consumer live — no more, no less.
 //!
-//! The deactivation condition inside `Fabric::step` must be *exact* (a PE
-//! leaves the set only when its pipeline, pending injection, and input
-//! links are all empty) because the quiescence predicate — and therefore
-//! every golden cycle count — trusts `active.is_empty()`. These properties
-//! pin that exactness across random geometries, sparsities, and skews.
+//! `Fabric::step` counts the live PEs inline, at the end of each PE's turn,
+//! and `Fabric::quiescent` trusts that count, so every golden cycle count
+//! depends on it agreeing with the rule. `Fabric::active_pes` scans the
+//! rule directly; these properties pin the two together across random
+//! geometries, sparsities, and skews.
 
 use canon::arch::isa::Vector;
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
@@ -16,13 +16,22 @@ use canon::arch::{CanonConfig, Fabric};
 use canon::sparse::{gen, Dense};
 use proptest::prelude::*;
 
-/// Builds an SpMM fabric over a random problem sized for the geometry.
-fn spmm_fabric(rows: usize, cols: usize, m: usize, sparsity: f64, seed: u64) -> Fabric {
+/// Builds an SpMM fabric over a random problem sized for the geometry, on
+/// column lockstep or the per-PE reference.
+fn spmm_fabric(
+    rows: usize,
+    cols: usize,
+    m: usize,
+    sparsity: f64,
+    seed: u64,
+    lockstep: bool,
+) -> Fabric {
     let cfg = CanonConfig {
         rows,
         cols,
         dmem_words: 64,
         spad_entries: 16,
+        lockstep,
         ..CanonConfig::default()
     };
     let k = rows * 4;
@@ -50,14 +59,15 @@ proptest! {
         m in 1usize..24,
         sparsity in 0.0f64..0.95,
     ) {
-        let mut fabric = spmm_fabric(rows, cols, m, sparsity, seed);
-        let report = fabric.run().expect("spmm drains");
-        prop_assert!(fabric.quiescent());
-        prop_assert_eq!(fabric.active_pe_count(), 0);
-        prop_assert!(fabric.active_pes().is_empty());
-        // The scheduler never visited more PE-cycles than the whole-fabric
-        // sweep would have, and did real work on every visited cycle bound.
-        prop_assert!(report.stats.active_pe_cycles <= report.cycles * (rows * cols) as u64);
+        for lockstep in [true, false] {
+            let mut fabric = spmm_fabric(rows, cols, m, sparsity, seed, lockstep);
+            let report = fabric.run().expect("spmm drains");
+            prop_assert!(fabric.quiescent());
+            prop_assert_eq!(fabric.active_pe_count(), 0);
+            prop_assert!(fabric.active_pes().is_empty());
+            // No more PE-cycles had work than the fabric has PE-cycles.
+            prop_assert!(report.stats.active_pe_cycles <= report.cycles * (rows * cols) as u64);
+        }
     }
 
     #[test]
@@ -90,5 +100,7 @@ proptest! {
         fabric.step().expect("idle cycle");
         prop_assert_eq!(fabric.active_pes(), vec![(0usize, col)]);
         prop_assert!(!fabric.quiescent());
+        // The inline count saw the same single PE on both cycles.
+        prop_assert_eq!(fabric.report().stats.active_pe_cycles, 2);
     }
 }

@@ -58,11 +58,11 @@ fn run(golden: &Golden) -> KernelOutput {
 }
 
 /// A 16×8 multi-row staggered-issue run, pinning the batched row-issue path
-/// (active-set sweep + tri-state injection queue) at a non-default, taller
-/// geometry — the 8×8 goldens alone would let a row-indexing bug that only
-/// shows past row 7 slip through. Captured on the pre-refactor simulator
-/// (PR 3 head, commit `e682a8f`): skewed 48×64 SpMM at seed 41, so rows
-/// drain at different times and the active set shrinks mid-run.
+/// (per-PE sweep + injection queue) at a non-default, taller geometry —
+/// the 8×8 goldens alone would let a row-indexing bug that only shows past
+/// row 7 slip through. Captured on the pre-refactor simulator (PR 3 head,
+/// commit `e682a8f`): skewed 48×64 SpMM at seed 41, so rows drain at
+/// different times and the live PE count shrinks mid-run.
 #[test]
 fn spmm_16x8_multi_row_golden() {
     let cfg = CanonConfig::default().with_geometry(16, 8);

@@ -15,7 +15,8 @@
 //! rows (vertical links only) and SDDMM rows (north-edge feeders and the
 //! West→East psum chain). Directed tests pin the harness sentinels
 //! (`PanicAt`, `max_cycles`, the watchdog under `WithholdCredits`) to the
-//! same cycle and error for both, warm-pool reuse after a lockstep run, the
+//! same cycle and error for both, LUT rows whose table holds a `Nop` with a
+//! port result, warm-pool reuse after a lockstep run, the
 //! engine's reach (every tile of the sweep's GEMM, SpMM, N:M, SDDMM and
 //! Window cells engages, and so does a traced fabric; `Custom` rows,
 //! unequal feeder streams and stepped-then-run fabrics do not), and one
@@ -30,7 +31,8 @@ use canon::arch::kernels::sddmm::{
 };
 use canon::arch::kernels::spmm::{build_row_streams, preload_b_tile, SpmmFsm};
 use canon::arch::kernels::{run_kernel, KernelInput};
-use canon::arch::orchestrator::assembler::{regacc_fsm_spec, spmm_fsm_spec};
+use canon::arch::orchestrator::assembler::{regacc_fsm_spec, spmm_fsm_spec, FsmSpec};
+use canon::arch::orchestrator::lut::AddrSel;
 use canon::arch::orchestrator::RowProgram;
 use canon::arch::pool;
 use canon::arch::stats::{Engine, RunReport};
@@ -70,6 +72,9 @@ struct Problem {
     seed: u64,
     regacc_rows: usize,
     lut_every: usize,
+    /// LUT SpMM rows issue a `Nop` that names the South port as its
+    /// result, instead of a bubble, at their last row end.
+    lut_nop_south: bool,
 }
 
 /// A problem both engines run: its configuration and how it loads onto a
@@ -146,14 +151,8 @@ impl Problem {
             fabric.set_meta_stream(r, stream);
             let regacc = r < self.regacc_rows;
             let program: RowProgram = match (self.row_kind(r), regacc) {
-                (Row::Lut, true) => regacc_fsm_spec(self.m)
-                    .into_program()
-                    .expect("assembles")
-                    .into(),
-                (Row::Lut, false) => spmm_fsm_spec(self.depth, self.m)
-                    .into_program()
-                    .expect("assembles")
-                    .into(),
+                (Row::Lut, true) => self.lut(regacc_fsm_spec(self.m)),
+                (Row::Lut, false) => self.lut(spmm_fsm_spec(self.depth, self.m)),
                 (_, true) if custom => RowProgram::custom(RegAccFsm::new(self.m)),
                 (_, true) => RegAccFsm::new(self.m).into(),
                 (_, false) if custom => RowProgram::custom(SpmmFsm::new(self.depth, self.m)),
@@ -161,6 +160,17 @@ impl Problem {
             };
             fabric.set_program(r, program);
         }
+    }
+
+    /// Assembles a LUT row, its `rowend-last` entry tweaked per
+    /// [`Problem::lut_nop_south`].
+    fn lut(&self, mut spec: FsmSpec) -> RowProgram {
+        if self.lut_nop_south {
+            for rule in spec.rules.iter_mut().filter(|r| r.name == "rowend-last") {
+                rule.out.res = AddrSel::PortSouth;
+            }
+        }
+        spec.into_program().expect("assembles").into()
     }
 }
 
@@ -298,6 +308,7 @@ proptest! {
             seed,
             regacc_rows: [0, rows, rows / 2, rows / 4][regacc_sel as usize],
             lut_every: [0, 3, 1][lut_sel],
+            lut_nop_south: false,
         };
         let mut lock = p.fabric(&p.cfg());
         let mut reference = p.reference();
@@ -362,6 +373,7 @@ fn dense() -> Problem {
         seed: 7,
         regacc_rows: 4,
         lut_every: 0,
+        lut_nop_south: false,
     }
 }
 
@@ -598,6 +610,36 @@ fn pooled_fabric_reuse_after_lockstep_matches_a_cold_run() {
         // One construction; every later acquire reused that fabric.
         let stats = pool::stats().expect("pool installed");
         assert_eq!((stats.misses, stats.hits), (1, 7));
+    }
+}
+
+/// A LUT table may hold a `Nop` that names a port result: the `Nop` writes
+/// nothing back, so the PE below it keeps an empty link and is not live on
+/// either engine. Here every SpMM row's last row end issues such a `Nop`
+/// (a South result, which also takes a south credit) while the PE below is
+/// idle; liveness derived from anything but PE state would count that PE.
+#[test]
+fn lut_nop_with_a_port_result_is_lockstep_invisible() {
+    for (seed, rows, cols, sparsity, regacc_rows) in
+        [(0, 8, 8, 0.9, 0), (3, 8, 8, 0.0, 4), (0, 16, 4, 0.9, 0)]
+    {
+        let p = Problem {
+            rows,
+            cols,
+            m: 1,
+            band_words: 4,
+            sparsity,
+            depth: 2,
+            seed,
+            regacc_rows,
+            lut_every: 1,
+            lut_nop_south: true,
+        };
+        let mut lock = p.fabric(&p.cfg());
+        let mut reference = p.reference();
+        let lr = lock.run().expect("lockstep run drains");
+        let rr = reference.run().expect("reference run drains");
+        assert_lockstep_invisible((&lock, lr), (&reference, rr));
     }
 }
 
