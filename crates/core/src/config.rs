@@ -9,8 +9,9 @@ use crate::isa::LANES;
 /// PEs, 4 KB data memory per PE (288 KB overall including edge buffers), a
 /// dual-port scratchpad, and one orchestrator per PE row. Parameters no run
 /// varies are constants: [`crate::isa::PIPE_DEPTH`], the orchestrator
-/// channel's [`crate::orchestrator::MSG_LATENCY`] and `MSG_CAPACITY`, and
-/// the off-chip [`crate::offchip::LPDDR5X_X16_GBPS`].
+/// channel's [`crate::orchestrator::MSG_LATENCY`] and `MSG_CAPACITY`, the
+/// off-chip [`crate::offchip::LPDDR5X_X16_GBPS`], and the deadlock
+/// watchdog's [`crate::fabric::WATCHDOG_FACTOR`] and `WATCHDOG_SLACK`.
 ///
 /// # Examples
 ///
@@ -38,11 +39,6 @@ pub struct CanonConfig {
     /// way) sustains one transfer per cycle per link, the circuit-switched
     /// NoC's line rate.
     pub link_fifo_depth: usize,
-    /// Watchdog: the simulation aborts with a deadlock error after
-    /// `watchdog_factor × (expected work) + watchdog_slack` cycles.
-    pub watchdog_factor: u64,
-    /// Additive slack for the watchdog.
-    pub watchdog_slack: u64,
     /// Simulator-host knob (not an architectural parameter): the
     /// column-lockstep engine. On, a [`Fabric::run`](crate::Fabric::run)
     /// that starts on a fresh fabric (traced or not) whose rows are all
@@ -83,8 +79,6 @@ impl Default for CanonConfig {
             dmem_words: 1024,
             spad_entries: 16,
             link_fifo_depth: 8,
-            watchdog_factor: 64,
-            watchdog_slack: 10_000,
             lockstep: true,
             max_cycles: None,
             wall_budget_ns: None,
@@ -102,7 +96,7 @@ impl CanonConfig {
 
     /// The same configuration at a different fabric geometry — the single
     /// entry point geometry sweeps use to derive per-cell configurations
-    /// (memories, latencies, and watchdog settings carry over).
+    /// (memories, FIFO depths and harness knobs carry over).
     pub fn with_geometry(&self, rows: usize, cols: usize) -> CanonConfig {
         CanonConfig {
             rows,

@@ -132,6 +132,15 @@ use std::collections::VecDeque;
 
 mod lockstep;
 
+/// Deadlock watchdog: [`Fabric::run`] aborts with [`SimError::Deadlock`]
+/// after `WATCHDOG_FACTOR × (expected work) + WATCHDOG_SLACK` cycles, the
+/// expected work being the queued meta tokens and feeder tokens plus
+/// `rows + cols`.
+pub const WATCHDOG_FACTOR: u64 = 64;
+
+/// Additive slack of the deadlock watchdog (see [`WATCHDOG_FACTOR`]).
+pub const WATCHDOG_SLACK: u64 = 10_000;
+
 /// A value delivered to a south/east edge collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectedEntry {
@@ -425,8 +434,8 @@ impl Fabric {
     /// [`Fabric::reset`] requires every allocation-shaping parameter
     /// (geometry, memory capacities, link FIFO depth) and the north-edge
     /// kind to match. Runtime-only parameters (budgets, fault injection,
-    /// the fast-engine switch, watchdog factors) may differ — the reset
-    /// re-derives them from the new configuration.
+    /// the fast-engine switch) may differ — the reset re-derives them from
+    /// the new configuration.
     pub fn reusable_for(&self, cfg: &CanonConfig, north_edge_feeder: bool) -> bool {
         self.north_feeder == north_edge_feeder
             && self.cfg.rows == cfg.rows
@@ -1027,11 +1036,9 @@ impl Fabric {
             .map(|r| self.rows.meta_left(r) as u64)
             .sum::<u64>()
             + self.feeders.iter().map(|f| f.len() as u64).sum::<u64>();
-        let budget = self
-            .cfg
-            .watchdog_factor
+        let budget = WATCHDOG_FACTOR
             .saturating_mul(work + (self.cfg.rows + self.cfg.cols) as u64)
-            .saturating_add(self.cfg.watchdog_slack);
+            .saturating_add(WATCHDOG_SLACK);
         let start = self.cycle;
         let wall_start = std::time::Instant::now();
         // Harness budgets and fault sentinels, pre-extracted so the common
@@ -1295,10 +1302,7 @@ mod tests {
                 false
             }
         }
-        let mut cfg = small_cfg();
-        cfg.watchdog_factor = 1;
-        cfg.watchdog_slack = 50;
-        let mut f = Fabric::new(&cfg, false);
+        let mut f = Fabric::new(&small_cfg(), false);
         f.set_program(0, RowProgram::custom(Stuck));
         assert!(matches!(f.run(), Err(SimError::Deadlock { .. })));
     }

@@ -356,13 +356,13 @@ impl Instruction {
     }
 
     /// True when committing this instruction drives the outgoing link
-    /// towards `d`: a `Port(d)` result address or a pass-through route with
-    /// output side `d`. This is the orchestrators' credit-accounting view
-    /// and the fabric's wake-propagation view (a `Nop` result never
-    /// actually pushes, but conservatively claims the direction — exactly
-    /// what the credit protocol has always assumed).
+    /// towards `d`: a `Port(d)` result address on anything but a `Nop`
+    /// (COMMIT skips a `Nop`'s write-back), or a pass-through route with
+    /// output side `d`. This is the orchestrators' credit-accounting view:
+    /// every push takes one credit, and nothing else does.
     pub fn pushes_toward(&self, d: Direction) -> bool {
-        self.res == Addr::Port(d) || self.route.is_some_and(|r| r.to == d)
+        (self.op != Opcode::Nop && self.res == Addr::Port(d))
+            || self.route.is_some_and(|r| r.to == d)
     }
 
     /// True when loading this instruction pops the incoming link from `d`
@@ -467,84 +467,6 @@ impl Instruction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InstrHandle(u32);
 
-/// The column-lockstep engine's execution plan of an interned instruction,
-/// decoded once by [`InstrRing::intern`].
-///
-/// The fast-path variants carry everything a lockstep row LOAD needs
-/// inline (local addresses, the broadcast immediate), so it runs one fused
-/// loop per row without resolving operand kinds; the paper's kernel FSMs
-/// issue them for the overwhelming majority of compute cycles (the MAC
-/// streams of SpMM, GEMM/N:M, and SDDMM). Everything else — port reads,
-/// flushes, routes, rare opcodes — takes [`Plan::Generic`], the
-/// fully-general path. Per-PE stepping ignores the plan and executes every
-/// instruction through the generic path, so the differential tests compare
-/// lockstep against a reference that shares none of this decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Plan {
-    /// `MacS Imm, DataMem(a) → Spad(b)` with no route (SpMM's MAC).
-    MacSToSpad {
-        /// Data-memory word of the stationary operand.
-        a: u16,
-        /// Scratchpad accumulator slot.
-        b: u16,
-        /// Broadcast scalar (lane 0 by convention, pre-splatted).
-        imm: Vector,
-    },
-    /// `MacS Imm, DataMem(a) → Reg(r)` with no route (GEMM / N:M MAC).
-    MacSToReg {
-        /// Data-memory word of the stationary operand.
-        a: u16,
-        /// Accumulator register.
-        r: u8,
-        /// Broadcast scalar, pre-splatted.
-        imm: Vector,
-    },
-    /// `MacV Spad(a), DataMem(b) → Reg(r)` with no route (SDDMM's MAC).
-    MacVToReg {
-        /// Scratchpad slot of the buffered streamed operand.
-        a: u16,
-        /// Data-memory word of the stationary operand.
-        b: u16,
-        /// Accumulator register.
-        r: u8,
-    },
-    /// Any other shape: execute from the full instruction record.
-    Generic,
-}
-
-impl Plan {
-    /// Decodes one instruction into its execution plan.
-    pub fn classify(i: &Instruction) -> Plan {
-        if i.route.is_some() {
-            return Plan::Generic;
-        }
-        match (i.op, i.op1, i.op2, i.res) {
-            (Opcode::MacS, Addr::Imm, Addr::DataMem(a), Addr::Spad(b)) => Plan::MacSToSpad {
-                a,
-                b,
-                imm: i.imm.unwrap_or(Vector::ZERO),
-            },
-            (Opcode::MacS, Addr::Imm, Addr::DataMem(a), Addr::Reg(r))
-                if (r as usize) < NUM_REGS =>
-            {
-                Plan::MacSToReg {
-                    a,
-                    r,
-                    imm: i.imm.unwrap_or(Vector::ZERO),
-                }
-            }
-            (Opcode::MacV, Addr::Spad(a), Addr::DataMem(b), Addr::Reg(r))
-                if (r as usize) < NUM_REGS =>
-            {
-                Plan::MacVToReg { a, b, r }
-            }
-            _ => Plan::Generic,
-        }
-    }
-}
-
-use crate::pe::NUM_REGS;
-
 /// A power-of-two ring of issued instruction records (see [`InstrHandle`]).
 ///
 /// Capacity must exceed the maximum number of simultaneously live issues.
@@ -553,10 +475,13 @@ use crate::pe::NUM_REGS;
 /// the last column, `3·cols − 1` cycles after issue, so at most
 /// `rows × 3·cols` records are live at once; the spare cycle of issue per
 /// row keeps the ring wrapping strictly slower than records retire.
+///
+/// The ring stores records exactly as issued: interning is a plain copy,
+/// and each reader decodes what it needs where it reads the record (column
+/// lockstep matches its fast MAC shapes in the row LOAD).
 #[derive(Debug)]
 pub struct InstrRing {
     buf: Box<[Instruction]>,
-    plans: Box<[Plan]>,
     mask: u32,
     next: u32,
     #[cfg(debug_assertions)]
@@ -577,7 +502,6 @@ impl InstrRing {
         );
         InstrRing {
             buf: vec![Instruction::NOP; size].into_boxed_slice(),
-            plans: vec![Plan::Generic; size].into_boxed_slice(),
             mask: (size - 1) as u32,
             next: 0,
             // Tags start poisoned (`u32::MAX` can never equal a handle until
@@ -599,7 +523,6 @@ impl InstrRing {
     /// reuse audit depends on this).
     pub fn reset(&mut self) {
         self.buf.fill(Instruction::NOP);
-        self.plans.fill(Plan::Generic);
         self.next = 0;
         #[cfg(debug_assertions)]
         self.tags.fill(u32::MAX);
@@ -612,9 +535,6 @@ impl InstrRing {
     pub fn intern(&mut self, instr: Instruction) -> InstrHandle {
         let h = self.next;
         let slot = (h & self.mask) as usize;
-        // Decode once per issue: the lockstep engine's row LOAD dispatches
-        // on the plan instead of re-inspecting the record.
-        self.plans[slot] = Plan::classify(&instr);
         self.buf[slot] = instr;
         #[cfg(debug_assertions)]
         {
@@ -622,19 +542,6 @@ impl InstrRing {
         }
         self.next = self.next.wrapping_add(1);
         InstrHandle(h)
-    }
-
-    /// The generation-tag staleness check (compiled out in release — both
-    /// resolvers share this one definition).
-    #[cfg(debug_assertions)]
-    #[inline(always)]
-    fn check_tag(&self, h: InstrHandle) {
-        assert_eq!(
-            self.tags[(h.0 & self.mask) as usize],
-            h.0,
-            "stale InstrHandle: ring slot {} was reused after this handle was issued",
-            h.0 & self.mask
-        );
     }
 
     /// Resolves a handle to its interned record.
@@ -646,18 +553,13 @@ impl InstrRing {
     /// builds perform no check — the access is a masked index.
     #[inline(always)]
     pub fn get(&self, h: InstrHandle) -> &Instruction {
+        let slot = (h.0 & self.mask) as usize;
         #[cfg(debug_assertions)]
-        self.check_tag(h);
-        &self.buf[(h.0 & self.mask) as usize]
-    }
-
-    /// Resolves a handle to its issue-time execution plan (same staleness
-    /// rules as [`InstrRing::get`]).
-    #[inline(always)]
-    pub fn plan(&self, h: InstrHandle) -> Plan {
-        #[cfg(debug_assertions)]
-        self.check_tag(h);
-        self.plans[(h.0 & self.mask) as usize]
+        assert_eq!(
+            self.tags[slot], h.0,
+            "stale InstrHandle: ring slot {slot} was reused after this handle was issued"
+        );
+        &self.buf[slot]
     }
 }
 
@@ -783,6 +685,14 @@ mod tests {
         assert!(routed.pops_from(Direction::West));
         assert!(routed.pushes_toward(Direction::East));
         assert!(!Instruction::NOP.pops_from(Direction::North));
+        // COMMIT skips a `Nop`'s write-back: its port result pushes nothing.
+        let nop = Instruction::new(
+            Opcode::Nop,
+            Addr::Null,
+            Addr::Null,
+            Addr::Port(Direction::South),
+        );
+        assert!(!nop.pushes_toward(Direction::South));
     }
 
     #[test]

@@ -612,18 +612,6 @@ impl LutProgram {
         let inp = DatapathInputs::from_io(io);
         let idx = self.lut_index(&inp);
         let mo = MicroOp::decode(self.bitstream.word(idx))?;
-
-        // Resource check (the hardware hold): south pushes need a credit,
-        // messages need a slot.
-        let pushes_south = mo.res == AddrSel::PortSouth || mo.route == RouteSel::NorthToSouth;
-        let sends_msg = mo.msg != MsgSel::None;
-        if pushes_south && io.south_credits == 0 {
-            return Ok(OrchAction::stall(mo.state_out, StallCause::Credit));
-        }
-        if sends_msg && !io.msg_slot_free {
-            return Ok(OrchAction::stall(mo.state_out, StallCause::MsgSlot));
-        }
-
         let mut instr = Instruction::new(
             mo.op,
             self.addr(mo.op1, &inp),
@@ -642,6 +630,15 @@ impl LutProgram {
             TagSel::MsgRid => inp.msg_rid,
             TagSel::Meta0 => self.meta0,
         });
+        // Resource check (the hardware hold): south pushes need a credit
+        // (the fabric's definition, so a `Nop` naming South takes none),
+        // messages need a slot.
+        if instr.pushes_toward(Direction::South) && io.south_credits == 0 {
+            return Ok(OrchAction::stall(mo.state_out, StallCause::Credit));
+        }
+        if mo.msg != MsgSel::None && !io.msg_slot_free {
+            return Ok(OrchAction::stall(mo.state_out, StallCause::MsgSlot));
+        }
         let msg_out = match mo.msg {
             MsgSel::None => None,
             MsgSel::PsumMeta0 => Some(OrchMessage {

@@ -15,12 +15,14 @@
 //!
 //! ## Struct-of-arrays layout
 //!
-//! All PEs of a fabric live in one [`PeArray`]: data memories, scratchpads,
-//! register banks, and the three pipeline-stage slots are parallel `Vec`s
-//! indexed by PE id. Activity is not per PE: every PE of a row executes the
-//! same instruction stream, and every reader of activity (the run report,
-//! Fig 11's energy model, the sweep records) wants array-wide totals, so the
-//! array keeps one `Activity` total. The per-phase sweeps of
+//! All PEs of a fabric live in one [`PeArray`]: register banks and the three
+//! pipeline-stage slots are parallel `Vec`s indexed by PE id, and the data
+//! memories and scratchpads are one address-major slab each (word `a` of
+//! every PE side by side), which owns its bounds check and dirty-row mark
+//! for every reader and writer. Activity is not per PE: every PE of a row
+//! executes the same instruction stream, and every reader of activity (the
+//! run report, Fig 11's energy model, the sweep records) wants array-wide
+//! totals, so the array keeps one `Activity` total. The per-phase sweeps of
 //! [`crate::fabric::Fabric::step`] then walk dense, homogeneous arrays — the
 //! stage slot a COMMIT pass touches is contiguous across PEs instead of
 //! strided by the whole PE record. Because every PE advances in lockstep,
@@ -33,7 +35,7 @@
 //! it earlier — so the simulator computes it eagerly during LOAD and runs no
 //! per-PE EXECUTE sweep at all.
 
-use crate::isa::{Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Plan, Vector};
+use crate::isa::{Addr, Direction, InstrHandle, InstrRing, Instruction, Opcode, Vector};
 use crate::noc::{ErrCtx, LinkGrid, RowLinks, TaggedVector};
 use crate::stats::Stats;
 use crate::SimError;
@@ -89,26 +91,124 @@ impl Activity {
     }
 }
 
-/// Shared view of one PE memory (a strided view of the [`PeArray`] slab:
-/// word `a` of PE `idx` lives at `slab[a · stride + idx]`, see the
-/// address-major layout notes on [`PeArray`]).
+/// One memory kind (data memory or scratchpad) of every PE of a
+/// [`PeArray`], in **address-major** layout: word `a` of PE `i` lives at
+/// `words[a · n + i]`. The paper's uniform-addressing invariant (every PE
+/// of a row reads the *same* local address for one issue, staggered over
+/// consecutive cycles) makes the per-cycle working set a handful of
+/// `n`-wide rows — contiguous here, but strided 16 KB apart in a PE-major
+/// layout, where a default-config fabric touches one TLB page per PE.
+#[derive(Debug)]
+struct Slab {
+    words: Vec<Vector>,
+    /// Words per PE.
+    depth: usize,
+    /// Number of PEs (the row width).
+    n: usize,
+    /// Dirty-row mark: every write path raises it, so rows `dirty..` are
+    /// still zero and [`Slab::reset`] re-zeroes — and keeps resident — only
+    /// the rows a run touched.
+    dirty: usize,
+    /// `"dmem"` or `"spad"`, for error messages.
+    what: &'static str,
+}
+
+impl Slab {
+    /// `n` PEs of `depth` zero words each, allocated zeroed: the OS maps
+    /// the pages on first touch, so a fabric keeps resident only the rows
+    /// its runs write (`vec![Vector::ZERO; len]` would write every word up
+    /// front).
+    fn new(n: usize, depth: usize, what: &'static str) -> Slab {
+        let len = n * depth;
+        let words = if len == 0 {
+            Vec::new()
+        } else {
+            let layout = std::alloc::Layout::array::<Vector>(len).expect("slab size overflows");
+            // SAFETY: `layout` has nonzero size. A `Vector` holds only
+            // `i32`s, so all-zero bytes are a valid `Vector`
+            // (`Vector::ZERO`), and the allocation comes from the global
+            // allocator with exactly the layout a `Vec<Vector>` of capacity
+            // `len` frees with.
+            unsafe {
+                let ptr = std::alloc::alloc_zeroed(layout).cast::<Vector>();
+                if ptr.is_null() {
+                    std::alloc::handle_alloc_error(layout);
+                }
+                Vec::from_raw_parts(ptr, len, len)
+            }
+        };
+        Slab {
+            words,
+            depth,
+            n,
+            dirty: 0,
+            what,
+        }
+    }
+
+    /// Zeroes the rows below the dirty mark.
+    fn reset(&mut self) {
+        self.words[..self.dirty * self.n].fill(Vector::ZERO);
+        self.dirty = 0;
+    }
+
+    /// The bounds check of an `op` (`"read"`/`"write"`) of word `a`.
+    #[inline]
+    fn check(&self, a: usize, op: &str) -> Result<(), SimError> {
+        if a < self.depth {
+            Ok(())
+        } else {
+            Err(mem_oob(self.what, op, a, self.depth))
+        }
+    }
+
+    /// Word `a` of every PE, in PE-id order.
+    #[inline]
+    fn row(&self, a: usize) -> &[Vector] {
+        &self.words[a * self.n..(a + 1) * self.n]
+    }
+
+    /// Mutable [`Slab::row`]; raises the dirty mark.
+    #[inline]
+    fn row_mut(&mut self, a: usize) -> &mut [Vector] {
+        self.dirty = self.dirty.max(a + 1);
+        &mut self.words[a * self.n..(a + 1) * self.n]
+    }
+
+    /// Bounds-checked read of PE `idx`'s word `a`, counted in `count`.
+    #[inline]
+    fn read(&self, idx: usize, a: usize, count: &mut u64) -> Result<Vector, SimError> {
+        self.check(a, "read")?;
+        *count += 1;
+        Ok(self.row(a)[idx])
+    }
+
+    /// Bounds-checked write of PE `idx`'s word `a`, counted in `count`.
+    #[inline]
+    fn write(&mut self, idx: usize, a: usize, v: Vector, count: &mut u64) -> Result<(), SimError> {
+        self.check(a, "write")?;
+        *count += 1;
+        self.row_mut(a)[idx] = v;
+        Ok(())
+    }
+}
+
+/// Shared view of one PE memory: PE `idx`'s column of a [`PeArray`] slab.
 #[derive(Debug)]
 pub struct MemRef<'a> {
-    slab: &'a [Vector],
-    stride: usize,
-    offset: usize,
-    len: usize,
+    slab: &'a Slab,
+    idx: usize,
 }
 
 impl MemRef<'_> {
     /// Capacity in words.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.depth
     }
 
     /// True when the memory has zero capacity.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slab.depth == 0
     }
 
     /// Reads word `addr` without counting the access (tests / debugging).
@@ -117,85 +217,39 @@ impl MemRef<'_> {
     ///
     /// Panics when `addr` is out of range.
     pub fn word(&self, addr: usize) -> Vector {
-        assert!(addr < self.len, "word {addr} of {}", self.len);
-        self.slab[addr * self.stride + self.offset]
+        assert!(addr < self.slab.depth, "word {addr} of {}", self.slab.depth);
+        self.slab.row(addr)[self.idx]
     }
 }
 
-/// Mutable view of one PE memory (a strided view of the [`PeArray`] slab —
-/// see [`MemRef`]); its counted accesses add to the array's activity total.
+/// Preload view of one PE memory (see [`MemRef`]).
 #[derive(Debug)]
 pub struct MemMut<'a> {
-    slab: &'a mut [Vector],
-    stride: usize,
-    offset: usize,
-    len: usize,
-    reads: &'a mut u64,
-    writes: &'a mut u64,
-    /// The slab's dirty-row mark (see [`PeArray::reset`]).
-    dirty: &'a mut usize,
-    what: &'static str,
+    slab: &'a mut Slab,
+    idx: usize,
 }
 
 impl MemMut<'_> {
-    /// Capacity in words.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the memory has zero capacity.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads a word, counting the access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AddressOutOfRange`] for addresses past the end.
-    pub fn read(&mut self, addr: usize) -> Result<Vector, SimError> {
-        if addr < self.len {
-            *self.reads += 1;
-            Ok(self.slab[addr * self.stride + self.offset])
-        } else {
-            Err(mem_oob(self.what, "read", addr, self.len))
-        }
-    }
-
-    /// Writes a word, counting the access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AddressOutOfRange`] for addresses past the end.
-    pub fn write(&mut self, addr: usize, v: Vector) -> Result<(), SimError> {
-        if addr < self.len {
-            self.slab[addr * self.stride + self.offset] = v;
-            *self.writes += 1;
-            *self.dirty = (*self.dirty).max(addr + 1);
-            Ok(())
-        } else {
-            Err(mem_oob(self.what, "write", addr, self.len))
-        }
-    }
-
     /// Preloads contents without counting accesses (models the asynchronous
     /// EDDO memory movers filling the array before kernel execution; the
     /// off-chip traffic is accounted separately by the kernel mappers).
+    /// One PE's consecutive words lie `n` vectors apart in the slab, so
+    /// bulk preloads of every PE go through slab rows instead (the crate's
+    /// `preload_stationary`).
     ///
     /// # Panics
     ///
     /// Panics if `base + data.len()` exceeds the capacity.
     pub fn preload(&mut self, base: usize, data: &[Vector]) {
         assert!(
-            base + data.len() <= self.len,
+            base + data.len() <= self.slab.depth,
             "preload of {} words at {base} exceeds capacity {}",
             data.len(),
-            self.len
+            self.slab.depth
         );
-        for (i, &w) in data.iter().enumerate() {
-            self.slab[(base + i) * self.stride + self.offset] = w;
+        for (a, &w) in (base..).zip(data) {
+            self.slab.row_mut(a)[self.idx] = w;
         }
-        *self.dirty = (*self.dirty).max(base + data.len());
     }
 }
 
@@ -206,28 +260,6 @@ fn mem_oob(what: &str, op: &str, addr: usize, len: usize) -> SimError {
     }
 }
 
-/// A slab of `len` zero vectors, allocated zeroed: the OS maps its pages
-/// on first touch, so a fabric keeps resident only the slab rows its runs
-/// write (with [`PeArray::reset`]'s dirty-row marks, also across reuse).
-/// `vec![Vector::ZERO; len]` would write every word up front.
-fn zeroed_slab(len: usize) -> Vec<Vector> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<Vector>(len).expect("slab size overflows");
-    // SAFETY: `layout` has nonzero size. A `Vector` holds only `i32`s, so
-    // all-zero bytes are a valid `Vector` (`Vector::ZERO`), and the
-    // allocation comes from the global allocator with exactly the layout a
-    // `Vec<Vector>` of capacity `len` frees with.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout).cast::<Vector>();
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, len, len)
-    }
-}
-
 /// A port access against a direction with no instantiated link.
 #[cold]
 fn unwired_port(r: usize, c: usize, access: &str, d: Direction) -> SimError {
@@ -235,51 +267,6 @@ fn unwired_port(r: usize, c: usize, access: &str, d: Direction) -> SimError {
         context: format!(
             "PE ({r},{c}) {access} {d}: only south/east-bound dataflow is instantiated"
         ),
-    }
-}
-
-/// Bounds-checked, counted read of word `a` of PE `idx` in an
-/// address-major slab (`words` words per PE, `n` PEs: word `a` of PE `idx`
-/// at `slab[a * n + idx]`) — the one definition of "checked counted slab
-/// access" behind every hot-path memory accessor.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn slab_read(
-    slab: &[Vector],
-    words: usize,
-    n: usize,
-    idx: usize,
-    a: usize,
-    count: &mut u64,
-    what: &'static str,
-) -> Result<Vector, SimError> {
-    if a < words {
-        *count += 1;
-        Ok(slab[a * n + idx])
-    } else {
-        Err(mem_oob(what, "read", a, words))
-    }
-}
-
-/// Bounds-checked, counted write — see [`slab_read`].
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn slab_write(
-    slab: &mut [Vector],
-    words: usize,
-    n: usize,
-    idx: usize,
-    a: usize,
-    v: Vector,
-    count: &mut u64,
-    what: &'static str,
-) -> Result<(), SimError> {
-    if a < words {
-        *count += 1;
-        slab[a * n + idx] = v;
-        Ok(())
-    } else {
-        Err(mem_oob(what, "write", a, words))
     }
 }
 
@@ -397,32 +384,11 @@ pub struct PeMut<'a> {
 /// operation on the simulator's hottest path.
 #[derive(Debug)]
 pub struct PeArray {
-    /// Data-memory words of *all* PEs, one flat slab in **address-major**
-    /// layout: word `a` of PE `i` lives at `dmem[a * n + i]`. The paper's
-    /// uniform-addressing invariant (every PE of a row reads the *same*
-    /// local address for one issue, staggered over consecutive cycles)
-    /// makes the per-cycle working set a handful of `n`-wide rows of this
-    /// slab — contiguous here, but strided 16 KB apart in a PE-major
-    /// layout, where a default-config fabric touches one TLB page per PE.
-    /// The same layout makes one PE's consecutive words `n` vectors apart,
-    /// so filling a slab through per-PE [`MemMut::preload`] views scatters
-    /// every write across a new cache line and page; bulk preloads of the
-    /// stationary operand go through [`PeArray::dmem_row_mut`] instead and
-    /// fill the slab in its own order, one `n`-wide row per word.
-    dmem: Vec<Vector>,
-    dmem_words: usize,
-    /// Scratchpad entries of all PEs (the accumulator banks), same layout.
-    spad: Vec<Vector>,
-    spad_entries: usize,
-    /// Dirty-row marks: every write path raises them, so words
-    /// `dmem_dirty..` of every PE's data memory (and `spad_dirty..` of its
-    /// scratchpad) are still zero. [`PeArray::reset`] zeroes only the
-    /// rows below them, so a reused fabric re-zeroes — and keeps resident —
-    /// only the slab pages a run touched.
-    dmem_dirty: usize,
-    spad_dirty: usize,
-    /// Number of PEs (the slab stride).
-    n: usize,
+    /// Data memories of all PEs (the stationary operand tiles), one
+    /// address-major [`Slab`].
+    dmem: Slab,
+    /// Scratchpads of all PEs (the accumulator banks), same layout.
+    spad: Slab,
     regs: Vec<[Vector; NUM_REGS]>,
     /// Pipeline-stage slots, struct-of-arrays at field granularity:
     /// `xxx[s][i]` is field `xxx` of stage slot `s` of PE `i`. Slot roles
@@ -457,13 +423,8 @@ impl PeArray {
     /// Creates `n` PEs with the given memory capacities (in vector words).
     pub fn new(n: usize, dmem_words: usize, spad_entries: usize) -> PeArray {
         PeArray {
-            dmem: zeroed_slab(n * dmem_words),
-            dmem_words,
-            spad: zeroed_slab(n * spad_entries),
-            spad_entries,
-            dmem_dirty: 0,
-            spad_dirty: 0,
-            n,
+            dmem: Slab::new(n, dmem_words, "dmem"),
+            spad: Slab::new(n, spad_entries, "spad"),
             regs: vec![[Vector::ZERO; NUM_REGS]; n],
             state: std::array::from_fn(|_| vec![Slot::Empty; n]),
             handles: std::array::from_fn(|_| vec![InstrHandle::default(); n]),
@@ -484,10 +445,8 @@ impl PeArray {
     /// `PeArray::new(n, dmem_words, spad_entries)` (fabric reuse across
     /// warm-pool requests depends on that).
     pub fn reset(&mut self) {
-        self.dmem[..self.dmem_dirty * self.n].fill(Vector::ZERO);
-        self.spad[..self.spad_dirty * self.n].fill(Vector::ZERO);
-        self.dmem_dirty = 0;
-        self.spad_dirty = 0;
+        self.dmem.reset();
+        self.spad.reset();
         for regs in &mut self.regs {
             *regs = [Vector::ZERO; NUM_REGS];
         }
@@ -521,15 +480,11 @@ impl PeArray {
         PeRef {
             dmem: MemRef {
                 slab: &self.dmem,
-                stride: self.n,
-                offset: idx,
-                len: self.dmem_words,
+                idx,
             },
             spad: MemRef {
                 slab: &self.spad,
-                stride: self.n,
-                offset: idx,
-                len: self.spad_entries,
+                idx,
             },
             regs: &self.regs[idx],
         }
@@ -540,23 +495,11 @@ impl PeArray {
         PeMut {
             dmem: MemMut {
                 slab: &mut self.dmem,
-                stride: self.n,
-                offset: idx,
-                len: self.dmem_words,
-                reads: &mut self.activity.dmem_reads,
-                writes: &mut self.activity.dmem_writes,
-                dirty: &mut self.dmem_dirty,
-                what: "dmem",
+                idx,
             },
             spad: MemMut {
                 slab: &mut self.spad,
-                stride: self.n,
-                offset: idx,
-                len: self.spad_entries,
-                reads: &mut self.activity.spad_reads,
-                writes: &mut self.activity.spad_writes,
-                dirty: &mut self.spad_dirty,
-                what: "spad",
+                idx,
             },
         }
     }
@@ -569,71 +512,8 @@ impl PeArray {
     ///
     /// Panics when `a` is not below the data-memory capacity.
     pub(crate) fn dmem_row_mut(&mut self, a: usize) -> &mut [Vector] {
-        assert!(a < self.dmem_words, "dmem word {a} of {}", self.dmem_words);
-        self.dmem_dirty = self.dmem_dirty.max(a + 1);
-        &mut self.dmem[a * self.n..(a + 1) * self.n]
-    }
-
-    /// Reads PE `idx`'s data-memory word `a`, counting the access.
-    #[inline]
-    fn dmem_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        slab_read(
-            &self.dmem,
-            self.dmem_words,
-            self.n,
-            idx,
-            a,
-            &mut self.activity.dmem_reads,
-            "dmem",
-        )
-    }
-
-    /// Writes PE `idx`'s data-memory word `a`, counting the access.
-    #[inline]
-    fn dmem_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        slab_write(
-            &mut self.dmem,
-            self.dmem_words,
-            self.n,
-            idx,
-            a,
-            v,
-            &mut self.activity.dmem_writes,
-            "dmem",
-        )?;
-        self.dmem_dirty = self.dmem_dirty.max(a + 1);
-        Ok(())
-    }
-
-    /// Reads PE `idx`'s scratchpad entry `a`, counting the access.
-    #[inline]
-    fn spad_read(&mut self, idx: usize, a: usize) -> Result<Vector, SimError> {
-        slab_read(
-            &self.spad,
-            self.spad_entries,
-            self.n,
-            idx,
-            a,
-            &mut self.activity.spad_reads,
-            "spad",
-        )
-    }
-
-    /// Writes PE `idx`'s scratchpad entry `a`, counting the access.
-    #[inline]
-    fn spad_write(&mut self, idx: usize, a: usize, v: Vector) -> Result<(), SimError> {
-        slab_write(
-            &mut self.spad,
-            self.spad_entries,
-            self.n,
-            idx,
-            a,
-            v,
-            &mut self.activity.spad_writes,
-            "spad",
-        )?;
-        self.spad_dirty = self.spad_dirty.max(a + 1);
-        Ok(())
+        assert!(a < self.dmem.depth, "dmem word {a} of {}", self.dmem.depth);
+        self.dmem.row_mut(a)
     }
 
     /// Register file access (tests / debugging).
@@ -703,14 +583,18 @@ impl PeArray {
                 Ok(self.forwarded(idx, addr).unwrap_or(base))
             }
             Addr::DataMem(a) => {
-                let v = self.dmem_read(idx, a as usize)?;
+                let v = self
+                    .dmem
+                    .read(idx, a as usize, &mut self.activity.dmem_reads)?;
                 if !fw_possible {
                     return Ok(v);
                 }
                 Ok(self.forwarded(idx, addr).unwrap_or(v))
             }
             Addr::Spad(a) => {
-                let v = self.spad_read(idx, a as usize)?;
+                let v = self
+                    .spad
+                    .read(idx, a as usize, &mut self.activity.spad_reads)?;
                 if !fw_possible {
                     return Ok(v);
                 }
@@ -956,8 +840,14 @@ impl PeArray {
                     })?;
                     *slot = result;
                 }
-                Addr::DataMem(a) => self.dmem_write(idx, a as usize, result)?,
-                Addr::Spad(a) => self.spad_write(idx, a as usize, result)?,
+                Addr::DataMem(a) => {
+                    self.dmem
+                        .write(idx, a as usize, result, &mut self.activity.dmem_writes)?;
+                }
+                Addr::Spad(a) => {
+                    self.spad
+                        .write(idx, a as usize, result, &mut self.activity.spad_writes)?;
+                }
                 Addr::Port(d) => {
                     Self::push_port(
                         d,
@@ -976,7 +866,14 @@ impl PeArray {
         // Flush-clear of the op1 source.
         if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
             match instr.op1 {
-                Addr::Spad(a) => self.spad_write(idx, a as usize, Vector::ZERO)?,
+                Addr::Spad(a) => {
+                    self.spad.write(
+                        idx,
+                        a as usize,
+                        Vector::ZERO,
+                        &mut self.activity.spad_writes,
+                    )?;
+                }
                 Addr::Reg(i) => {
                     let slot = self.regs[idx].get_mut(i as usize).ok_or_else(|| {
                         SimError::AddressOutOfRange {
@@ -1025,9 +922,11 @@ impl PeArray {
     // values (`results`, `routed`, memories, registers) are touched for
     // all `cols` PEs — contiguous slices of the address-major slabs.
     // Activity counts are credited `cols` at a time to the array total.
-    // Only this engine dispatches on the ring's [`Plan`]: per-PE stepping
-    // executes every instruction through the generic path, so it stays an
-    // independent reference for the differential tests.
+    // Only this engine has a fast path: its row LOAD matches the three MAC
+    // shapes the kernel FSMs issue for nearly every compute cycle and runs
+    // them as one fused loop per row. Per-PE stepping executes every
+    // instruction through the generic path, so it stays an independent
+    // reference for the differential tests.
 
     /// Where row `base`'s operand `addr` comes from. Only the EXECUTE slot
     /// can forward: the COMMIT slot was emptied before LOAD, exactly as in
@@ -1053,10 +952,10 @@ impl PeArray {
             (RowSrc::Exec, _) => dst.copy_from_slice(&self.results[self.exec_idx()][span]),
             (RowSrc::Zero, _) => dst.fill(Vector::ZERO),
             (RowSrc::Storage, Addr::DataMem(a)) => {
-                dst.copy_from_slice(&self.dmem[a as usize * self.n..][span]);
+                dst.copy_from_slice(&self.dmem.row(a as usize)[span]);
             }
             (RowSrc::Storage, Addr::Spad(a)) => {
-                dst.copy_from_slice(&self.spad[a as usize * self.n..][span]);
+                dst.copy_from_slice(&self.spad.row(a as usize)[span]);
             }
             (RowSrc::Storage, Addr::Reg(i)) => {
                 for (v, regs) in dst.iter_mut().zip(&self.regs[span]) {
@@ -1074,8 +973,8 @@ impl PeArray {
         let span = base..base + buf.len();
         match (self.lockstep_src(base, addr), addr) {
             (RowSrc::Exec, _) => &self.results[self.exec_idx()][span],
-            (RowSrc::Storage, Addr::DataMem(a)) => &self.dmem[a as usize * self.n..][span],
-            (RowSrc::Storage, Addr::Spad(a)) => &self.spad[a as usize * self.n..][span],
+            (RowSrc::Storage, Addr::DataMem(a)) => &self.dmem.row(a as usize)[span],
+            (RowSrc::Storage, Addr::Spad(a)) => &self.spad.row(a as usize)[span],
             _ => {
                 self.lockstep_fill(base, addr, buf);
                 buf
@@ -1147,15 +1046,11 @@ impl PeArray {
                 }
             }
             Addr::DataMem(a) => {
-                if a as usize >= self.dmem_words {
-                    return Err(mem_oob("dmem", "read", a as usize, self.dmem_words));
-                }
+                self.dmem.check(a as usize, "read")?;
                 self.activity.dmem_reads += cols;
             }
             Addr::Spad(a) => {
-                if a as usize >= self.spad_entries {
-                    return Err(mem_oob("spad", "read", a as usize, self.spad_entries));
-                }
+                self.spad.check(a as usize, "read")?;
                 self.activity.spad_reads += cols;
             }
             a => unreachable!("{a} is not a storage operand"),
@@ -1191,11 +1086,14 @@ impl PeArray {
         // read: move them out for the duration.
         let mut results = std::mem::take(&mut self.results[ls]);
         let out = &mut results[base..base + cols];
-        let loaded = match ring.plan(h) {
-            Plan::Generic => {
-                self.lockstep_load_generic(row, instr, links, cycle, &mut scratch, out)
+        let loaded = match (instr.op, instr.op1, instr.op2, instr.res, instr.route) {
+            // SpMM's MAC (into a scratchpad slot), GEMM / N:M's (into a
+            // register) and SDDMM's.
+            (Opcode::MacS, Addr::Imm, Addr::DataMem(_), Addr::Spad(_) | Addr::Reg(_), None)
+            | (Opcode::MacV, Addr::Spad(_), Addr::DataMem(_), Addr::Reg(_), None) => {
+                self.lockstep_load_mac(base, instr, &mut scratch, out)
             }
-            plan => self.lockstep_load_mac(base, plan, &mut scratch, out),
+            _ => self.lockstep_load_generic(row, instr, links, cycle, &mut scratch, out),
         };
         self.results[ls] = results;
         self.lockstep_scratch = scratch;
@@ -1211,60 +1109,48 @@ impl PeArray {
         Ok(())
     }
 
-    /// Lockstep LOAD of a fast MAC plan: the bounds checks and read counts
-    /// in the generic path's operand order (the plans' registers are in
-    /// range by construction), then one fused loop per row.
+    /// Lockstep LOAD of a fast MAC shape (`MacS Imm, DataMem → Spad/Reg` or
+    /// `MacV Spad, DataMem → Reg`, no route): the counts, the bounds checks
+    /// and read counts in the generic path's operand order, then one fused
+    /// loop per row.
     fn lockstep_load_mac(
         &mut self,
         base: usize,
-        plan: Plan,
+        instr: &Instruction,
         scratch: &mut RowScratch,
         out: &mut [Vector],
     ) -> Result<(), SimError> {
         let cols = out.len() as u64;
-        let RowScratch {
-            op1, op2, res_in, ..
-        } = scratch;
-        match plan {
-            Plan::MacSToSpad { a, b, imm } => {
-                self.lockstep_storage_read(Addr::DataMem(a), cols)?;
-                self.lockstep_storage_read(Addr::Spad(b), cols)?;
-                let s = Vector::splat(imm.lane0());
-                let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
-                let acc = self.lockstep_row(base, Addr::Spad(b), res_in);
-                for ((o, &acc), &y) in out.iter_mut().zip(acc).zip(op2) {
-                    *o = acc.mac(s, y);
-                }
-            }
-            Plan::MacSToReg { a, r, imm } => {
-                self.lockstep_storage_read(Addr::DataMem(a), cols)?;
-                let s = Vector::splat(imm.lane0());
-                let op2 = self.lockstep_row(base, Addr::DataMem(a), op2);
-                let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
-                for ((o, &acc), &y) in out.iter_mut().zip(acc).zip(op2) {
-                    *o = acc.mac(s, y);
-                }
-            }
-            Plan::MacVToReg { a, b, r } => {
-                self.lockstep_storage_read(Addr::Spad(a), cols)?;
-                self.lockstep_storage_read(Addr::DataMem(b), cols)?;
-                let op1 = self.lockstep_row(base, Addr::Spad(a), op1);
-                let op2 = self.lockstep_row(base, Addr::DataMem(b), op2);
-                let acc = self.lockstep_row(base, Addr::Reg(r), res_in);
-                for (((o, &acc), &x), &y) in out.iter_mut().zip(acc).zip(op1).zip(op2) {
-                    *o = acc.mac(x, y);
-                }
-            }
-            Plan::Generic => unreachable!("generic plans take the operand path"),
-        }
         self.activity.instrs += cols;
         self.activity.compute_instrs += cols;
         self.activity.mac_instrs += cols;
+        let macs = instr.op == Opcode::MacS;
+        if !macs {
+            self.lockstep_storage_read(instr.op1, cols)?;
+        }
+        self.lockstep_storage_read(instr.op2, cols)?;
+        self.lockstep_storage_read(instr.res, cols)?;
+        let RowScratch {
+            op1, op2, res_in, ..
+        } = scratch;
+        let ys = self.lockstep_row(base, instr.op2, op2);
+        let accs = self.lockstep_row(base, instr.res, res_in);
+        if macs {
+            let s = Vector::splat(instr.imm.unwrap_or(Vector::ZERO).lane0());
+            for ((o, &acc), &y) in out.iter_mut().zip(accs).zip(ys) {
+                *o = acc.mac(s, y);
+            }
+        } else {
+            let xs = self.lockstep_row(base, instr.op1, op1);
+            for (((o, &acc), &x), &y) in out.iter_mut().zip(accs).zip(xs).zip(ys) {
+                *o = acc.mac(x, y);
+            }
+        }
         Ok(())
     }
 
-    /// Lockstep LOAD of a generic plan: the route check, the counts, the
-    /// operand reads in the scalar order, the route pop, and the lane
+    /// Lockstep LOAD of any other instruction: the route check, the counts,
+    /// the operand reads in the scalar order, the route pop, and the lane
     /// results. A NOP's lane result is zero whatever it reads, so its
     /// operands are resolved for their side effects only.
     fn lockstep_load_generic(
@@ -1429,7 +1315,6 @@ impl PeArray {
         }
         self.state[cs][base] = Slot::Empty;
         let instr = ring.get(self.handles[cs][base]);
-        let n = self.n;
         let span = base..base + cols;
         if instr.op != Opcode::Nop {
             match instr.res {
@@ -1453,23 +1338,15 @@ impl PeArray {
                     }
                 }
                 Addr::DataMem(a) => {
-                    let a = a as usize;
-                    if a >= self.dmem_words {
-                        return Err(mem_oob("dmem", "write", a, self.dmem_words));
-                    }
+                    self.dmem.check(a as usize, "write")?;
                     self.activity.dmem_writes += cols as u64;
-                    self.dmem_dirty = self.dmem_dirty.max(a + 1);
-                    self.dmem[a * n..][span.clone()]
+                    self.dmem.row_mut(a as usize)[span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
                 }
                 Addr::Spad(a) => {
-                    let a = a as usize;
-                    if a >= self.spad_entries {
-                        return Err(mem_oob("spad", "write", a, self.spad_entries));
-                    }
+                    self.spad.check(a as usize, "write")?;
                     self.activity.spad_writes += cols as u64;
-                    self.spad_dirty = self.spad_dirty.max(a + 1);
-                    self.spad[a * n..][span.clone()]
+                    self.spad.row_mut(a as usize)[span.clone()]
                         .copy_from_slice(&self.results[cs][span.clone()]);
                 }
                 // The chain's East push: only the last column's value
@@ -1498,12 +1375,9 @@ impl PeArray {
         if matches!(instr.op, Opcode::MovFlush | Opcode::AddFlush) {
             match instr.op1 {
                 Addr::Spad(a) => {
-                    let a = a as usize;
-                    if a >= self.spad_entries {
-                        return Err(mem_oob("spad", "write", a, self.spad_entries));
-                    }
+                    self.spad.check(a as usize, "write")?;
                     self.activity.spad_writes += cols as u64;
-                    self.spad[a * n..][span.clone()].fill(Vector::ZERO);
+                    self.spad.row_mut(a as usize)[span.clone()].fill(Vector::ZERO);
                 }
                 Addr::Reg(i) => {
                     if i as usize >= NUM_REGS {
@@ -1597,7 +1471,7 @@ mod tests {
                 ..Activity::default()
             }
         );
-        assert_eq!(pes.pe_mut(0).spad.read(2).unwrap(), Vector([6, 12, 18, 24]));
+        assert_eq!(pes.pe(0).spad.word(2), Vector([6, 12, 18, 24]));
     }
 
     #[test]
@@ -1622,14 +1496,14 @@ mod tests {
         pes.commit(0, &ring, &mut g, 0, 0, 3).unwrap();
         pes.advance();
         pes.commit(0, &ring, &mut g, 0, 0, 4).unwrap();
-        assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector::splat(3));
+        assert_eq!(pes.pe(0).spad.word(0), Vector::splat(3));
     }
 
     #[test]
     fn movflush_clears_source() {
         let mut pes = one_pe();
         let mut g = LinkGrid::new(1, 1, 4, false);
-        pes.pe_mut(0).spad.write(1, Vector::splat(7)).unwrap();
+        pes.pe_mut(0).spad.preload(1, &[Vector::splat(7)]);
         let i = Instruction::new(
             Opcode::MovFlush,
             Addr::Spad(1),
@@ -1638,7 +1512,7 @@ mod tests {
         )
         .with_tag(42);
         run_one(&mut pes, &mut g, i);
-        assert_eq!(pes.pe_mut(0).spad.read(1).unwrap(), Vector::ZERO);
+        assert_eq!(pes.pe(0).spad.word(1), Vector::ZERO);
         let out = g.vertical(1, 0).pop(3, "sink").unwrap();
         assert_eq!(out.tag, 42);
         assert_eq!(out.value, Vector::splat(7));
@@ -1694,7 +1568,7 @@ mod tests {
         )
         .with_route(Direction::North, Direction::South);
         run_one(&mut pes, &mut g, i);
-        assert_eq!(pes.pe_mut(0).spad.read(0).unwrap(), Vector([1, 2, 3, 4]));
+        assert_eq!(pes.pe(0).spad.word(0), Vector([1, 2, 3, 4]));
         let fwd = g.vertical(1, 0).pop(3, "t").unwrap();
         assert_eq!(fwd.tag, 3);
         assert_eq!(fwd.value, Vector([1, 2, 3, 4]));
@@ -1802,18 +1676,90 @@ mod tests {
         );
     }
 
+    /// Runs a single instruction through row 0 of `pes` in column
+    /// lockstep, `cols` PEs wide.
+    fn run_row(pes: &mut PeArray, cols: usize, i: Instruction) {
+        let mut ring = ring();
+        let mut links = RowLinks::new(1, cols, 4);
+        let h = ring.intern(i);
+        pes.lockstep_load_row(0, cols, h, &ring, &mut links, 0)
+            .unwrap();
+        pes.advance();
+        pes.advance();
+        pes.lockstep_commit_row(0, cols, &ring, &mut links, 2)
+            .unwrap();
+    }
+
     #[test]
     fn reset_zeroes_every_row_a_write_path_dirtied() {
         let mut pes = PeArray::new(4, 8, 8);
+        let mut g = LinkGrid::new(1, 4, 4, false);
         let v = Vector::splat(3);
-        pes.pe_mut(1).dmem.preload(5, &[v]);
-        pes.pe_mut(2).dmem.write(2, v).unwrap();
-        pes.pe_mut(3).spad.write(6, v).unwrap();
+        let mov = |res| Instruction::new(Opcode::Mov, Addr::Imm, Addr::Null, res).with_imm(v);
+        let marks = |pes: &PeArray| (pes.dmem.dirty, pes.spad.dirty);
         pes.dmem_row_mut(1).fill(v);
-        assert_eq!((pes.dmem_dirty, pes.spad_dirty), (6, 7));
+        assert_eq!(marks(&pes), (2, 0));
+        pes.pe_mut(1).dmem.preload(3, &[v]);
+        pes.pe_mut(2).spad.preload(1, &[v]);
+        assert_eq!(marks(&pes), (4, 2));
+        // Scalar COMMIT writes.
+        run_one(&mut pes, &mut g, mov(Addr::DataMem(5)));
+        run_one(&mut pes, &mut g, mov(Addr::Spad(2)));
+        assert_eq!(marks(&pes), (6, 3));
+        // Lockstep COMMIT writes.
+        run_row(&mut pes, 4, mov(Addr::DataMem(7)));
+        run_row(&mut pes, 4, mov(Addr::Spad(4)));
+        assert_eq!(marks(&pes), (8, 5));
+        // A lockstep flush-clear writes its source row too.
+        let flush = Instruction::new(Opcode::MovFlush, Addr::Spad(6), Addr::Null, Addr::Null);
+        run_row(&mut pes, 4, flush);
+        assert_eq!(marks(&pes), (8, 7));
         pes.reset();
-        assert_eq!((pes.dmem_dirty, pes.spad_dirty), (0, 0));
-        assert!(pes.dmem.iter().chain(&pes.spad).all(|&w| w == Vector::ZERO));
+        assert_eq!(marks(&pes), (0, 0));
+        assert!(pes
+            .dmem
+            .words
+            .iter()
+            .chain(&pes.spad.words)
+            .all(|&w| w == Vector::ZERO));
+    }
+
+    /// The three shapes lockstep's row LOAD runs as fused MAC loops, each
+    /// with an out-of-range data-memory word, scratchpad slot or register,
+    /// raise the same error and leave the same activity as per-PE LOAD.
+    #[test]
+    fn fast_mac_shapes_fail_like_per_pe_load() {
+        let macs = |op1, op2, res| {
+            Instruction::new(Opcode::MacS, op1, op2, res).with_imm(Vector::splat(2))
+        };
+        let macv = |op1, op2, res| Instruction::new(Opcode::MacV, op1, op2, res);
+        let (d, s) = (Addr::DataMem, Addr::Spad);
+        let cases = [
+            (macs(Addr::Imm, d(4), s(0)), "dmem read 4 of 4"),
+            (macs(Addr::Imm, d(0), s(4)), "spad read 4 of 4"),
+            (macs(Addr::Imm, d(4), Addr::Reg(0)), "dmem read 4 of 4"),
+            (macs(Addr::Imm, d(0), Addr::Reg(4)), "register r4 (of 4)"),
+            (macv(s(4), d(0), Addr::Reg(0)), "spad read 4 of 4"),
+            (macv(s(0), d(4), Addr::Reg(0)), "dmem read 4 of 4"),
+            (macv(s(0), d(0), Addr::Reg(4)), "register r4 (of 4)"),
+        ];
+        for (i, context) in cases {
+            let mut ring = ring();
+            let h = ring.intern(i);
+            let mut per_pe = one_pe();
+            let scalar = per_pe.load(0, h, &ring, &mut grid1x1(), 0, 0, 0);
+            let mut lockstep = one_pe();
+            let row = lockstep.lockstep_load_row(0, 1, h, &ring, &mut RowLinks::new(1, 1, 4), 0);
+            assert!(
+                matches!(&scalar, Err(SimError::AddressOutOfRange { context: c }) if c == context),
+                "{i}: {scalar:?}"
+            );
+            assert_eq!(
+                row.unwrap_err().to_string(),
+                scalar.unwrap_err().to_string()
+            );
+            assert_eq!(lockstep.activity(), per_pe.activity(), "{i}");
+        }
     }
 
     #[test]

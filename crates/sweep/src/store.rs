@@ -71,7 +71,7 @@ impl std::fmt::Write for Fnv1a {
 }
 
 /// Stable fingerprint of the Canon configuration fields that affect results.
-/// The watchdog budget is included because a raised budget can turn a
+/// The watchdog constants are included because a raised budget can turn a
 /// deadlock-aborted cell into a completed one — such cells must miss. The
 /// harness budgets and injected fault join the fingerprint only when set,
 /// for the same reason (a raised ceiling can turn a timeout record into a
@@ -88,8 +88,8 @@ pub fn cfg_fingerprint(cfg: &CanonConfig) -> String {
         canon_core::orchestrator::MSG_LATENCY,
         canon_core::orchestrator::MSG_CAPACITY,
         canon_core::offchip::LPDDR5X_X16_GBPS,
-        cfg.watchdog_factor,
-        cfg.watchdog_slack,
+        canon_core::fabric::WATCHDOG_FACTOR,
+        canon_core::fabric::WATCHDOG_SLACK,
     );
     if let Some(m) = cfg.max_cycles {
         fp.push_str(&format!(";maxcyc={m}"));
@@ -1371,6 +1371,8 @@ mod tests {
     fn fingerprint_suffixes_only_when_set() {
         let base = cfg_fingerprint(&CanonConfig::default());
         assert!(!base.contains("maxcyc") && !base.contains("wall") && !base.contains("fault"));
+        // The watchdog constants keep the spelling every stored key hashes.
+        assert!(base.ends_with(";wd=64+10000"), "{base}");
         let budgeted = cfg_fingerprint(&CanonConfig {
             max_cycles: Some(100),
             wall_budget_ns: Some(5_000),

@@ -128,8 +128,6 @@ fn watchdog_reports_stuck_rows() {
         cols: 2,
         dmem_words: 8,
         spad_entries: 4,
-        watchdog_factor: 4,
-        watchdog_slack: 100,
         ..CanonConfig::default()
     };
     let mut fabric = Fabric::new(&cfg, false);

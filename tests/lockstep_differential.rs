@@ -493,11 +493,7 @@ fn withheld_credits_trip_the_watchdog_at_the_same_cycle() {
     let cases: [&dyn Case; 2] = [&dense(), &sddmm()];
     for p in cases {
         let [(lock, lock_report, lock_south, lock_east), (reference, ref_report, ref_south, ref_east)] =
-            run_both(p, |cfg| {
-                cfg.fault = Some(FaultAction::WithholdCredits);
-                cfg.watchdog_factor = 2;
-                cfg.watchdog_slack = 100;
-            });
+            run_both(p, |cfg| cfg.fault = Some(FaultAction::WithholdCredits));
         let lock = lock.expect_err("lockstep run must deadlock");
         let reference = reference.expect_err("reference run must deadlock");
         assert!(matches!(lock, SimError::Deadlock { .. }), "{lock}");

@@ -2,10 +2,15 @@
 //! assembled from the symbolic SpMM microcode) must be cycle-identical to
 //! the native Rust FSM on the full fabric.
 
-use canon::arch::kernels::spmm::{run_spmm, OrchKind, SpmmMapping};
+use canon::arch::fabric::CollectedEntry;
+use canon::arch::kernels::spmm::{
+    build_row_streams, preload_b_tile, run_spmm, OrchKind, SpmmMapping,
+};
 use canon::arch::kernels::{compile, execute, KernelInput};
-use canon::arch::CanonConfig;
-use canon::sparse::{gen, reference, Dense};
+use canon::arch::orchestrator::assembler::{spmm_fsm_spec, FsmSpec};
+use canon::arch::orchestrator::lut::AddrSel;
+use canon::arch::{CanonConfig, Fabric, SimError};
+use canon::sparse::{gen, reference, CsrMatrix, Dense};
 
 fn mapping(kind: OrchKind, depth: usize) -> SpmmMapping {
     SpmmMapping {
@@ -139,4 +144,55 @@ fn regacc_lut_matches_native_folded() {
     let wide = CanonConfig::default().with_geometry(16, 16);
     compare_regacc(&wide, 36, (48, 64, 64), 0.0, Some(4));
     compare_regacc(&wide, 37, (64, 128, 64), 0.5, None);
+}
+
+/// Runs the scratchpad SpMM LUT table of window `depth` on every row of an
+/// unfolded `cfg` fabric, its rules edited by `edit` first; returns the
+/// cycle count and the south collector.
+fn run_lut_table(
+    cfg: &CanonConfig,
+    a: &CsrMatrix,
+    b: &Dense,
+    depth: usize,
+    edit: impl Fn(&mut FsmSpec),
+) -> Result<(u64, Vec<CollectedEntry>), SimError> {
+    let mut fabric = Fabric::new(cfg, false);
+    preload_b_tile(&mut fabric, b, a.cols() / cfg.rows, cfg.rows, 0);
+    let streams = build_row_streams(a, cfg.rows, cfg.rows);
+    for (r, stream) in streams.into_iter().enumerate() {
+        fabric.set_meta_stream(r, stream);
+        let mut spec = spmm_fsm_spec(depth, a.rows());
+        edit(&mut spec);
+        fabric.set_program(r, spec.into_program().expect("assembles"));
+    }
+    let report = fabric.run()?;
+    Ok((report.cycles, fabric.south_collected().to_vec()))
+}
+
+/// A `Nop` never pushes (COMMIT skips its write-back), so one whose result
+/// names South must take no south credit: with the row-end `Nop`s of the
+/// SpMM table pointed South, every row must still drain, cycle for cycle
+/// like the unmodified table, on both engines.
+#[test]
+fn lut_nop_pointed_south_takes_no_credit() {
+    let mut rng = gen::seeded_rng(1);
+    let a = gen::skewed_sparse(40, 32, 0.5, 2.0, &mut rng);
+    let b = Dense::random(32, 32, &mut rng);
+    let nop_south = |spec: &mut FsmSpec| {
+        for rule in &mut spec.rules {
+            if matches!(rule.name, "rowend-grow" | "rowend-last") {
+                rule.out.res = AddrSel::PortSouth;
+            }
+        }
+    };
+    for lockstep in [true, false] {
+        let cfg = CanonConfig {
+            lockstep,
+            ..CanonConfig::default()
+        };
+        let plain = run_lut_table(&cfg, &a, &b, 12, |_| {}).expect("unmodified table drains");
+        let south = run_lut_table(&cfg, &a, &b, 12, nop_south)
+            .unwrap_or_else(|e| panic!("Nops pointed South (lockstep {lockstep}): {e}"));
+        assert_eq!(south, plain, "lockstep {lockstep}");
+    }
 }
